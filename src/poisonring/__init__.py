@@ -7,7 +7,6 @@ lifetime, infectious propagation). Includes Dijkstra's K-state self-stabilizing
 token ring as the reference workload plus trace analytics and a CLI.
 """
 
-from ._backend import KERNEL_BACKEND
 from .poison_core import (
     ArithmeticFault,
     DeviationModel,
@@ -62,7 +61,6 @@ __all__ = [
     "EvalContext",
     "GOLDEN_PREFIX",
     "Injection",
-    "KERNEL_BACKEND",
     "OperatorEvent",
     "PoisonPolicy",
     "PoisonedScalar",

@@ -1,10 +1,7 @@
-"""Pure-Python operator kernel.
+"""Operator kernel.
 
-Reference implementation of the hot primitives behind every intercepted
-operation: checked 64-bit signed arithmetic, deviation application, and the
-SplitMix64 draw stream. The compiled twin (poisonring._opkernel, built from
-_opkernel.pyx) must agree with this module bit for bit; poisonring._backend
-picks one of the two at import time.
+The hot primitives behind every intercepted operation: checked 64-bit signed
+arithmetic, deviation application, and the SplitMix64 draw stream.
 
 All value arguments are Python ints already verified to lie in the signed
 64-bit range. Results outside that range raise OverflowError.
@@ -17,8 +14,7 @@ _MASK64 = (1 << 64) - 1
 _BIT63 = 1 << 63
 _TWO64 = 1 << 64
 
-# Operator codes, shared with the compiled kernel. Comparisons sort last so
-# callers can test "code >= OP_EQ".
+# Operator codes. Comparisons sort last so callers can test "code >= OP_EQ".
 OP_ADD = 0
 OP_SUB = 1
 OP_MUL = 2
@@ -112,7 +108,10 @@ def sm64_next(state):
 
 
 def stream_seed(seed, origin_id):
-    """Initial draw-stream state for an injection site under a scenario seed."""
+    """Initial draw-stream state for an injection site under a scenario seed.
+
+    Both inputs are taken modulo 2**64.
+    """
     _, z = sm64_next(seed & _MASK64)
     _, z2 = sm64_next(z ^ (origin_id & _MASK64))
     return z2

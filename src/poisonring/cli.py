@@ -199,10 +199,7 @@ def load_scenario(path: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    try:
-        return parse_scenario(obj, source=path)
-    except ScenarioError:
-        raise
+    return parse_scenario(obj, source=path)
 
 
 def _with_seed(scenario: Scenario, seed: int) -> Scenario:

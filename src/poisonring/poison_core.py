@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._backend import KERNEL_BACKEND, kernel
+from . import _kernel as kernel
 from .trace_metrics import OperatorEvent
 
 INT64_MIN = kernel.INT64_MIN
@@ -77,8 +77,8 @@ class ArithmeticFault(ArithmeticError):
 
 
 def kernel_backend() -> str:
-    """Which operator kernel is active: "c" (compiled) or "py"."""
-    return KERNEL_BACKEND
+    """Name of the operator kernel: always "py", the one pure-Python kernel."""
+    return "py"
 
 
 def _as_rational(value, field: str) -> Fraction:
@@ -286,9 +286,7 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
         raise PolicyError("origin_id must be an integer")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
         raise PolicyError("seed must be an unsigned 64-bit integer")
-    # The stream takes origin_id modulo 2**64 (the reference kernel's rule);
-    # the value and its events keep the caller's id.
-    state = kernel.stream_seed(seed, origin_id & _U64_MAX)
+    state = kernel.stream_seed(seed, origin_id)
     return PoisonedScalar(value, policy, origin_id, state)
 
 

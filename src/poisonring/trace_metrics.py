@@ -168,19 +168,26 @@ def loads_record(text: str) -> RunRecord:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise TraceFormatError(f"line {lineno}: expected an object, got {type(obj).__name__}")
         kind = obj.pop("type", None)
-        if kind == "run":
-            record = RunRecord(
-                scenario_digest=obj["scenario_digest"],
-                seed=obj["seed"],
-                final_statuses=list(obj["final_statuses"]),
-            )
-        elif kind == "op":
-            events.append(OperatorEvent(**obj))
-        elif kind == "snapshot":
-            snapshots.append(SnapshotEvent(**obj))
-        else:
-            raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
+        try:
+            if kind == "run":
+                record = RunRecord(
+                    scenario_digest=obj["scenario_digest"],
+                    seed=obj["seed"],
+                    final_statuses=list(obj["final_statuses"]),
+                )
+            elif kind == "op":
+                events.append(OperatorEvent(**obj))
+            elif kind == "snapshot":
+                snapshots.append(SnapshotEvent(**obj))
+            else:
+                raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
+        except KeyError as exc:
+            raise TraceFormatError(f"line {lineno}: {kind} record lacks field {exc}") from exc
+        except TypeError as exc:
+            raise TraceFormatError(f"line {lineno}: bad {kind} record: {exc}") from exc
     if record is None:
         raise TraceFormatError("trace has no run header")
     record.events = events

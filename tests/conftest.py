@@ -1,10 +1,4 @@
-import importlib.util
 import json
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
 
 import pytest
 
@@ -22,56 +16,6 @@ def make_policy(kind="offset", magnitude=1, rate=None, uses=None, infectious=Fal
     return PoisonPolicy(
         DeviationModel(kind, magnitude), rate=rate, uses=uses, infectious=infectious
     )
-
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _missing_toolchain():
-    """Why the compiled kernel cannot be built here, or None when it can."""
-    cc = (sysconfig.get_config_var("CC") or "").split()
-    if not cc or shutil.which(cc[0]) is None:
-        return f"no C compiler (sysconfig CC={' '.join(cc)!r})"
-    header = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if not header.is_file():
-        return f"no Python headers ({header} missing)"
-    return None
-
-
-@pytest.fixture(scope="session")
-def opkernel(tmp_path_factory):
-    """The compiled kernel: the importable one, else a private build from setup.py.
-
-    The private build goes to a temporary directory, so the working tree stays
-    free of build output. Skips only where no C compiler or no Python.h exists;
-    a build that fails with the toolchain present fails the tests using it.
-    """
-    try:
-        from poisonring import _opkernel
-    except ImportError:
-        pass
-    else:
-        return _opkernel
-    missing = _missing_toolchain()
-    if missing:
-        pytest.skip(f"compiled kernel cannot be built: {missing}")
-    out = tmp_path_factory.mktemp("opkernel")
-    build = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(out / "lib"), "--build-temp", str(out / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    built = out / "lib" / "poisonring" / f"_opkernel{sysconfig.get_config_var('EXT_SUFFIX')}"
-    if build.returncode != 0 or not built.is_file():
-        pytest.fail(
-            f"setup.py build_ext exited {build.returncode} without building {built.name}"
-            f"\n{build.stdout}\n{build.stderr}",
-            pytrace=False,
-        )
-    spec = importlib.util.spec_from_file_location("poisonring._opkernel", built)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture

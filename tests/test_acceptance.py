@@ -5,12 +5,16 @@ deviation rate; criterion 7 compares against the brute-force ring oracle
 over every one of the 3,125 initial status vectors.
 """
 
+import hashlib
 import json
 import math
 import subprocess
 import sys
 import time
 from collections import deque
+from pathlib import Path
+
+import pytest
 
 from conftest import make_policy, base_scenario_obj, poison_injection_obj
 from ring_oracle import all_initial_states, reference_convergence_point, reference_run
@@ -32,8 +36,10 @@ from poisonring import (
     token_count,
     update,
 )
-from poisonring._kernel_py import bernoulli, stream_seed
+from poisonring._kernel import bernoulli, stream_seed
 from poisonring.cli import EXIT_OK, GOLDEN_PREFIX, main
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_criterion_1_golden_trace(capsys):
@@ -211,3 +217,59 @@ def test_criterion_9_byte_identical_trace_files(tmp_path):
         outputs.append(result.stdout)
     assert traces[0] == traces[1]
     assert outputs[0] == outputs[1]
+
+
+# Frozen sha256 of the `run --trace` bytes. A change that keeps behaviour
+# keeps every digest; a deliberate contract change re-freezes them and says so.
+FROZEN_TRACE_SHA256 = {
+    "perturbed.json": "a464ae155c7b70bb88a9b9735e76d8127a691f0aa603b45305e1bbf0bae5aece",
+    "poison_node0.json": "e7b0d14c24f609125019868923825d1db585765a2af9a37e7a634e8b47b13f94",
+    "reference.json": "657d1315599eb5ff53fa7577db248d31938bdf70f75e46c67de3fdc3d93ecdc8",
+    "intermittent_always_infectious_scale": "5ce3f767d85a4e92a794743f9c2d573af3b216d47b9275881c2a313aab1f0031",
+    "intermittent_transient_stuck_at": "1b95819e4d16194851a28cab0bd766a95cee70a1d035a880e1967b227c0587b2",
+    "intermittent_always_bitflip_perturb": "480459690e5a502ea1d23c0fd6260a63bde6e240102b6e91bf1ab42dcc21e0aa",
+    "deterministic_transient_infectious_offset": "b6de3cc0e23011911d556d8dba785a762f7c2ea3025607ddf3ffe92775773b16",
+}
+
+INLINE_POISONED_SCENARIOS = {
+    "intermittent_always_infectious_scale": base_scenario_obj(
+        seed=13,
+        ring={"node_count": 5, "k_states": 5, "rounds": 12},
+        injections=[poison_injection_obj(effect={"intermittent": 0.5}, kind="scale",
+                                         magnitude=2.5)],
+    ),
+    "intermittent_transient_stuck_at": base_scenario_obj(
+        seed=15,
+        injections=[poison_injection_obj(
+            effect={"intermittent": 0.5}, lifetime={"transient": 6}, infectious=False,
+            kind="stuck_at", magnitude=3,
+        )],
+    ),
+    "intermittent_always_bitflip_perturb": base_scenario_obj(
+        seed=13,
+        injections=[
+            poison_injection_obj(node=4, at_round=2, effect={"intermittent": 0.5},
+                                 infectious=False, kind="bitflip", magnitude=0),
+            {"kind": "perturb", "node": 1, "at_round": 3, "new_status": 2},
+        ],
+    ),
+    "deterministic_transient_infectious_offset": base_scenario_obj(
+        seed=14,
+        ring={"node_count": 6, "k_states": 7, "rounds": 10},
+        injections=[poison_injection_obj(node=3, lifetime={"transient": 4}, magnitude=-2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TRACE_SHA256))
+def test_frozen_trace_digests(tmp_path, capsys, name):
+    """`run --trace` bytes for each shipped and inline scenario match their frozen sha256."""
+    if name in INLINE_POISONED_SCENARIOS:
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(INLINE_POISONED_SCENARIOS[name]), encoding="utf-8")
+    else:
+        config = SCENARIOS / name
+    trace = tmp_path / "trace.jsonl"
+    assert main(["run", "--config", str(config), "--trace", str(trace), "--quiet"]) == EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == FROZEN_TRACE_SHA256[name]

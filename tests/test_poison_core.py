@@ -22,7 +22,7 @@ from poisonring import (
     unop,
     with_suppression,
 )
-from poisonring._kernel_py import INT64_MAX, INT64_MIN, bernoulli, stream_seed
+from poisonring._kernel import INT64_MAX, INT64_MIN, bernoulli, stream_seed
 
 
 class TestDeviationModel:

@@ -181,3 +181,18 @@ class TestJsonlRoundTrip:
         text = dumps_record(record) + "{oops\n"
         with pytest.raises(TraceFormatError, match="line"):
             loads_record(text)
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"type":"run","seed":0,"final_statuses":[]}',
+            '{"type":"op","bogus":1}',
+            "[1,2]",
+            '{"type":"snapshot"}',
+        ],
+        ids=["header_without_digest", "op_unknown_key", "json_list", "snapshot_without_fields"],
+    )
+    def test_malformed_record_is_a_trace_format_error(self, bad_line):
+        header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}'
+        with pytest.raises(TraceFormatError, match=r"^line 2: "):
+            loads_record(f"{header}\n{bad_line}\n")
