@@ -1,14 +1,30 @@
 """Kernel unit and property tests: overflow errors, floor-mod semantics,
-rounding ties, and the draw stream."""
+rounding ties, and the draw stream.
+
+Each fixture-driven test runs twice: on the kernel module itself ("py") and
+on the same primitives reached through the core's public operators ("c",
+_CorePath). The second run shows that binop, unop and make_poisoned hand
+the kernel's clean results, deviations and draw streams through unchanged.
+"""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_policy
-from poisonring import _kernel, make_poisoned
+from poisonring import (
+    ArithmeticFault,
+    DeviationModel,
+    EvalContext,
+    PoisonedScalar,
+    PoisonPolicy,
+    _kernel,
+    binop,
+    make_poisoned,
+    unop,
+)
 
 I64_MIN = _kernel.INT64_MIN
 I64_MAX = _kernel.INT64_MAX
@@ -16,10 +32,108 @@ I64_MAX = _kernel.INT64_MAX
 int64s = st.integers(min_value=I64_MIN, max_value=I64_MAX)
 
 
-# Parametrized so that the test ids keep their [py] suffix.
-@pytest.fixture(params=["py"])
-def k():
-    return _kernel
+_OP_NAMES = {
+    _kernel.OP_ADD: "add",
+    _kernel.OP_SUB: "sub",
+    _kernel.OP_MUL: "mul",
+    _kernel.OP_MOD: "mod",
+    _kernel.OP_EQ: "eq",
+    _kernel.OP_NEQ: "neq",
+    _kernel.OP_LT: "lt",
+}
+_DEV_NAMES = {
+    _kernel.DEV_OFFSET: "offset",
+    _kernel.DEV_SCALE: "scale",
+    _kernel.DEV_STUCK_AT: "stuck_at",
+    _kernel.DEV_BITFLIP: "bitflip",
+}
+
+
+def _one_event(ctx):
+    (event,) = ctx.event_sink
+    return event
+
+
+class _CorePath:
+    """The kernel's primitives computed through binop/unop/make_poisoned.
+
+    Each call uses a fresh EvalContext and reads its answer off the returned
+    value, the scalar's stream state or the one recorded OperatorEvent. An
+    ArithmeticFault is unwrapped to the kernel error that caused it.
+    sm64_next has no counterpart: the core never exposes a raw draw.
+    """
+
+    INT64_MIN = _kernel.INT64_MIN
+    INT64_MAX = _kernel.INT64_MAX
+    OP_ADD, OP_SUB, OP_MUL, OP_MOD = (_kernel.OP_ADD, _kernel.OP_SUB,
+                                      _kernel.OP_MUL, _kernel.OP_MOD)
+    OP_EQ, OP_NEQ, OP_LT = _kernel.OP_EQ, _kernel.OP_NEQ, _kernel.OP_LT
+    DEV_OFFSET, DEV_SCALE = _kernel.DEV_OFFSET, _kernel.DEV_SCALE
+    DEV_STUCK_AT, DEV_BITFLIP = _kernel.DEV_STUCK_AT, _kernel.DEV_BITFLIP
+
+    @staticmethod
+    def clean_binop(op, a, b):
+        ctx = EvalContext()
+        try:
+            result = binop(_OP_NAMES[op], a, b, ctx)
+        except ArithmeticFault as fault:
+            raise fault.__cause__
+        event = _one_event(ctx)
+        assert not event.deviated and event.emitted_result == event.clean_result == result
+        return int(result)
+
+    @staticmethod
+    def checked_neg(a):
+        ctx = EvalContext()
+        try:
+            result = unop("neg", a, ctx)
+        except ArithmeticFault as fault:
+            raise fault.__cause__
+        assert _one_event(ctx).emitted_result == result
+        return result
+
+    @staticmethod
+    def apply_deviation(kind, clean, p_num, p_den):
+        # A deterministic poisoned operand plus 0: the clean result is `clean`
+        # and the event carries its deviation.
+        if kind in (_kernel.DEV_OFFSET, _kernel.DEV_SCALE):
+            magnitude = Fraction(p_num, p_den)
+        else:
+            magnitude = p_num
+        policy = PoisonPolicy(DeviationModel(_DEV_NAMES[kind], magnitude))
+        ctx = EvalContext()
+        try:
+            binop("add", make_poisoned(clean, policy, origin_id=0, seed=0), 0, ctx)
+        except ArithmeticFault as fault:
+            raise fault.__cause__
+        event = _one_event(ctx)
+        assert event.deviated and event.clean_result == clean
+        return event.emitted_result
+
+    @staticmethod
+    def stream_seed(seed, origin_id):
+        return make_poisoned(0, make_policy(), origin_id=origin_id, seed=seed).rng_state
+
+    @staticmethod
+    def stream_child(state, step):
+        parent = PoisonedScalar(0, make_policy(infectious=True), 0, state)
+        ctx = EvalContext()
+        ctx.step_counter = step
+        child = binop("add", parent, 0, ctx)
+        assert parent.rng_state == state
+        return child.rng_state
+
+    @staticmethod
+    def bernoulli(state, rate):
+        value = PoisonedScalar(0, make_policy(rate=rate), 0, state)
+        ctx = EvalContext()
+        binop("add", value, 0, ctx)
+        return value.rng_state, _one_event(ctx).deviated
+
+
+@pytest.fixture(params=["py", "c"])
+def k(request):
+    return _kernel if request.param == "py" else _CorePath
 
 
 class TestCleanBinop:
@@ -104,6 +218,8 @@ class TestApplyDeviation:
 
 
 class TestDrawStream:
+    # The raw SplitMix64 step is the kernel's alone.
+    @pytest.mark.parametrize("k", ["py"], indirect=True)
     def test_splitmix_known_answer(self, k):
         # First outputs of the reference SplitMix64 sequence for seed 0.
         state, z = k.sm64_next(0)
@@ -183,10 +299,60 @@ def test_bitflip_is_an_involution(value, bit):
     assert k.apply_deviation(k.DEV_BITFLIP, once, bit, 1) == value
 
 
-@pytest.mark.parametrize("origin_id", [-1, -(2**63), 2**64, 2**64 + 5, 0, 7])
-def test_make_poisoned_origin_outside_u64(origin_id):
-    # The stream takes origin_id modulo 2**64; the value keeps the caller's id.
-    p = make_poisoned(3, make_policy(), origin_id=origin_id, seed=0)
-    assert p.origin_id == origin_id
-    wrapped = make_poisoned(3, make_policy(), origin_id=origin_id % 2**64, seed=0)
-    assert p.rng_state == wrapped.rng_state
+class TestBackendEquivalence:
+    """The core's operators agree bit for bit with the kernel they call."""
+
+    @settings(max_examples=400)
+    @given(int64s, int64s, st.integers(min_value=0, max_value=6))
+    def test_binop_bitwise_equal(self, a, b, code):
+        try:
+            expected = _kernel.clean_binop(code, a, b)
+        except (OverflowError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                _CorePath.clean_binop(code, a, b)
+        else:
+            assert _CorePath.clean_binop(code, a, b) == expected
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=0, max_value=3),
+        int64s,
+        st.integers(min_value=-(10**12), max_value=10**12),
+        st.integers(min_value=1, max_value=10**9),
+    )
+    def test_deviation_bitwise_equal(self, kind, clean, num, den):
+        if kind == _kernel.DEV_BITFLIP:
+            num, den = abs(num) % 64, 1
+        # A policy may not offset by 0 or scale by 1.
+        assume(not (kind == _kernel.DEV_OFFSET and num == 0))
+        assume(not (kind == _kernel.DEV_SCALE and num == den))
+        try:
+            expected = _kernel.apply_deviation(kind, clean, num, den)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _CorePath.apply_deviation(kind, clean, num, den)
+        else:
+            assert _CorePath.apply_deviation(kind, clean, num, den) == expected
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=2**32),
+        st.floats(min_value=0.001, max_value=0.999),
+    )
+    def test_streams_bitwise_equal(self, seed, origin, rate):
+        state = _kernel.stream_seed(seed, origin)
+        assert _CorePath.stream_seed(seed, origin) == state
+        assert _CorePath.stream_child(state, 7) == _kernel.stream_child(state, 7)
+        for _ in range(50):
+            expected = _kernel.bernoulli(state, rate)
+            assert _CorePath.bernoulli(state, rate) == expected
+            state = expected[0]
+
+    @pytest.mark.parametrize("origin_id", [-1, -(2**63), 2**64, 2**64 + 5, 0, 7])
+    def test_make_poisoned_origin_outside_u64(self, origin_id):
+        # The stream takes origin_id modulo 2**64; the value keeps the caller's id.
+        p = make_poisoned(3, make_policy(), origin_id=origin_id, seed=0)
+        assert p.origin_id == origin_id
+        wrapped = make_poisoned(3, make_policy(), origin_id=origin_id % 2**64, seed=0)
+        assert p.rng_state == wrapped.rng_state
