@@ -34,6 +34,7 @@ from .ring_sim import (
     privilege_vector,
     run,
     update,
+    validate_injections,
 )
 from .trace_metrics import (
     DeviationStats,
@@ -95,6 +96,7 @@ __all__ = [
     "token_count",
     "unop",
     "update",
+    "validate_injections",
     "with_suppression",
     "write_record",
 ]

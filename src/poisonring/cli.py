@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .poison_core import ArithmeticFault, DeviationModel, EvalContext, PoisonPolicy, PolicyError
-from .ring_sim import Injection, RingConfig, ScenarioError, run
+from .ring_sim import Injection, RingConfig, ScenarioError, run, validate_injections
 from .trace_metrics import RunRecord, convergence_point, deviation_stats, token_count, write_record
 
 EXIT_OK = 0
@@ -44,12 +44,15 @@ SWEEP_PARAMS = ("rate", "transient_uses")
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete reproducible experiment."""
+    """A complete reproducible experiment: exactly the content scenario_digest covers."""
 
     ring: RingConfig
     injections: tuple[Injection, ...] = ()
-    seed: int = 0
-    trace_path: str | None = None
+
+    @property
+    def seed(self) -> int:
+        """The scenario seed; the ring config carries it."""
+        return self.ring.seed
 
 
 def reference_scenario() -> Scenario:
@@ -57,135 +60,82 @@ def reference_scenario() -> Scenario:
     return Scenario(ring=RingConfig(node_count=5, k_states=5, rounds=10, seed=0))
 
 
+# Scenario files: this module checks the JSON shape (objects, lists, known and
+# required keys); every value is checked by the domain type it builds, and
+# its error is passed on behind the field path.
+
+
 def _fail(field: str, message: str):
     raise ScenarioError(f"{field}: {message}")
 
 
-def _reject_unknown(obj: dict, allowed, field: str):
-    unknown = sorted(set(obj) - set(allowed))
+def _fields(obj, field: str, required, optional=()) -> list:
+    """Values of the required keys of a JSON object that has no keys but these."""
+    if not isinstance(obj, dict):
+        _fail(field, "expected an object")
+    unknown = sorted(set(obj) - set(required) - set(optional))
     if unknown:
         _fail(field, f"unknown keys {unknown} (no aliases are accepted)")
+    missing = [key for key in required if obj.get(key) is None]
+    if missing:
+        _fail(field, f"missing or null keys {missing}")
+    return [obj[key] for key in required]
 
 
-def _require(obj: dict, key: str, field: str):
-    if key not in obj:
-        _fail(field, f"missing required key {key!r}")
-    return obj[key]
+def _build(field: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), its domain error prefixed with the field path."""
+    try:
+        return factory(*args, **kwargs)
+    except (ScenarioError, PolicyError) as exc:
+        raise ScenarioError(f"{field}: {exc}") from exc
 
 
-def _as_int(value, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(field, f"expected an integer, got {value!r}")
-    return value
-
-
-def _parse_effect(value, field: str):
-    """Canonical effect form -> rate (None means deterministic)."""
-    if value == "deterministic":
+def _parse_axis(value, field: str, plain: str, key: str):
+    """An effect or lifetime in canonical form: plain -> None, {key: x} -> x."""
+    if value == plain:
         return None
-    if isinstance(value, dict):
-        _reject_unknown(value, ("intermittent",), field)
-        rate = _require(value, "intermittent", field)
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
-            _fail(field, f"intermittent rate must be a number, got {rate!r}")
-        return rate
-    _fail(field, f'expected "deterministic" or {{"intermittent": rate}}, got {value!r}')
-
-
-def _parse_lifetime(value, field: str):
-    """Canonical lifetime form -> uses (None means always)."""
-    if value == "always":
-        return None
-    if isinstance(value, dict):
-        _reject_unknown(value, ("transient",), field)
-        return _as_int(_require(value, "transient", field), f"{field}.transient")
-    _fail(field, f'expected "always" or {{"transient": uses}}, got {value!r}')
+    if not isinstance(value, dict):
+        _fail(field, f'expected "{plain}" or {{"{key}": ...}}, got {value!r}')
+    return _fields(value, field, (key,))[0]
 
 
 def _parse_policy(obj, field: str) -> PoisonPolicy:
-    if not isinstance(obj, dict):
-        _fail(field, "expected an object")
-    _reject_unknown(obj, ("effect", "lifetime", "infectious", "deviation"), field)
-    rate = _parse_effect(_require(obj, "effect", field), f"{field}.effect")
-    uses = _parse_lifetime(_require(obj, "lifetime", field), f"{field}.lifetime")
-    infectious = _require(obj, "infectious", field)
-    if not isinstance(infectious, bool):
-        _fail(f"{field}.infectious", f"expected a boolean, got {infectious!r}")
-    dev = _require(obj, "deviation", field)
-    if not isinstance(dev, dict):
-        _fail(f"{field}.deviation", "expected an object")
-    _reject_unknown(dev, ("kind", "magnitude"), f"{field}.deviation")
-    kind = _require(dev, "kind", f"{field}.deviation")
-    magnitude = _require(dev, "magnitude", f"{field}.deviation")
-    try:
-        model = DeviationModel(kind, magnitude)
-        return PoisonPolicy(deviation=model, rate=rate, uses=uses, infectious=infectious)
-    except PolicyError as exc:
-        raise ScenarioError(f"{field}: {exc}") from exc
+    effect, lifetime, infectious, deviation = _fields(
+        obj, field, ("effect", "lifetime", "infectious", "deviation")
+    )
+    rate = _parse_axis(effect, f"{field}.effect", "deterministic", "intermittent")
+    uses = _parse_axis(lifetime, f"{field}.lifetime", "always", "transient")
+    dev_field = f"{field}.deviation"
+    model = _build(dev_field, DeviationModel, *_fields(deviation, dev_field, ("kind", "magnitude")))
+    return _build(field, PoisonPolicy, model, rate, uses, infectious)
 
 
 def _parse_injection(obj, field: str) -> Injection:
     if not isinstance(obj, dict):
         _fail(field, "expected an object")
-    kind = _require(obj, "kind", field)
-    node = _as_int(_require(obj, "node", field), f"{field}.node")
-    at_round = _as_int(_require(obj, "at_round", field), f"{field}.at_round")
-    if kind == "poison":
-        _reject_unknown(obj, ("kind", "node", "at_round", "policy"), field)
-        policy = _parse_policy(_require(obj, "policy", field), f"{field}.policy")
-        spec = {"policy": policy}
-    elif kind == "perturb":
-        _reject_unknown(obj, ("kind", "node", "at_round", "new_status"), field)
-        spec = {"new_status": _as_int(_require(obj, "new_status", field), f"{field}.new_status")}
-    else:
+    kind = obj.get("kind")
+    if kind not in ("poison", "perturb"):
         _fail(f"{field}.kind", f'expected "poison" or "perturb", got {kind!r}')
-    try:
-        return Injection(node=node, at_round=at_round, **spec)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{field}: {exc}") from exc
+    spec_key = "policy" if kind == "poison" else "new_status"
+    _, node, at_round, spec = _fields(obj, field, ("kind", "node", "at_round", spec_key))
+    if kind == "poison":
+        spec = _parse_policy(spec, f"{field}.policy")
+    return _build(field, Injection, node, at_round, **{spec_key: spec})
 
 
-def parse_scenario(obj: dict, source: str = "<scenario>") -> Scenario:
-    """Validate a decoded scenario object; canonical field names only."""
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{source}: scenario must be a JSON object")
-    _reject_unknown(obj, ("ring", "injections", "seed", "trace_path"), f"{source}")
-    ring_obj = _require(obj, "ring", f"{source}.ring")
-    if not isinstance(ring_obj, dict):
-        _fail(f"{source}.ring", "expected an object")
-    _reject_unknown(ring_obj, ("node_count", "k_states", "rounds"), f"{source}.ring")
-    seed = obj.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
-        _fail(f"{source}.seed", f"expected an unsigned 64-bit integer, got {seed!r}")
-    ring = RingConfig(
-        node_count=_as_int(_require(ring_obj, "node_count", f"{source}.ring"), f"{source}.ring.node_count"),
-        k_states=_as_int(_require(ring_obj, "k_states", f"{source}.ring"), f"{source}.ring.k_states"),
-        rounds=_as_int(_require(ring_obj, "rounds", f"{source}.ring"), f"{source}.ring.rounds"),
-        seed=seed,
-    )
+def parse_scenario(obj, source: str = "<scenario>") -> Scenario:
+    """Build a Scenario from a decoded scenario object; canonical field names only."""
+    (ring_obj,) = _fields(obj, source, ("ring",), ("injections", "seed"))
+    ring_args = _fields(ring_obj, f"{source}.ring", ("node_count", "k_states", "rounds"))
+    ring = _build(source, RingConfig, *ring_args, seed=obj.get("seed", 0))
     injections = obj.get("injections", [])
     if not isinstance(injections, list):
         _fail(f"{source}.injections", "expected a list")
     parsed = tuple(
         _parse_injection(inj, f"{source}.injections[{i}]") for i, inj in enumerate(injections)
     )
-    for i, injection in enumerate(parsed):
-        if injection.node >= ring.node_count:
-            _fail(f"{source}.injections[{i}].node", f"node {injection.node} out of range")
-        if injection.at_round > ring.rounds:
-            _fail(
-                f"{source}.injections[{i}].at_round",
-                f"round {injection.at_round} exceeds rounds {ring.rounds}",
-            )
-        if injection.new_status is not None and not 0 <= injection.new_status < ring.k_states:
-            _fail(
-                f"{source}.injections[{i}].new_status",
-                f"status must lie in [0, {ring.k_states})",
-            )
-    trace_path = obj.get("trace_path")
-    if trace_path is not None and not isinstance(trace_path, str):
-        _fail(f"{source}.trace_path", "expected a string path")
-    return Scenario(ring=ring, injections=parsed, seed=seed, trace_path=trace_path)
+    _build(source, validate_injections, ring, parsed)
+    return Scenario(ring=ring, injections=parsed)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -203,9 +153,7 @@ def load_scenario(path: str) -> Scenario:
 
 
 def _with_seed(scenario: Scenario, seed: int) -> Scenario:
-    return dataclasses.replace(
-        scenario, seed=seed, ring=dataclasses.replace(scenario.ring, seed=seed)
-    )
+    return dataclasses.replace(scenario, ring=dataclasses.replace(scenario.ring, seed=seed))
 
 
 def scenario_digest(scenario: Scenario) -> str:
@@ -276,18 +224,18 @@ def _print_summary(record: RunRecord, err) -> None:
     )
 
 
-def cmd_run(scenario: Scenario, quiet: bool = False, out=None, err=None) -> int:
-    """Execute one scenario: snapshot lines to stdout, summary to stderr."""
+def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None, out=None, err=None) -> int:
+    """Execute one scenario: snapshot lines to stdout, summary to stderr, the trace to trace_path."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     record = execute_scenario(scenario)
     if not quiet:
         for snap in record.snapshots:
             print(snap.line, file=out)
-    if scenario.trace_path:
-        write_record(record, scenario.trace_path)
+    if trace_path:
+        write_record(record, trace_path)
         if not quiet:
-            print(f"trace written: {scenario.trace_path}", file=err)
+            print(f"trace written: {trace_path}", file=err)
     if not quiet:
         _print_summary(record, err)
     return EXIT_OK
@@ -421,12 +369,8 @@ def main(argv=None) -> int:
         if args.command == "run":
             scenario = load_scenario(args.config)
             if args.seed is not None:
-                if not 0 <= args.seed < 2**64:
-                    raise ScenarioError("--seed must be an unsigned 64-bit integer")
-                scenario = _with_seed(scenario, args.seed)
-            if args.trace is not None:
-                scenario = dataclasses.replace(scenario, trace_path=args.trace)
-            return cmd_run(scenario, quiet=args.quiet)
+                scenario = _build("--seed", _with_seed, scenario, args.seed)
+            return cmd_run(scenario, quiet=args.quiet, trace_path=args.trace)
         if args.command == "check":
             return cmd_check()
         scenario = load_scenario(args.config)

@@ -109,7 +109,7 @@ class DeviationModel:
     magnitude: int | float | Fraction
 
     def __post_init__(self):
-        if self.kind not in _DEV_CODES:
+        if not isinstance(self.kind, str) or self.kind not in _DEV_CODES:
             raise PolicyError(
                 f"deviation kind must be one of {DEVIATION_KINDS}, got {self.kind!r}"
             )
@@ -166,7 +166,7 @@ class PoisonPolicy:
             raise PolicyError("deviation must be a DeviationModel")
         if self.rate is not None:
             if isinstance(self.rate, bool) or not isinstance(self.rate, (int, float)):
-                raise PolicyError("rate must be a number")
+                raise PolicyError(f"rate must be a number, got {self.rate!r}")
             if not 0.0 < self.rate < 1.0:
                 raise PolicyError(
                     'rate must lie in (0,1); use effect "deterministic" for certain deviation'
@@ -174,9 +174,11 @@ class PoisonPolicy:
             object.__setattr__(self, "rate", float(self.rate))
         if self.uses is not None:
             if not isinstance(self.uses, int) or isinstance(self.uses, bool):
-                raise PolicyError("uses must be an integer")
+                raise PolicyError(f"uses must be an integer, got {self.uses!r}")
             if self.uses < 1:
                 raise PolicyError("uses must be at least 1")
+        if not isinstance(self.infectious, bool):
+            raise PolicyError(f"infectious must be a boolean, got {self.infectious!r}")
 
     @property
     def is_intermittent(self) -> bool:
@@ -295,6 +297,43 @@ def deviate(model: DeviationModel, clean: int) -> int:
     return kernel.apply_deviation(model._code, _check_operand(clean), model._num, model._den)
 
 
+def _poisoned_use(op, value, other, clean_result, is_comparison, step):
+    """One unsuppressed use of a poisoned operand: draw, spend a use, deviate, infect.
+
+    value governs the result (its policy and draw stream decide); other is a
+    second, distinct poisoned operand whose use is spent too, or None.
+    Returns (deviated, emitted, lifetime_after, result).
+    """
+    policy = value.policy
+    if policy.rate is None:
+        deviated = True
+    else:
+        value.rng_state, deviated = kernel.bernoulli(value.rng_state, policy.rate)
+    lifetime_after = value._consume_use()
+    if other is not None:
+        other._consume_use()
+    emitted = clean_result
+    if deviated:
+        if is_comparison:
+            emitted = not clean_result
+        else:
+            model = policy.deviation
+            try:
+                emitted = kernel.apply_deviation(
+                    model._code, clean_result, model._num, model._den
+                )
+            except OverflowError as exc:
+                raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
+    if is_comparison:
+        return deviated, emitted, lifetime_after, emitted
+    if policy.infectious:
+        child = PoisonedScalar(
+            clean_result, policy, value.origin_id, kernel.stream_child(value.rng_state, step)
+        )
+        return deviated, emitted, lifetime_after, child
+    return deviated, emitted, lifetime_after, clean_result
+
+
 def binop(op: str, lhs, rhs, ctx: EvalContext):
     """Apply one intercepted binary operator.
 
@@ -319,53 +358,21 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
 
     lhs_poisoned = is_poisoned(lhs)
     rhs_poisoned = is_poisoned(rhs)
-    governing = lhs if lhs_poisoned else (rhs if rhs_poisoned else None)
     suppressed = ctx.suppression_depth > 0
-
     deviated = False
-    emitted = clean_result
-    origin = governing.origin_id if governing is not None else None
-    lifetime_after = None
-    result = emitted if is_comparison else clean_result
-
-    if governing is not None and not suppressed:
-        policy = governing.policy
-        if policy.rate is None:
-            deviated = True
+    emitted = result = clean_result
+    origin = lifetime_after = None
+    if lhs_poisoned or rhs_poisoned:
+        # The left operand governs when both are poisoned.
+        governing = lhs if lhs_poisoned else rhs
+        origin = governing.origin_id
+        if suppressed:
+            lifetime_after = governing.uses_remaining
         else:
-            governing.rng_state, deviated = kernel.bernoulli(
-                governing.rng_state, policy.rate
+            other = rhs if lhs_poisoned and rhs_poisoned and rhs is not lhs else None
+            deviated, emitted, lifetime_after, result = _poisoned_use(
+                op, governing, other, clean_result, is_comparison, step
             )
-        if lhs_poisoned:
-            remaining = lhs._consume_use()
-            if lhs is governing:
-                lifetime_after = remaining
-        if rhs_poisoned and rhs is not lhs:
-            remaining = rhs._consume_use()
-            if rhs is governing:
-                lifetime_after = remaining
-        if deviated:
-            if is_comparison:
-                emitted = not clean_result
-            else:
-                model = policy.deviation
-                try:
-                    emitted = kernel.apply_deviation(
-                        model._code, clean_result, model._num, model._den
-                    )
-                except OverflowError as exc:
-                    raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
-        if is_comparison:
-            result = emitted
-        elif policy.infectious:
-            result = PoisonedScalar(
-                clean_result,
-                policy,
-                governing.origin_id,
-                kernel.stream_child(governing.rng_state, step),
-            )
-    elif governing is not None:
-        lifetime_after = governing.uses_remaining
 
     ctx.event_sink.append(
         OperatorEvent(
@@ -401,37 +408,16 @@ def unop(op: str, operand, ctx: EvalContext):
     poisoned = is_poisoned(operand)
     suppressed = ctx.suppression_depth > 0
     deviated = False
-    emitted = clean_result
-    origin = operand.origin_id if poisoned else None
-    lifetime_after = None
-    result = clean_result
-
-    if poisoned and not suppressed:
-        policy = operand.policy
-        if policy.rate is None:
-            deviated = True
+    emitted = result = clean_result
+    origin = lifetime_after = None
+    if poisoned:
+        origin = operand.origin_id
+        if suppressed:
+            lifetime_after = operand.uses_remaining
         else:
-            operand.rng_state, deviated = kernel.bernoulli(
-                operand.rng_state, policy.rate
+            deviated, emitted, lifetime_after, result = _poisoned_use(
+                op, operand, None, clean_result, False, step
             )
-        lifetime_after = operand._consume_use()
-        if deviated:
-            model = policy.deviation
-            try:
-                emitted = kernel.apply_deviation(
-                    model._code, clean_result, model._num, model._den
-                )
-            except OverflowError as exc:
-                raise ArithmeticFault(f"neg deviation: {exc}", step) from exc
-        if policy.infectious:
-            result = PoisonedScalar(
-                clean_result,
-                policy,
-                operand.origin_id,
-                kernel.stream_child(operand.rng_state, step),
-            )
-    elif poisoned:
-        lifetime_after = operand.uses_remaining
 
     ctx.event_sink.append(
         OperatorEvent(

@@ -43,17 +43,19 @@ class RingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.node_count, int) or self.node_count < 1:
-            raise ScenarioError("node_count must be an integer >= 1")
-        if not isinstance(self.k_states, int) or self.k_states <= self.node_count - 1:
+        if type(self.node_count) is not int or self.node_count < 1:
+            raise ScenarioError(f"node_count must be an integer >= 1, got {self.node_count!r}")
+        if type(self.k_states) is not int:
+            raise ScenarioError(f"k_states must be an integer, got {self.k_states!r}")
+        if self.k_states <= self.node_count - 1:
             raise ScenarioError(
                 f"K must exceed N: k_states must be > {self.node_count - 1} "
                 f"for {self.node_count} nodes, got {self.k_states}"
             )
-        if not isinstance(self.rounds, int) or self.rounds < 0:
-            raise ScenarioError("rounds must be a non-negative integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= _U64_MAX:
-            raise ScenarioError("seed must be an unsigned 64-bit integer")
+        if type(self.rounds) is not int or self.rounds < 0:
+            raise ScenarioError(f"rounds must be a non-negative integer, got {self.rounds!r}")
+        if type(self.seed) is not int or not 0 <= self.seed <= _U64_MAX:
+            raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -72,10 +74,14 @@ class Injection:
     def __post_init__(self):
         if (self.policy is None) == (self.new_status is None):
             raise ScenarioError("injection needs exactly one of policy or new_status")
-        if not isinstance(self.node, int) or self.node < 0:
-            raise ScenarioError("injection node must be a non-negative integer")
-        if not isinstance(self.at_round, int) or self.at_round < 0:
-            raise ScenarioError("injection at_round must be a non-negative integer")
+        if type(self.node) is not int or self.node < 0:
+            raise ScenarioError(f"node must be a non-negative integer, got {self.node!r}")
+        if type(self.at_round) is not int or self.at_round < 0:
+            raise ScenarioError(f"at_round must be a non-negative integer, got {self.at_round!r}")
+        if self.policy is not None and not isinstance(self.policy, PoisonPolicy):
+            raise ScenarioError("policy must be a PoisonPolicy")
+        if self.new_status is not None and type(self.new_status) is not int:
+            raise ScenarioError(f"new_status must be an integer, got {self.new_status!r}")
 
     @property
     def kind(self) -> str:
@@ -128,7 +134,7 @@ def out(state: RingState, ctx: EvalContext) -> str:
 
 def perturb(state: RingState, node: int, new_status: int) -> RingState:
     """Overwrite a node's status with a clean value, clearing any poison."""
-    if not isinstance(new_status, int) or not 0 <= new_status < state.k_states:
+    if type(new_status) is not int or not 0 <= new_status < state.k_states:
         raise ScenarioError(
             f"perturb status must lie in [0, {state.k_states}), got {new_status}"
         )
@@ -166,34 +172,39 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
     return state
 
 
-def _validate_injections(config: RingConfig, injections) -> None:
-    seen = set()
-    for injection in injections:
+def validate_injections(config: RingConfig, injections) -> None:
+    """Check injections against the ring: ranges, and one injection per (node, round).
+
+    Errors name the offending entry as injections[i].field.
+    """
+    seen = {}
+    for i, injection in enumerate(injections):
         if not isinstance(injection, Injection):
-            raise ScenarioError("injections must be Injection instances")
+            raise ScenarioError(f"injections[{i}]: expected an Injection")
         if injection.node >= config.node_count:
             raise ScenarioError(
-                f"injection node {injection.node} out of range "
+                f"injections[{i}].node: node {injection.node} out of range "
                 f"(node_count {config.node_count})"
             )
         if injection.at_round > config.rounds:
             raise ScenarioError(
-                f"injection at_round {injection.at_round} exceeds rounds {config.rounds}"
+                f"injections[{i}].at_round: round {injection.at_round} "
+                f"exceeds rounds {config.rounds}"
             )
         if injection.new_status is not None and not (
             0 <= injection.new_status < config.k_states
         ):
             raise ScenarioError(
-                f"injection new_status must lie in [0, {config.k_states}), "
+                f"injections[{i}].new_status: status must lie in [0, {config.k_states}), "
                 f"got {injection.new_status}"
             )
         key = (injection.node, injection.at_round)
         if key in seen:
             raise ScenarioError(
-                f"conflicting injections on node {injection.node} "
-                f"at round {injection.at_round}"
+                f"injections[{i}]: conflicting injections on node {injection.node} "
+                f"at round {injection.at_round} (also injections[{seen[key]}])"
             )
-        seen.add(key)
+        seen[key] = i
 
 
 def _apply_injections(state, config, injections, round_index):
@@ -216,7 +227,7 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
     Operator events accumulate in ctx.event_sink.
     """
     injections = tuple(injections)
-    _validate_injections(config, injections)
+    validate_injections(config, injections)
     if ctx is None:
         ctx = EvalContext()
     state = RingState(config.node_count, config.k_states)

@@ -17,14 +17,17 @@ class TraceFormatError(ValueError):
     """Malformed snapshot line or trace file."""
 
 
-_LINE_RE = re.compile(r"^[01](,[01])*$")
+_LINE_RE = re.compile(r"[01](,[01])*")
 
-# JSON key order follows the field tables; optional keys are omitted, not null.
-_EVENT_KEYS = (
-    "step", "op", "lhs_clean", "rhs_clean", "lhs_poisoned", "rhs_poisoned",
-    "deviated", "clean_result", "emitted_result", "suppressed",
-    "origin_id", "lifetime_after",
-)
+# JSON key order and the JSON types each key may hold (a bool is not an int
+# here). Optional keys are omitted, not null.
+_INT, _BOOL = (int,), (bool,)
+_EVENT_TYPES = {
+    "step": _INT, "op": (str,), "lhs_clean": _INT, "rhs_clean": _INT,
+    "lhs_poisoned": _BOOL, "rhs_poisoned": _BOOL, "deviated": _BOOL,
+    "clean_result": (int, bool), "emitted_result": (int, bool), "suppressed": _BOOL,
+    "origin_id": _INT, "lifetime_after": _INT,
+}
 _OPTIONAL_EVENT_KEYS = ("rhs_clean", "rhs_poisoned", "origin_id", "lifetime_after")
 
 
@@ -73,7 +76,7 @@ class RunRecord:
 
 def token_count(line: str) -> int:
     """Number of privileged nodes in a snapshot line."""
-    if not _LINE_RE.match(line):
+    if not _LINE_RE.fullmatch(line):
         raise TraceFormatError(f"malformed snapshot line: {line!r}")
     return line.count("1")
 
@@ -120,7 +123,7 @@ def deviation_stats(record: RunRecord) -> DeviationStats:
 
 def _event_to_obj(event: OperatorEvent) -> dict:
     obj = {}
-    for key in _EVENT_KEYS:
+    for key in _EVENT_TYPES:
         value = getattr(event, key)
         if value is None and key in _OPTIONAL_EVENT_KEYS:
             continue
@@ -157,7 +160,7 @@ def dumps_record(record: RunRecord) -> str:
 
 
 def loads_record(text: str) -> RunRecord:
-    """Parse a JSONL trace produced by dumps_record."""
+    """Parse a JSONL trace produced by dumps_record; any other text is a TraceFormatError."""
     record = None
     events: list[OperatorEvent] = []
     snapshots: list[SnapshotEvent] = []
@@ -172,16 +175,34 @@ def loads_record(text: str) -> RunRecord:
             raise TraceFormatError(f"line {lineno}: expected an object, got {type(obj).__name__}")
         kind = obj.pop("type", None)
         try:
-            if kind == "run":
-                record = RunRecord(
-                    scenario_digest=obj["scenario_digest"],
-                    seed=obj["seed"],
-                    final_statuses=list(obj["final_statuses"]),
-                )
-            elif kind == "op":
+            if kind == "op":
                 events.append(OperatorEvent(**obj))
+                for key, value in obj.items():
+                    if type(value) not in _EVENT_TYPES[key]:
+                        raise TraceFormatError(
+                            f"line {lineno}: op field {key!r} has type {type(value).__name__}"
+                        )
             elif kind == "snapshot":
-                snapshots.append(SnapshotEvent(**obj))
+                snap = SnapshotEvent(**obj)
+                if (
+                    type(snap.round) is not int
+                    or type(snap.firing_node) is not int
+                    or type(snap.line) is not str
+                    or not _LINE_RE.fullmatch(snap.line)
+                ):
+                    raise TraceFormatError(f"line {lineno}: malformed snapshot record")
+                snapshots.append(snap)
+            elif kind == "run":
+                digest, seed, statuses = obj["scenario_digest"], obj["seed"], obj["final_statuses"]
+                if not (type(digest) is str and type(seed) is int and type(statuses) is list
+                        and all(type(status) is int for status in statuses)):
+                    raise TraceFormatError(
+                        f"line {lineno}: run header needs a string scenario_digest, "
+                        "an integer seed and a list of integer final_statuses"
+                    )
+                if record is not None:
+                    raise TraceFormatError(f"line {lineno}: second run header")
+                record = RunRecord(digest, seed, final_statuses=statuses)
             else:
                 raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
         except KeyError as exc:

@@ -1,7 +1,10 @@
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import poisonring
 from poisonring import DeviationModel, EvalContext, PoisonPolicy
 
 
@@ -10,6 +13,13 @@ def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance.py" in report.nodeid:
         name = report.nodeid.split("::")[-1]
         print(f"\nACCEPTANCE {'PASS' if report.passed else 'FAIL'}: {name}")
+
+
+def subprocess_env() -> dict:
+    """Environment for a `python -m poisonring` child that imports the package under test."""
+    package_root = str(Path(poisonring.__file__).resolve().parent.parent)
+    paths = [package_root, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def make_policy(kind="offset", magnitude=1, rate=None, uses=None, infectious=False):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_policy, base_scenario_obj, poison_injection_obj
+from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
 from ring_oracle import all_initial_states, reference_convergence_point, reference_run
 
 from poisonring import (
@@ -210,6 +210,7 @@ def test_criterion_9_byte_identical_trace_files(tmp_path):
             [sys.executable, "-m", "poisonring", "run", "--config", str(config),
              "--trace", str(trace)],
             capture_output=True,
+            env=subprocess_env(),
             timeout=120,
         )
         assert result.returncode == EXIT_OK, result.stderr.decode()

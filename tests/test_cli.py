@@ -1,13 +1,29 @@
 """CLI surface: scenario loading, run/check/sweep, exit codes, determinism."""
 
+import contextlib
+import copy
+import dataclasses
+import io
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import base_scenario_obj, poison_injection_obj
-from poisonring import GOLDEN_PREFIX, ScenarioError, load_scenario
+from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
+from poisonring import (
+    GOLDEN_PREFIX,
+    Injection,
+    RingConfig,
+    Scenario,
+    ScenarioError,
+    execute_scenario,
+    load_scenario,
+)
 from poisonring.cli import (
     EXIT_CHECK_MISMATCH,
     EXIT_CONFIG,
@@ -18,6 +34,8 @@ from poisonring.cli import (
     main,
     scenario_digest,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 OVERFLOW_SCENARIO = {
     "ring": {"node_count": 5, "k_states": 5, "rounds": 12},
@@ -89,6 +107,46 @@ class TestLoadScenario:
         assert policy.rate == 0.5
         assert policy.uses == 3
 
+    def test_conflicting_injections_rejected_at_load(self, scenario_file):
+        perturb = {"kind": "perturb", "node": 1, "at_round": 0, "new_status": 1}
+        obj = base_scenario_obj(injections=[poison_injection_obj(node=1), perturb])
+        with pytest.raises(ScenarioError, match=r"injections\[1\]: conflicting"):
+            load_scenario(scenario_file(obj))
+
+    def test_trace_path_key_rejected(self, scenario_file):
+        obj = base_scenario_obj(trace_path="out.jsonl")
+        with pytest.raises(ScenarioError, match=r"unknown keys \['trace_path'\]"):
+            load_scenario(scenario_file(obj))
+
+    @pytest.mark.parametrize(
+        "obj,field",
+        [
+            (base_scenario_obj(ring={"node_count": 5, "k_states": 5, "rounds": True}), "rounds"),
+            (base_scenario_obj(seed=True), "seed"),
+            (base_scenario_obj(seed=2**64), "seed"),
+            (base_scenario_obj(injections=[poison_injection_obj(node=False)]),
+             r"injections\[0\]: node"),
+            (base_scenario_obj(injections=[poison_injection_obj(infectious=1)]),
+             r"injections\[0\]\.policy: infectious"),
+            (base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": True})]),
+             r"injections\[0\]\.policy: uses"),
+            (base_scenario_obj(injections=[poison_injection_obj(effect={"intermittent": None})]),
+             r"injections\[0\]\.policy\.effect: missing or null keys \['intermittent'\]"),
+            (base_scenario_obj(injections=[poison_injection_obj(kind=["offset"])]),
+             r"injections\[0\]\.policy\.deviation: deviation kind"),
+        ],
+        ids=["bool_rounds", "bool_seed", "seed_2_64", "bool_node", "int_infectious",
+             "bool_uses", "null_rate", "list_kind"],
+    )
+    def test_domain_errors_name_their_field(self, scenario_file, obj, field):
+        path = scenario_file(obj)
+        with pytest.raises(ScenarioError, match=f"^{re.escape(path)}.*{field}"):
+            load_scenario(path)
+
+    def test_scenario_holds_only_ring_and_injections(self):
+        assert [f.name for f in dataclasses.fields(Scenario)] == ["ring", "injections"]
+        assert Scenario(ring=RingConfig(5, 5, 1, seed=9)).seed == 9
+
     def test_digest_tracks_content(self, scenario_file):
         a = load_scenario(scenario_file(base_scenario_obj()))
         b = load_scenario(scenario_file(base_scenario_obj(seed=1), name="b.json"))
@@ -150,6 +208,19 @@ class TestRunCommand:
         assert "arithmetic fault" in err
         assert "node 0" in err
 
+    @pytest.mark.parametrize("deviation", [{"kind": ["offset"], "magnitude": 1}, {}])
+    def test_bad_deviation_kind_exits_1(self, scenario_file, capsys, deviation):
+        obj = base_scenario_obj(injections=[poison_injection_obj()])
+        obj["injections"][0]["policy"]["deviation"] = deviation
+        assert main(["run", "--config", scenario_file(obj)]) == EXIT_CONFIG
+        assert "injections[0].policy.deviation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_out_of_range_exits_1(self, scenario_file, capsys, seed):
+        path = scenario_file(base_scenario_obj())
+        assert main(["run", "--config", path, "--seed", seed]) == EXIT_CONFIG
+        assert "--seed: seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == EXIT_CONFIG
         assert "usage error" in capsys.readouterr().err
@@ -165,6 +236,17 @@ class TestRunCommand:
         capsys.readouterr()
         assert read_record(t1).seed == 0
         assert read_record(t2).seed == 7
+
+
+class TestScenarioSeed:
+    def test_execute_scenario_runs_and_records_the_ring_seed(self):
+        policy = make_policy(rate=0.5, infectious=True)
+        injections = (Injection(node=0, at_round=0, policy=policy),)
+        seeded = execute_scenario(Scenario(RingConfig(5, 5, 20, seed=7), injections))
+        unseeded = execute_scenario(Scenario(RingConfig(5, 5, 20, seed=0), injections))
+        assert seeded.seed == 7
+        assert seeded.scenario_digest != unseeded.scenario_digest
+        assert [s.line for s in seeded.snapshots] != [s.line for s in unseeded.snapshots]
 
 
 class TestCheckCommand:
@@ -283,6 +365,7 @@ class TestSubprocessDeterminism:
         return subprocess.run(
             [sys.executable, "-m", "poisonring", *args],
             capture_output=True,
+            env=subprocess_env(),
             timeout=120,
         )
 
@@ -306,3 +389,49 @@ class TestSubprocessDeterminism:
         result = self._invoke("check")
         assert result.returncode == EXIT_OK
         assert b"golden lines match" in result.stderr
+
+
+# A fixed pool of replacement leaves. It holds no huge positive ints: an
+# accepted rounds of 10**20 runs for ever.
+FUZZ_POOL = (True, False, None, -1, 0, 1, 2, 7, 64, float("nan"), 0.5, "", "offset",
+             "deterministic", [], {})
+_DELETE = object()
+
+
+def _paths(node, prefix=()):
+    """Every key or index path below node."""
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _mutate(obj, path, value):
+    *parents, last = path
+    for key in parents:
+        obj = obj[key]
+    if value is _DELETE:
+        del obj[last]
+    else:
+        obj[last] = copy.deepcopy(value)
+
+
+FUZZ_BASE = json.loads((SCENARIOS / "poison_node0.json").read_text(encoding="utf-8"))
+FUZZ_PATHS = sorted(_paths(FUZZ_BASE), key=repr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_POOL + (_DELETE,))),
+                min_size=1, max_size=2))
+def test_fuzzed_scenario_ends_in_an_exit_code(tmp_path_factory, mutations):
+    """Any one or two mutations of a shipped scenario give exit code 0-3, never a raise."""
+    obj = copy.deepcopy(FUZZ_BASE)
+    for path, value in mutations:
+        with contextlib.suppress(KeyError, IndexError, TypeError):
+            _mutate(obj, path, value)
+    config = tmp_path_factory.getbasetemp() / "fuzzed_scenario.json"
+    config.write_text(json.dumps(obj), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", "--config", str(config), "--quiet"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_CHECK_MISMATCH)

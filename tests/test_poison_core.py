@@ -51,6 +51,12 @@ class TestDeviationModel:
         with pytest.raises(PolicyError, match="kind"):
             DeviationModel("gauss", 1)
 
+    @pytest.mark.parametrize("kind", [["offset"], {}, None, 1, b"offset"])
+    def test_non_string_kind(self, kind):
+        # An unhashable kind used to escape as a raw TypeError.
+        with pytest.raises(PolicyError, match="deviation kind"):
+            DeviationModel(kind, 1)
+
 
 class TestPoisonPolicy:
     def test_rate_one_must_be_deterministic(self):
@@ -65,6 +71,16 @@ class TestPoisonPolicy:
     def test_uses_positive(self):
         with pytest.raises(PolicyError, match="uses"):
             make_policy(uses=0)
+
+    @pytest.mark.parametrize("uses", [True, 2.0, "2"])
+    def test_uses_must_be_a_plain_int(self, uses):
+        with pytest.raises(PolicyError, match="uses must be an integer"):
+            make_policy(uses=uses)
+
+    @pytest.mark.parametrize("infectious", [1, 0, "yes", None])
+    def test_infectious_must_be_a_bool(self, infectious):
+        with pytest.raises(PolicyError, match="infectious must be a boolean"):
+            make_policy(infectious=infectious)
 
     def test_valid_combinations(self):
         assert make_policy().is_intermittent is False

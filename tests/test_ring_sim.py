@@ -23,6 +23,7 @@ from poisonring import (
     run,
     token_count,
     update,
+    validate_injections,
 )
 
 GOLDEN = [
@@ -40,6 +41,15 @@ class TestRingConfig:
     def test_k_must_exceed_n(self):
         with pytest.raises(ScenarioError, match="K must exceed N"):
             RingConfig(node_count=5, k_states=4, rounds=10)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(True, 5, 10, 0), (5, True, 10, 0), (5, 5, True, 0), (5, 5, 10, True),
+         (5.0, 5, 10, 0), (5, "5", 10, 0), (5, 5, None, 0), (5, 5, 10, -1), (5, 5, 10, 2**64)],
+    )
+    def test_rejects_non_int_fields(self, args):
+        with pytest.raises(ScenarioError):
+            RingConfig(*args)
 
     def test_minimum_sizes(self):
         RingConfig(node_count=1, k_states=1, rounds=0)
@@ -195,6 +205,37 @@ class TestRun:
         ]
         with pytest.raises(ScenarioError, match="conflicting"):
             run(RingConfig(5, 5, 10), injections)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"node": True, "at_round": 0, "new_status": 1},
+            {"node": 0, "at_round": False, "new_status": 1},
+            {"node": 0, "at_round": 0, "new_status": True},
+            {"node": 0, "at_round": 0, "new_status": 1.0},
+            {"node": -1, "at_round": 0, "new_status": 1},
+            {"node": 0, "at_round": 0, "policy": "deterministic"},
+            {"node": 0, "at_round": 0},
+        ],
+    )
+    def test_injection_rejects_bad_values(self, kwargs):
+        with pytest.raises(ScenarioError):
+            Injection(**kwargs)
+
+    def test_validate_injections_names_the_entry(self):
+        config = RingConfig(5, 5, 10)
+        ok = Injection(node=1, at_round=0, new_status=1)
+        validate_injections(config, [ok, Injection(node=2, at_round=0, new_status=1)])
+        cases = [
+            (Injection(node=5, at_round=0, new_status=1), r"^injections\[1\]\.node: "),
+            (Injection(node=1, at_round=11, new_status=1), r"^injections\[1\]\.at_round: "),
+            (Injection(node=2, at_round=0, new_status=5), r"^injections\[1\]\.new_status: "),
+            (Injection(node=1, at_round=0, new_status=2), r"^injections\[1\]: conflicting .*injections\[0\]"),
+            ("not an injection", r"^injections\[1\]: "),
+        ]
+        for second, message in cases:
+            with pytest.raises(ScenarioError, match=message):
+                validate_injections(config, [ok, second])
 
     def test_injection_bounds_checked(self):
         with pytest.raises(ScenarioError, match="out of range"):

@@ -1,6 +1,10 @@
 """Snapshot analytics and JSONL trace round-tripping."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_policy
 from poisonring import (
@@ -24,6 +28,13 @@ from poisonring import (
     unop,
     write_record,
 )
+
+
+def _op_line(**changes):
+    """One op record line: a well-typed record without optional fields, with the given changes."""
+    fields = {"step": 0, "op": "add", "lhs_clean": 1, "lhs_poisoned": False, "deviated": False,
+              "clean_result": 2, "emitted_result": 2, "suppressed": False}
+    return json.dumps({"type": "op", **fields, **changes})
 
 
 class TestTokenCount:
@@ -189,10 +200,86 @@ class TestJsonlRoundTrip:
             '{"type":"op","bogus":1}',
             "[1,2]",
             '{"type":"snapshot"}',
+            '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}',
+            '{"type":"run","scenario_digest":7,"seed":0,"final_statuses":[]}',
+            '{"type":"run","scenario_digest":"d","seed":"x","final_statuses":[]}',
+            '{"type":"run","scenario_digest":"d","seed":true,"final_statuses":[]}',
+            '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":"abc"}',
+            '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[0,1.5]}',
+            _op_line(step="0"),
+            _op_line(step=False),
+            _op_line(op=3),
+            _op_line(deviated=0),
+            _op_line(lhs_clean=1.0),
+            _op_line(origin_id="0"),
+            '{"type":"snapshot","round":"r","firing_node":0,"line":"1"}',
+            '{"type":"snapshot","round":0,"firing_node":null,"line":"1"}',
+            '{"type":"snapshot","round":0,"firing_node":0,"line":7}',
+            '{"type":"snapshot","round":0,"firing_node":0,"line":"1,2"}',
+            '{"type":"snapshot","round":0,"firing_node":0,"line":"1\\n"}',
         ],
-        ids=["header_without_digest", "op_unknown_key", "json_list", "snapshot_without_fields"],
+        ids=["header_without_digest", "op_unknown_key", "json_list", "snapshot_without_fields",
+             "second_header", "header_int_digest", "header_str_seed", "header_bool_seed",
+             "header_str_statuses", "header_float_status", "op_str_step", "op_bool_step",
+             "op_int_op", "op_int_deviated", "op_float_operand", "op_str_origin",
+             "snapshot_str_round", "snapshot_null_node", "snapshot_int_line",
+             "snapshot_bad_line", "snapshot_line_newline"],
     )
     def test_malformed_record_is_a_trace_format_error(self, bad_line):
         header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}'
         with pytest.raises(TraceFormatError, match=r"^line 2: "):
             loads_record(f"{header}\n{bad_line}\n")
+
+    def test_well_typed_op_record_loads(self):
+        header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[1]}'
+        record = loads_record(f"{header}\n{_op_line()}\n")
+        assert record.events[0].op == "add" and record.events[0].emitted_result == 2
+
+
+# Fuzzed traces: a valid header, op and snapshot record, some of their fields
+# replaced, added or deleted, then the lines picked in any order, repeated or
+# left out.
+_VALID_LINES = (
+    {"type": "run", "scenario_digest": "d", "seed": 0, "final_statuses": [1, 0]},
+    json.loads(_op_line(rhs_clean=1, rhs_poisoned=True, origin_id=0, lifetime_after=2)),
+    {"type": "snapshot", "round": 0, "firing_node": 1, "line": "1,0"},
+)
+# (line, key) pairs: every key of each line, plus a key the line lacks.
+_EDIT_SITES = [(index, key) for index, line in enumerate(_VALID_LINES) for key in line]
+_EDIT_SITES += [(0, "round"), (1, "line"), (2, "seed")]
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False, width=16),
+    st.sampled_from(["", "1", "1,0", "1,2", "run", "op", "snapshot", "add"]),
+    st.lists(st.integers(-1, 1), max_size=2), st.just({}),
+)
+_DELETE = object()
+_EDITED_TRACES = st.builds(
+    lambda edits, order: (edits, order),
+    st.lists(st.tuples(st.sampled_from(_EDIT_SITES), st.one_of(st.just(_DELETE), _JSON_LEAVES)),
+             max_size=3),
+    st.lists(st.integers(0, 2), max_size=5),
+)
+
+
+def _edited_trace(edits, order) -> str:
+    lines = [dict(line) for line in _VALID_LINES]
+    for (index, key), value in edits:
+        if value is _DELETE:
+            lines[index].pop(key, None)
+        else:
+            lines[index][key] = value
+    return "\n".join(json.dumps(lines[index]) for index in order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=200), _EDITED_TRACES.map(lambda drawn: _edited_trace(*drawn))))
+def test_any_text_loads_or_is_a_trace_format_error(text):
+    """loads_record gives a RunRecord that the analytics accept, or a TraceFormatError."""
+    try:
+        record = loads_record(text)
+    except TraceFormatError:
+        return
+    assert isinstance(record, RunRecord)
+    assert loads_record(dumps_record(record)) == record
+    convergence_point(record)
+    deviation_stats(record)
