@@ -5,8 +5,9 @@
     poisonring sweep --config scenario.json --param rate --values 0.1,0.5 --reps 20
 
 stdout carries bare snapshot lines (run) or the sweep summary table; all
-diagnostics go to stderr. Exit codes: 0 success, 1 scenario/config error,
-2 arithmetic fault during simulation, 3 golden-trace check mismatch.
+diagnostics go to stderr. Exit codes: 0 success, 1 scenario/config error
+(an unwritable --trace path too), 2 arithmetic fault during simulation,
+3 golden-trace check mismatch.
 """
 
 from __future__ import annotations
@@ -229,14 +230,16 @@ def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None, out=None, 
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     record = execute_scenario(scenario)
+    if trace_path:
+        try:
+            write_record(record, trace_path)
+        except OSError as exc:
+            raise ScenarioError(f"--trace: cannot write {trace_path}: {exc.strerror or exc}") from exc
     if not quiet:
         for snap in record.snapshots:
             print(snap.line, file=out)
-    if trace_path:
-        write_record(record, trace_path)
-        if not quiet:
+        if trace_path:
             print(f"trace written: {trace_path}", file=err)
-    if not quiet:
         _print_summary(record, err)
     return EXIT_OK
 
@@ -295,10 +298,14 @@ def cmd_sweep(scenario: Scenario, param: str, values, reps: int, out=None, err=N
         raise ScenarioError(
             f"parameter {param!r} not applicable: scenario has no poison injection"
         )
+    # Every value is checked before the table starts, so a bad one prints no partial table.
+    sweeps = [
+        (value, _build(f"--values: {param}={value}", _sweep_value, scenario, param, value))
+        for value in values
+    ]
     header = f"{'value':>12} {'runs':>6} {'converged':>9} {'mean_cp':>9} {'max_cp':>7} {'mean_dev_rate':>13}"
     print(header, file=out)
-    for value in values:
-        swept = _sweep_value(scenario, param, value)
+    for value, swept in sweeps:
         points = []
         rates = []
         for rep in range(reps):

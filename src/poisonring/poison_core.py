@@ -18,7 +18,6 @@ lifetimes untouched, so observation never alters the experiment.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -243,14 +242,25 @@ class EvalContext:
     def suppressed(self) -> bool:
         return self.suppression_depth > 0
 
-    @contextmanager
     def suppression(self):
         """Dynamic scope with poisoning disabled; nests and survives errors."""
-        self.suppression_depth += 1
-        try:
-            yield self
-        finally:
-            self.suppression_depth -= 1
+        return _Suppression(self)
+
+
+class _Suppression:
+    """The context manager EvalContext.suppression returns; binds the context."""
+
+    __slots__ = ("ctx",)
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def __enter__(self):
+        self.ctx.suppression_depth += 1
+        return self.ctx
+
+    def __exit__(self, *exc):
+        self.ctx.suppression_depth -= 1
 
 
 def with_suppression(ctx: EvalContext, body, *args, **kwargs):
@@ -345,8 +355,15 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     code = _OP_CODES.get(op)
     if code is None:
         raise ValueError(f"unknown operator {op!r}")
-    a = clean_value_of(lhs)
-    b = clean_value_of(rhs)
+    # Exact in-range ints are clean operands; anything else takes the full checks.
+    if type(lhs) is int and INT64_MIN <= lhs <= INT64_MAX:
+        a, lhs_poisoned = lhs, False
+    else:
+        a, lhs_poisoned = clean_value_of(lhs), is_poisoned(lhs)
+    if type(rhs) is int and INT64_MIN <= rhs <= INT64_MAX:
+        b, rhs_poisoned = rhs, False
+    else:
+        b, rhs_poisoned = clean_value_of(rhs), is_poisoned(rhs)
     step = ctx.step_counter
     ctx.step_counter = step + 1
     try:
@@ -356,8 +373,6 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     is_comparison = code >= kernel.OP_EQ
     clean_result = bool(raw) if is_comparison else raw
 
-    lhs_poisoned = is_poisoned(lhs)
-    rhs_poisoned = is_poisoned(rhs)
     suppressed = ctx.suppression_depth > 0
     deviated = False
     emitted = result = clean_result
@@ -376,18 +391,8 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
 
     ctx.event_sink.append(
         OperatorEvent(
-            step=step,
-            op=op,
-            lhs_clean=a,
-            lhs_poisoned=lhs_poisoned,
-            deviated=deviated,
-            clean_result=clean_result,
-            emitted_result=emitted,
-            suppressed=suppressed,
-            rhs_clean=b,
-            rhs_poisoned=rhs_poisoned,
-            origin_id=origin,
-            lifetime_after=lifetime_after,
+            step, op, a, lhs_poisoned, deviated, clean_result, emitted, suppressed,
+            b, rhs_poisoned, origin, lifetime_after,
         )
     )
     return result
@@ -397,7 +402,10 @@ def unop(op: str, operand, ctx: EvalContext):
     """Apply one intercepted unary operator (neg); same contract as binop."""
     if op != "neg":
         raise ValueError(f"unknown operator {op!r}")
-    a = clean_value_of(operand)
+    if type(operand) is int and INT64_MIN <= operand <= INT64_MAX:
+        a, poisoned = operand, False
+    else:
+        a, poisoned = clean_value_of(operand), is_poisoned(operand)
     step = ctx.step_counter
     ctx.step_counter = step + 1
     try:
@@ -405,7 +413,6 @@ def unop(op: str, operand, ctx: EvalContext):
     except OverflowError as exc:
         raise ArithmeticFault(f"neg: {exc}", step) from exc
 
-    poisoned = is_poisoned(operand)
     suppressed = ctx.suppression_depth > 0
     deviated = False
     emitted = result = clean_result
@@ -421,16 +428,8 @@ def unop(op: str, operand, ctx: EvalContext):
 
     ctx.event_sink.append(
         OperatorEvent(
-            step=step,
-            op=op,
-            lhs_clean=a,
-            lhs_poisoned=poisoned,
-            deviated=deviated,
-            clean_result=clean_result,
-            emitted_result=emitted,
-            suppressed=suppressed,
-            origin_id=origin,
-            lifetime_after=lifetime_after,
+            step, op, a, poisoned, deviated, clean_result, emitted, suppressed,
+            None, None, origin, lifetime_after,
         )
     )
     return result

@@ -112,8 +112,9 @@ class RingState:
 
 def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
     """Monitoring predicate; evaluated with poisoning disabled."""
-    left = state.statuses[state.left_of(node)]
-    own = state.statuses[node]
+    statuses = state.statuses
+    left = statuses[node - 1]  # node 0 reads the last node
+    own = statuses[node]
     with ctx.suppression():
         if node == 0:
             return binop("eq", left, own, ctx)

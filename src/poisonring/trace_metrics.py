@@ -28,7 +28,6 @@ _EVENT_TYPES = {
     "clean_result": (int, bool), "emitted_result": (int, bool), "suppressed": _BOOL,
     "origin_id": _INT, "lifetime_after": _INT,
 }
-_OPTIONAL_EVENT_KEYS = ("rhs_clean", "rhs_poisoned", "origin_id", "lifetime_after")
 
 
 @dataclass(slots=True)
@@ -121,41 +120,56 @@ def deviation_stats(record: RunRecord) -> DeviationStats:
     return DeviationStats(uses, deviations, deviations / uses if uses else 0.0)
 
 
-def _event_to_obj(event: OperatorEvent) -> dict:
-    obj = {}
-    for key in _EVENT_TYPES:
-        value = getattr(event, key)
-        if value is None and key in _OPTIONAL_EVENT_KEYS:
-            continue
-        obj[key] = value
-    return obj
+# One encoder configured as the JSON lines are written; its output for a value
+# is that value's text inside json.dumps(obj, separators=(",", ":")).
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _json_value(value) -> str:
+    """JSON text of one field value: ints and bools inline, any other value encoded."""
+    if type(value) is int:
+        return str(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _ENCODE(value)
 
 
 def dumps_record(record: RunRecord) -> str:
-    """Serialize to newline-delimited JSON: header, events, snapshots."""
-    lines = [
-        json.dumps(
-            {
-                "type": "run",
-                "scenario_digest": record.scenario_digest,
-                "seed": record.seed,
-                "final_statuses": record.final_statuses,
-            },
-            separators=(",", ":"),
-        )
-    ]
+    """Serialize to newline-delimited JSON: header, events, snapshots.
+
+    Each op and snapshot line is written directly, keys in _EVENT_TYPES order
+    and optional keys left out when None, as json.dumps would write its dict.
+    """
+    j = _json_value
+    header = {"type": "run", "scenario_digest": record.scenario_digest, "seed": record.seed,
+              "final_statuses": record.final_statuses}
+    lines = [_ENCODE(header)]
     for event in record.events:
-        obj = {"type": "op"}
-        obj.update(_event_to_obj(event))
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    for snap in record.snapshots:
-        obj = {
-            "type": "snapshot",
-            "round": snap.round,
-            "firing_node": snap.firing_node,
-            "line": snap.line,
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
+        line = (
+            f'{{"type":"op","step":{j(event.step)},"op":{j(event.op)}'
+            f',"lhs_clean":{j(event.lhs_clean)}'
+        )
+        if event.rhs_clean is not None:
+            line += f',"rhs_clean":{j(event.rhs_clean)}'
+        line += f',"lhs_poisoned":{j(event.lhs_poisoned)}'
+        if event.rhs_poisoned is not None:
+            line += f',"rhs_poisoned":{j(event.rhs_poisoned)}'
+        line += (
+            f',"deviated":{j(event.deviated)},"clean_result":{j(event.clean_result)}'
+            f',"emitted_result":{j(event.emitted_result)},"suppressed":{j(event.suppressed)}'
+        )
+        if event.origin_id is not None:
+            line += f',"origin_id":{j(event.origin_id)}'
+        if event.lifetime_after is not None:
+            line += f',"lifetime_after":{j(event.lifetime_after)}'
+        lines.append(line + "}")
+    lines += [
+        f'{{"type":"snapshot","round":{j(snap.round)},"firing_node":{j(snap.firing_node)}'
+        f',"line":{j(snap.line)}}}'
+        for snap in record.snapshots
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -176,12 +190,20 @@ def loads_record(text: str) -> RunRecord:
         kind = obj.pop("type", None)
         try:
             if kind == "op":
-                events.append(OperatorEvent(**obj))
                 for key, value in obj.items():
-                    if type(value) not in _EVENT_TYPES[key]:
+                    types = _EVENT_TYPES.get(key)
+                    if types is None:
+                        raise TraceFormatError(f"line {lineno}: unknown op field {key!r}")
+                    if type(value) not in types:
                         raise TraceFormatError(
                             f"line {lineno}: op field {key!r} has type {type(value).__name__}"
                         )
+                events.append(OperatorEvent(
+                    obj["step"], obj["op"], obj["lhs_clean"], obj["lhs_poisoned"],
+                    obj["deviated"], obj["clean_result"], obj["emitted_result"],
+                    obj["suppressed"], obj.get("rhs_clean"), obj.get("rhs_poisoned"),
+                    obj.get("origin_id"), obj.get("lifetime_after"),
+                ))
             elif kind == "snapshot":
                 snap = SnapshotEvent(**obj)
                 if (

@@ -221,6 +221,17 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--seed", seed]) == EXIT_CONFIG
         assert "--seed: seed must be an unsigned 64-bit integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["loud", "quiet"])
+    def test_unwritable_trace_path_exits_1(self, scenario_file, tmp_path, capsys, quiet):
+        trace = tmp_path / "missing_dir" / "x.jsonl"
+        path = scenario_file(base_scenario_obj())
+        assert main(["run", "--config", path, "--trace", str(trace), *quiet]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --trace: cannot write {trace}: ")
+        assert "Traceback" not in captured.err
+        assert not trace.parent.exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == EXIT_CONFIG
         assert "usage error" in capsys.readouterr().err
@@ -352,6 +363,18 @@ class TestSweepCommand:
         path = scenario_file(base_scenario_obj())
         assert main(self._sweep_args(path)) == EXIT_CONFIG
         assert "not applicable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "param,values,named",
+        [("transient_uses", "2,0", "transient_uses=0"), ("rate", "0.5,1.5", "rate=1.5")],
+    )
+    def test_bad_value_prints_no_table(self, scenario_file, capsys, param, values, named):
+        obj = base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": 1})])
+        path = scenario_file(obj)
+        assert main(self._sweep_args(path, param=param, values=values, reps="2")) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --values: {named}: ")
 
     def test_unknown_param_rejected(self, scenario_file, capsys):
         obj = base_scenario_obj(injections=[poison_injection_obj()])

@@ -1,6 +1,7 @@
 """Operator-interception semantics: effect, lifetime, infection, suppression."""
 
 from contextlib import nullcontext as _null_scope
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,52 @@ class TestUnop:
             unop("neg", INT64_MIN, ctx)
 
 
+class _Small(IntEnum):
+    THREE = 3
+
+
+class TestOperandFastPath:
+    """Exact in-range ints skip the operand checks; every other operand still takes them."""
+
+    def test_int64_bounds_accepted(self, ctx):
+        assert binop("lt", INT64_MIN, INT64_MAX, ctx) is True
+        assert binop("add", INT64_MAX, INT64_MIN, ctx) == -1
+        assert unop("neg", INT64_MAX, ctx) == -INT64_MAX
+        assert unop("neg", INT64_MIN + 1, ctx) == INT64_MAX
+        first = ctx.event_sink[0]
+        assert (first.lhs_clean, first.rhs_clean) == (INT64_MIN, INT64_MAX)
+        assert not (first.lhs_poisoned or first.rhs_poisoned)
+        assert ctx.event_sink[2].lhs_clean == INT64_MAX
+
+    @pytest.mark.parametrize(
+        "call,error",
+        [
+            (lambda ctx: binop("add", INT64_MAX + 1, 0, ctx), ValueError),
+            (lambda ctx: binop("add", 0, INT64_MIN - 1, ctx), ValueError),
+            (lambda ctx: unop("neg", INT64_MAX + 1, ctx), ValueError),
+            (lambda ctx: binop("add", True, 0, ctx), TypeError),
+            (lambda ctx: binop("eq", 0, False, ctx), TypeError),
+            (lambda ctx: unop("neg", True, ctx), TypeError),
+        ],
+        ids=["lhs_above", "rhs_below", "neg_above", "lhs_bool", "rhs_bool", "neg_bool"],
+    )
+    def test_rejected_operand_leaves_context_unchanged(self, ctx, call, error):
+        binop("add", 1, 1, ctx)
+        sink = list(ctx.event_sink)
+        with pytest.raises(error):
+            call(ctx)
+        assert ctx.step_counter == 1
+        assert ctx.event_sink == sink
+
+    @pytest.mark.parametrize("op", ["add", "mul", "mod", "lt", "neq"])
+    def test_int_enum_operand_matches_its_int(self, op):
+        with_enum, with_int = EvalContext(), EvalContext()
+        assert binop(op, _Small.THREE, 2, with_enum) == binop(op, 3, 2, with_int)
+        assert binop(op, 5, _Small.THREE, with_enum) == binop(op, 5, 3, with_int)
+        assert unop("neg", _Small.THREE, with_enum) == unop("neg", 3, with_int)
+        assert with_enum.event_sink == with_int.event_sink
+
+
 class TestSuppression:
     def test_suppressed_eq_uses_clean_semantics(self, ctx):
         p = make_poisoned(0, make_policy(), 0, seed=42)
@@ -305,6 +352,20 @@ class TestSuppression:
         with pytest.raises(RuntimeError):
             with ctx.suppression():
                 raise RuntimeError("boom")
+        assert ctx.suppression_depth == 0
+
+    def test_scope_binds_the_context(self, ctx):
+        with ctx.suppression() as bound:
+            assert bound is ctx
+            assert ctx.suppression_depth == 1
+
+    def test_inner_error_restores_the_outer_depth(self, ctx):
+        with ctx.suppression():
+            with pytest.raises(RuntimeError):
+                with ctx.suppression():
+                    assert ctx.suppression_depth == 2
+                    raise RuntimeError("boom")
+            assert ctx.suppression_depth == 1
         assert ctx.suppression_depth == 0
 
     def test_no_rng_advance_under_suppression(self, ctx):

@@ -1,6 +1,7 @@
 """Snapshot analytics and JSONL trace round-tripping."""
 
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from poisonring import (
     unop,
     write_record,
 )
+from poisonring._kernel import INT64_MAX, INT64_MIN
+from trace_reference import EVENT_KEYS, reference_dumps_record
 
 
 def _op_line(**changes):
@@ -283,3 +286,66 @@ def test_any_text_loads_or_is_a_trace_format_error(text):
     assert loads_record(dumps_record(record)) == record
     convergence_point(record)
     deviation_stats(record)
+
+
+# Generated records for the encoder: int64 edges, bools against the ints 0
+# and 1, optional fields present and absent, op strings that need escaping,
+# and now and then one field holding a value of another JSON type.
+class _Level(IntEnum):
+    HIGH = 7
+
+
+_INT64S = st.one_of(
+    st.integers(INT64_MIN, INT64_MIN + 2), st.integers(INT64_MAX - 2, INT64_MAX),
+    st.integers(-3, 3), st.integers(INT64_MIN, INT64_MAX),
+)
+_RESULTS = st.one_of(st.booleans(), st.sampled_from([0, 1]), _INT64S)
+_OP_NAMES = st.one_of(
+    st.sampled_from(["add", "neg", 'say "hi"', "back\\slash", "tab\tnew\nnul\x00\x1f\x7f",
+                     "Ünïcødé 漢字 😀"]),
+    st.text(max_size=8),
+)
+_OTHER_VALUES = st.one_of(
+    st.floats(), st.text(max_size=4), st.none(), st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 2), max_size=2), st.just(_Level.HIGH),
+)
+
+
+@st.composite
+def _generated_events(draw):
+    event = OperatorEvent(
+        step=draw(_INT64S), op=draw(_OP_NAMES), lhs_clean=draw(_INT64S),
+        lhs_poisoned=draw(st.booleans()), deviated=draw(st.booleans()),
+        clean_result=draw(_RESULTS), emitted_result=draw(_RESULTS),
+        suppressed=draw(st.booleans()), rhs_clean=draw(st.none() | _INT64S),
+        rhs_poisoned=draw(st.none() | st.booleans()), origin_id=draw(st.none() | _INT64S),
+        lifetime_after=draw(st.none() | _INT64S),
+    )
+    if draw(st.integers(0, 3)) == 0:
+        setattr(event, draw(st.sampled_from(EVENT_KEYS)), draw(_OTHER_VALUES))
+    return event
+
+
+_GENERATED_RECORDS = st.builds(
+    RunRecord,
+    scenario_digest=st.text(max_size=8),
+    seed=_INT64S,
+    events=st.lists(_generated_events(), max_size=4),
+    snapshots=st.lists(
+        st.builds(SnapshotEvent, round=_INT64S | _OTHER_VALUES, firing_node=_INT64S,
+                  line=st.text(max_size=6)),
+        max_size=2,
+    ),
+    final_statuses=st.lists(_INT64S, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_GENERATED_RECORDS)
+def test_encoder_matches_reference_bytes(record):
+    assert dumps_record(record) == reference_dumps_record(record)
+
+
+def test_encoder_matches_reference_on_a_run():
+    record = _rich_record()
+    assert dumps_record(record) == reference_dumps_record(record)
