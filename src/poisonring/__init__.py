@@ -27,6 +27,7 @@ from .ring_sim import (
     Injection,
     RingConfig,
     RingState,
+    Scenario,
     ScenarioError,
     has_privilege,
     out,
@@ -51,7 +52,7 @@ from .trace_metrics import (
     token_count,
     write_record,
 )
-from .cli import GOLDEN_PREFIX, Scenario, execute_scenario, load_scenario, reference_scenario
+from .cli import GOLDEN_PREFIX, execute_scenario, load_scenario, reference_scenario
 
 __version__ = "0.1.0"
 

@@ -7,7 +7,8 @@
 stdout carries bare snapshot lines (run) or the sweep summary table; all
 diagnostics go to stderr. Exit codes: 0 success, 1 scenario/config error
 (an unwritable --trace path too), 2 arithmetic fault during simulation,
-3 golden-trace check mismatch.
+3 golden-trace check mismatch, 141 stdout closed by its reader (as in
+`run ... | head -1`; nothing is printed).
 """
 
 from __future__ import annotations
@@ -16,18 +17,21 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from fractions import Fraction
 
 from .poison_core import ArithmeticFault, DeviationModel, EvalContext, PoisonPolicy, PolicyError
-from .ring_sim import Injection, RingConfig, ScenarioError, run, validate_injections
+from .ring_sim import Injection, RingConfig, Scenario, ScenarioError, run, validate_injections
 from .trace_metrics import RunRecord, convergence_point, deviation_stats, token_count, write_record
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK_MISMATCH = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 # The 7-line fault-free golden prefix: 5 nodes, K=5, first 10 rounds.
 GOLDEN_PREFIX = (
@@ -43,27 +47,50 @@ GOLDEN_PREFIX = (
 SWEEP_PARAMS = ("rate", "transient_uses")
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A complete reproducible experiment: exactly the content scenario_digest covers."""
-
-    ring: RingConfig
-    injections: tuple[Injection, ...] = ()
-
-    @property
-    def seed(self) -> int:
-        """The scenario seed; the ring config carries it."""
-        return self.ring.seed
-
-
 def reference_scenario() -> Scenario:
     """The built-in fault-free reference run behind `check`."""
     return Scenario(ring=RingConfig(node_count=5, k_states=5, rounds=10, seed=0))
 
 
-# Scenario files: this module checks the JSON shape (objects, lists, known and
-# required keys); every value is checked by the domain type it builds, and
-# its error is passed on behind the field path.
+# Scenario files hold the canonical object that scenario_obj writes and scenario_digest
+# hashes; parse_scenario reads it back. The reader checks the JSON shape (objects, lists,
+# known and required keys); every value is checked by the domain type it builds, and its
+# error is passed on behind the field path.
+# The policy axes: (file key, PoisonPolicy field, the plain form for None, the key of {key: value}).
+_AXES = (("effect", "rate", "deterministic", "intermittent"),
+         ("lifetime", "uses", "always", "transient"))
+# A magnitude string as str() writes a Fraction or an int: "7", "-5/2".
+_MAGNITUDE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def scenario_obj(scenario: Scenario) -> dict:
+    """The canonical JSON object of a scenario: what parse_scenario reads and the digest hashes."""
+    injections = []
+    for injection in scenario.injections:
+        obj = {"kind": injection.kind, "node": injection.node, "at_round": injection.at_round}
+        policy = injection.policy
+        if policy is None:
+            obj["new_status"] = injection.new_status
+        else:
+            deviation = {"kind": policy.deviation.kind, "magnitude": str(policy.deviation.magnitude)}
+            obj["policy"] = {
+                **{key: plain if getattr(policy, attr) is None else {keyed: getattr(policy, attr)}
+                   for key, attr, plain, keyed in _AXES},
+                "infectious": policy.infectious, "deviation": deviation,
+            }
+        injections.append(obj)
+    ring = scenario.ring
+    return {
+        "ring": {"node_count": ring.node_count, "k_states": ring.k_states, "rounds": ring.rounds},
+        "seed": ring.seed,
+        "injections": injections,
+    }
+
+
+def scenario_digest(scenario: Scenario) -> str:
+    """sha256 of the scenario's canonical object as compact, key-sorted JSON."""
+    blob = json.dumps(scenario_obj(scenario), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _fail(field: str, message: str):
@@ -91,24 +118,33 @@ def _build(field: str, factory, *args, **kwargs):
         raise ScenarioError(f"{field}: {exc}") from exc
 
 
-def _parse_axis(value, field: str, plain: str, key: str):
-    """An effect or lifetime in canonical form: plain -> None, {key: x} -> x."""
-    if value == plain:
-        return None
-    if not isinstance(value, dict):
-        _fail(field, f'expected "{plain}" or {{"{key}": ...}}, got {value!r}')
-    return _fields(value, field, (key,))[0]
+def _magnitude(text: str):
+    """A magnitude string read back: an int when whole, else a Fraction."""
+    if not _MAGNITUDE_RE.fullmatch(text):
+        raise ScenarioError('expected a number, an integer string or a "p/q" string')
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:  # "1/0", or more digits than int() reads
+        raise ScenarioError(f"cannot read {text[:40]!r}: {exc}") from None
+    return value.numerator if value.denominator == 1 else value
 
 
 def _parse_policy(obj, field: str) -> PoisonPolicy:
-    effect, lifetime, infectious, deviation = _fields(
-        obj, field, ("effect", "lifetime", "infectious", "deviation")
-    )
-    rate = _parse_axis(effect, f"{field}.effect", "deterministic", "intermittent")
-    uses = _parse_axis(lifetime, f"{field}.lifetime", "always", "transient")
+    required = (*(axis[0] for axis in _AXES), "infectious", "deviation")
+    *axes, infectious, deviation = _fields(obj, field, required)
+    axis_args = {}
+    for value, (key, attr, plain, keyed) in zip(axes, _AXES):
+        if value == plain:
+            continue
+        if not isinstance(value, dict):
+            _fail(f"{field}.{key}", f'expected "{plain}" or {{"{keyed}": ...}}, got {value!r}')
+        (axis_args[attr],) = _fields(value, f"{field}.{key}", (keyed,))
     dev_field = f"{field}.deviation"
-    model = _build(dev_field, DeviationModel, *_fields(deviation, dev_field, ("kind", "magnitude")))
-    return _build(field, PoisonPolicy, model, rate, uses, infectious)
+    kind, magnitude = _fields(deviation, dev_field, ("kind", "magnitude"))
+    if isinstance(magnitude, str):
+        magnitude = _build(f"{dev_field}.magnitude", _magnitude, magnitude)
+    model = _build(dev_field, DeviationModel, kind, magnitude)
+    return _build(field, PoisonPolicy, model, infectious=infectious, **axis_args)
 
 
 def _parse_injection(obj, field: str) -> Injection:
@@ -125,7 +161,7 @@ def _parse_injection(obj, field: str) -> Injection:
 
 
 def parse_scenario(obj, source: str = "<scenario>") -> Scenario:
-    """Build a Scenario from a decoded scenario object; canonical field names only."""
+    """Build a Scenario from a decoded scenario object, such as scenario_obj writes."""
     (ring_obj,) = _fields(obj, source, ("ring",), ("injections", "seed"))
     ring_args = _fields(ring_obj, f"{source}.ring", ("node_count", "k_states", "rounds"))
     ring = _build(source, RingConfig, *ring_args, seed=obj.get("seed", 0))
@@ -144,7 +180,7 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -157,78 +193,29 @@ def _with_seed(scenario: Scenario, seed: int) -> Scenario:
     return dataclasses.replace(scenario, ring=dataclasses.replace(scenario.ring, seed=seed))
 
 
-def scenario_digest(scenario: Scenario) -> str:
-    """Stable content hash of the effective scenario."""
-    payload = {
-        "ring": {
-            "node_count": scenario.ring.node_count,
-            "k_states": scenario.ring.k_states,
-            "rounds": scenario.ring.rounds,
-        },
-        "seed": scenario.seed,
-        "injections": [_injection_obj(inj) for inj in scenario.injections],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _injection_obj(injection: Injection) -> dict:
-    if injection.policy is not None:
-        policy = injection.policy
-        return {
-            "kind": "poison",
-            "node": injection.node,
-            "at_round": injection.at_round,
-            "policy": {
-                "effect": "deterministic" if policy.rate is None else {"intermittent": policy.rate},
-                "lifetime": "always" if policy.uses is None else {"transient": policy.uses},
-                "infectious": policy.infectious,
-                "deviation": {
-                    "kind": policy.deviation.kind,
-                    "magnitude": str(policy.deviation.magnitude),
-                },
-            },
-        }
-    return {
-        "kind": "perturb",
-        "node": injection.node,
-        "at_round": injection.at_round,
-        "new_status": injection.new_status,
-    }
-
-
 def execute_scenario(scenario: Scenario) -> RunRecord:
     """Run a scenario and package the full record."""
     ctx = EvalContext()
     state, snapshots = run(scenario.ring, scenario.injections, ctx)
-    return RunRecord(
-        scenario_digest=scenario_digest(scenario),
-        seed=scenario.seed,
-        events=ctx.event_sink,
-        snapshots=snapshots,
-        final_statuses=state.clean_statuses(),
-    )
+    return RunRecord(scenario_digest(scenario), scenario.seed, events=ctx.event_sink,
+                     snapshots=snapshots, final_statuses=state.clean_statuses())
 
 
-def _print_summary(record: RunRecord, err) -> None:
+def _print_summary(record: RunRecord) -> None:
     histogram = Counter(token_count(s.line) for s in record.snapshots)
     stats = deviation_stats(record)
     point = convergence_point(record)
-    print(f"snapshots: {len(record.snapshots)}", file=err)
     hist = " ".join(f"{k}:{v}" for k, v in sorted(histogram.items())) or "(empty)"
-    print(f"token-count histogram: {hist}", file=err)
-    print(f"convergence point: {'none' if point is None else point}", file=err)
     print(
-        f"deviation stats: uses={stats.uses} deviations={stats.deviations} "
-        f"rate={stats.rate:.4f}",
-        file=err,
+        f"snapshots: {len(record.snapshots)}\ntoken-count histogram: {hist}\n"
+        f"convergence point: {'none' if point is None else point}\n"
+        f"deviation stats: uses={stats.uses} deviations={stats.deviations} rate={stats.rate:.4f}",
+        file=sys.stderr,
     )
 
 
-def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None, out=None, err=None) -> int:
+def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None) -> int:
     """Execute one scenario: snapshot lines to stdout, summary to stderr, the trace to trace_path."""
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
     record = execute_scenario(scenario)
     if trace_path:
         try:
@@ -237,57 +224,48 @@ def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None, out=None, 
             raise ScenarioError(f"--trace: cannot write {trace_path}: {exc.strerror or exc}") from exc
     if not quiet:
         for snap in record.snapshots:
-            print(snap.line, file=out)
+            print(snap.line)
         if trace_path:
-            print(f"trace written: {trace_path}", file=err)
-        _print_summary(record, err)
+            print(f"trace written: {trace_path}", file=sys.stderr)
+        _print_summary(record)
     return EXIT_OK
 
 
-def compare_golden(lines, golden=None):
-    """First (index, expected, actual-or-None) mismatch, or None when the prefix matches."""
-    if golden is None:
-        golden = GOLDEN_PREFIX
-    for i, expected in enumerate(golden):
+def compare_golden(lines):
+    """First (index, expected, actual-or-None) mismatch, or None when the golden prefix matches."""
+    for i, expected in enumerate(GOLDEN_PREFIX):
         actual = lines[i] if i < len(lines) else None
         if actual != expected:
             return (i, expected, actual)
     return None
 
 
-def cmd_check(err=None) -> int:
+def cmd_check() -> int:
     """Re-run the built-in reference scenario and compare the golden prefix."""
-    err = sys.stderr if err is None else err
     record = execute_scenario(reference_scenario())
     mismatch = compare_golden([s.line for s in record.snapshots])
     if mismatch is None:
-        print(f"check: {len(GOLDEN_PREFIX)}/{len(GOLDEN_PREFIX)} golden lines match", file=err)
+        print(f"check: {len(GOLDEN_PREFIX)}/{len(GOLDEN_PREFIX)} golden lines match", file=sys.stderr)
         return EXIT_OK
     index, expected, actual = mismatch
     shown = "(missing)" if actual is None else actual
-    print(f"check: mismatch at line {index + 1}: expected {expected} got {shown}", file=err)
+    print(f"check: mismatch at line {index + 1}: expected {expected} got {shown}", file=sys.stderr)
     return EXIT_CHECK_MISMATCH
 
 
 def _sweep_value(scenario: Scenario, param: str, value) -> Scenario:
     """Scenario with the swept knob applied to every poison injection."""
-    injections = []
-    for injection in scenario.injections:
-        if injection.policy is None:
-            injections.append(injection)
-            continue
-        if param == "rate":
-            policy = dataclasses.replace(injection.policy, rate=value)
-        else:
-            policy = dataclasses.replace(injection.policy, uses=value)
-        injections.append(dataclasses.replace(injection, policy=policy))
-    return dataclasses.replace(scenario, injections=tuple(injections))
+    knob = {"rate": value} if param == "rate" else {"uses": value}
+    injections = tuple(
+        inj if inj.policy is None else dataclasses.replace(
+            inj, policy=dataclasses.replace(inj.policy, **knob))
+        for inj in scenario.injections
+    )
+    return dataclasses.replace(scenario, injections=injections)
 
 
-def cmd_sweep(scenario: Scenario, param: str, values, reps: int, out=None, err=None) -> int:
+def cmd_sweep(scenario: Scenario, param: str, values, reps: int) -> int:
     """Fault campaign over one policy knob; one aggregated table row per value."""
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
     if param not in SWEEP_PARAMS:
         raise ScenarioError(f"--param must be one of {SWEEP_PARAMS}, got {param!r}")
     if not values:
@@ -304,7 +282,7 @@ def cmd_sweep(scenario: Scenario, param: str, values, reps: int, out=None, err=N
         for value in values
     ]
     header = f"{'value':>12} {'runs':>6} {'converged':>9} {'mean_cp':>9} {'max_cp':>7} {'mean_dev_rate':>13}"
-    print(header, file=out)
+    print(header)
     for value, swept in sweeps:
         points = []
         rates = []
@@ -319,8 +297,7 @@ def cmd_sweep(scenario: Scenario, param: str, values, reps: int, out=None, err=N
         mean_rate = sum(rates) / len(rates)
         print(
             f"{value!s:>12} {reps:>6} {len(converged):>9} {mean_cp:>9} "
-            f"{max_cp:>7} {mean_rate:>13.4f}",
-            file=out,
+            f"{max_cp:>7} {mean_rate:>13.4f}"
         )
     return EXIT_OK
 
@@ -369,25 +346,33 @@ def _parse_values(param: str, csv: str):
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.command == "check":
+            code = cmd_check()
+        else:
+            scenario = load_scenario(args.config)
+            if args.command == "run":
+                if args.seed is not None:
+                    scenario = _build("--seed", _with_seed, scenario, args.seed)
+                code = cmd_run(scenario, quiet=args.quiet, trace_path=args.trace)
+            else:
+                values = _parse_values(args.param, args.values)
+                code = cmd_sweep(scenario, args.param, values, args.reps)
+        sys.stdout.flush()  # inside the try, so that a reader gone away is caught below
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        if args.command == "run":
-            scenario = load_scenario(args.config)
-            if args.seed is not None:
-                scenario = _build("--seed", _with_seed, scenario, args.seed)
-            return cmd_run(scenario, quiet=args.quiet, trace_path=args.trace)
-        if args.command == "check":
-            return cmd_check()
-        scenario = load_scenario(args.config)
-        return cmd_sweep(scenario, args.param, _parse_values(args.param, args.values), args.reps)
     except (ScenarioError, PolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticFault as exc:
         print(f"arithmetic fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except BrokenPipeError:
+        # Point stdout at devnull so that the flush at interpreter exit cannot raise again.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -48,9 +48,6 @@ _OP_CODES = {
     "lt": kernel.OP_LT,
 }
 
-ARITHMETIC_OPS = ("add", "sub", "mul", "mod")
-COMPARISON_OPS = ("eq", "neq", "lt")
-
 
 class PolicyError(ValueError):
     """Invalid deviation model or poison policy."""

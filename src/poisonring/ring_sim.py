@@ -88,6 +88,18 @@ class Injection:
         return "poison" if self.policy is not None else "perturb"
 
 
+@dataclass(frozen=True)
+class Scenario:
+    """A complete reproducible experiment: a ring, which carries the seed, and its injections."""
+
+    ring: RingConfig
+    injections: tuple[Injection, ...] = ()
+
+    @property
+    def seed(self) -> int:
+        return self.ring.seed
+
+
 class RingState:
     """Mutable ring state: one status per node plus the last privilege vector."""
 
@@ -102,9 +114,6 @@ class RingState:
     @property
     def node_count(self) -> int:
         return len(self.statuses)
-
-    def left_of(self, node: int) -> int:
-        return (node - 1) % len(self.statuses)
 
     def clean_statuses(self) -> list[int]:
         return [clean_value_of(s) for s in self.statuses]
@@ -145,8 +154,9 @@ def perturb(state: RingState, node: int, new_status: int) -> RingState:
 
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
     """Run one node's guarded rule; emits a snapshot only when the guard fires."""
-    left = state.statuses[state.left_of(node)]
-    own = state.statuses[node]
+    statuses = state.statuses
+    left = statuses[node - 1]  # node 0 reads the last node
+    own = statuses[node]
     try:
         if node == 0:
             fires = binop("eq", left, own, ctx)
@@ -163,9 +173,9 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
         )
         if node == 0:
             bumped = binop("add", own, 1, ctx)
-            state.statuses[0] = binop("mod", bumped, state.k_states, ctx)
+            statuses[0] = binop("mod", bumped, state.k_states, ctx)
         else:
-            state.statuses[node] = left
+            statuses[node] = left
     except ArithmeticFault as exc:
         exc.node = node
         exc.round_index = state.round_index

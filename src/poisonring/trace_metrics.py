@@ -244,5 +244,11 @@ def write_record(record: RunRecord, path) -> None:
 
 
 def read_record(path) -> RunRecord:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_record(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceFormatError(f"line {line}: invalid UTF-8 at byte {exc.start}") from None
+    return loads_record(text)

@@ -3,11 +3,14 @@
 import contextlib
 import copy
 import dataclasses
+import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,14 +20,18 @@ from hypothesis import strategies as st
 from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
 from poisonring import (
     GOLDEN_PREFIX,
+    DeviationModel,
     Injection,
+    PoisonPolicy,
     RingConfig,
     Scenario,
     ScenarioError,
     execute_scenario,
     load_scenario,
 )
+from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CHECK_MISMATCH,
     EXIT_CONFIG,
     EXIT_OK,
@@ -32,7 +39,9 @@ from poisonring.cli import (
     cmd_check,
     compare_golden,
     main,
+    parse_scenario,
     scenario_digest,
+    scenario_obj,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -78,6 +87,12 @@ class TestLoadScenario:
         missing = str(tmp_path / "nope.json")
         with pytest.raises(ScenarioError, match="nope.json"):
             load_scenario(missing)
+
+    def test_invalid_utf8_names_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {path}: cannot read scenario: ")
 
     def test_syntax_error_names_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -152,6 +167,94 @@ class TestLoadScenario:
         b = load_scenario(scenario_file(base_scenario_obj(seed=1), name="b.json"))
         assert scenario_digest(a) != scenario_digest(b)
         assert scenario_digest(a) == scenario_digest(a)
+
+
+# Scenarios over every field of the canonical form: each deviation kind, rational
+# offset and scale magnitudes, both forms of each policy axis, infectious or not,
+# perturb injections, and seeds up to 2**64 - 1.
+_RATIONALS = st.one_of(
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.sampled_from([Fraction(1, 3), Fraction(5, 2), 1.01, 3]),
+)
+_DEVIATIONS = st.one_of(
+    st.builds(DeviationModel, st.just("offset"), _RATIONALS.filter(lambda m: m != 0)),
+    st.builds(DeviationModel, st.just("scale"), _RATIONALS.filter(lambda m: m != 1)),
+    st.builds(DeviationModel, st.just("stuck_at"), st.integers(INT64_MIN, INT64_MAX)),
+    st.builds(DeviationModel, st.just("bitflip"), st.integers(0, 63)),
+)
+_POLICIES = st.builds(
+    PoisonPolicy,
+    _DEVIATIONS,
+    rate=st.none() | st.floats(0, 1, exclude_min=True, exclude_max=True),
+    uses=st.none() | st.integers(1, 2**63),
+    infectious=st.booleans(),
+)
+
+
+@st.composite
+def _scenarios(draw):
+    nodes = draw(st.integers(1, 6))
+    ring = RingConfig(nodes, nodes + draw(st.integers(0, 3)), draw(st.integers(0, 8)),
+                      seed=draw(st.integers(0, 2**64 - 1)))
+    slots = draw(st.lists(st.tuples(st.integers(0, nodes - 1), st.integers(0, ring.rounds)),
+                          unique=True, max_size=4))
+    specs = st.one_of(st.builds(dict, policy=_POLICIES),
+                      st.builds(dict, new_status=st.integers(0, ring.k_states - 1)))
+    return Scenario(ring, tuple(Injection(node, at, **draw(specs)) for node, at in slots))
+
+
+class TestScenarioCodec:
+    @settings(max_examples=300, deadline=None)
+    @given(_scenarios())
+    def test_canonical_object_reads_back_and_is_what_the_digest_hashes(self, scenario):
+        obj = scenario_obj(scenario)
+        assert parse_scenario(json.loads(json.dumps(obj))) == scenario
+        blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert scenario_digest(scenario) == hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
+    def test_canonical_file_gives_the_same_trace_bytes(self, tmp_path, capsys, name):
+        original = SCENARIOS / name
+        canonical = tmp_path / "canonical.json"
+        canonical.write_text(json.dumps(scenario_obj(load_scenario(str(original)))),
+                             encoding="utf-8")
+        traces = []
+        for config in (original, canonical):
+            trace = tmp_path / f"{len(traces)}.jsonl"
+            assert main(["run", "--config", str(config), "--trace", str(trace)]) == EXIT_OK
+            traces.append(trace.read_bytes())
+        assert traces[0] == traces[1]
+        assert capsys.readouterr().err.count("snapshots:") == 2
+
+    @pytest.mark.parametrize(
+        "kind,text,magnitude",
+        [("offset", "1", 1), ("offset", "-1/3", Fraction(-1, 3)), ("scale", "5/2", Fraction(5, 2)),
+         ("scale", "4/2", 2), ("stuck_at", "-7", -7), ("bitflip", "63", 63)],
+    )
+    def test_magnitude_strings_read_as_numbers(self, scenario_file, kind, text, magnitude):
+        obj = base_scenario_obj(injections=[poison_injection_obj(kind=kind, magnitude=text)])
+        (injection,) = load_scenario(scenario_file(obj)).injections
+        assert injection.policy.deviation == DeviationModel(kind, magnitude)
+
+    @pytest.mark.parametrize(
+        "kind,text",
+        [("offset", "1/0"), ("offset", "nan"), ("offset", "abc"), ("offset", "1" * 5000),
+         ("offset", "1.5"), ("offset", "1e-999999999"), ("offset", " 1"), ("offset", "0"),
+         ("scale", "2/2"), ("stuck_at", "1/2"), ("bitflip", "64")],
+    )
+    def test_bad_magnitude_string_exits_1(self, scenario_file, capsys, kind, text):
+        obj = base_scenario_obj(injections=[poison_injection_obj(kind=kind, magnitude=text)])
+        assert main(["run", "--config", scenario_file(obj)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "injections[0].policy.deviation" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("text", ["1/0", "nan", "abc", "1" * 5000])
+    def test_unreadable_magnitude_names_its_field(self, scenario_file, text):
+        obj = base_scenario_obj(injections=[poison_injection_obj(magnitude=text)])
+        with pytest.raises(ScenarioError, match=r"injections\[0\]\.policy\.deviation\.magnitude: "):
+            load_scenario(scenario_file(obj))
 
 
 class TestRunCommand:
@@ -408,6 +511,28 @@ class TestSubprocessDeterminism:
         assert r1.stdout == r2.stdout
         assert t1.read_bytes() == t2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "--config", "big.json"],
+         ["sweep", "--config", "big.json", "--param", "rate", "--values", "0.5", "--reps", "1"]],
+        ids=["run", "sweep"],
+    )
+    def test_closed_stdout_exits_quietly(self, tmp_path, args):
+        # 2,000 rounds print far more lines than a pipe buffer holds.
+        obj = base_scenario_obj(ring={"node_count": 5, "k_states": 5, "rounds": 2000},
+                                injections=[poison_injection_obj(effect={"intermittent": 0.5})])
+        (tmp_path / "big.json").write_text(json.dumps(obj), encoding="utf-8")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run([sys.executable, "-m", "poisonring", *args], cwd=tmp_path,
+                                    stdout=write_end, stderr=subprocess.PIPE,
+                                    env=subprocess_env(), timeout=120)
+        finally:
+            os.close(write_end)
+        assert result.returncode == EXIT_BROKEN_PIPE
+        assert result.stderr == b""
+
     def test_console_check_passes(self):
         result = self._invoke("check")
         assert result.returncode == EXIT_OK
@@ -417,7 +542,7 @@ class TestSubprocessDeterminism:
 # A fixed pool of replacement leaves. It holds no huge positive ints: an
 # accepted rounds of 10**20 runs for ever.
 FUZZ_POOL = (True, False, None, -1, 0, 1, 2, 7, 64, float("nan"), 0.5, "", "offset",
-             "deterministic", [], {})
+             "deterministic", "5/2", "1/0", [], {})
 _DELETE = object()
 
 

@@ -233,6 +233,21 @@ class TestJsonlRoundTrip:
         with pytest.raises(TraceFormatError, match=r"^line 2: "):
             loads_record(f"{header}\n{bad_line}\n")
 
+    @pytest.mark.parametrize(
+        "data,line",
+        [
+            (b"\xff\xfe{", 1),
+            (b'{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}\n'
+             b'{"type":"snap\xffshot"}\n', 2),
+        ],
+        ids=["first_line", "after_header"],
+    )
+    def test_invalid_utf8_is_a_trace_format_error(self, tmp_path, data, line):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(TraceFormatError, match=rf"^line {line}: invalid UTF-8"):
+            read_record(path)
+
     def test_well_typed_op_record_loads(self):
         header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[1]}'
         record = loads_record(f"{header}\n{_op_line()}\n")
