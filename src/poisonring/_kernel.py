@@ -14,20 +14,10 @@ _MASK64 = (1 << 64) - 1
 _BIT63 = 1 << 63
 _TWO64 = 1 << 64
 
-# Operator codes. Comparisons sort last so callers can test "code >= OP_EQ".
-OP_ADD = 0
-OP_SUB = 1
-OP_MUL = 2
-OP_MOD = 3
-OP_EQ = 4
-OP_NEQ = 5
-OP_LT = 6
-
-# Deviation-model codes.
-DEV_OFFSET = 0
-DEV_SCALE = 1
-DEV_STUCK_AT = 2
-DEV_BITFLIP = 3
+# The operator and deviation-kind names the kernel dispatches on.
+BINARY_OPS = frozenset(("add", "sub", "mul", "mod", "eq", "neq", "lt"))
+COMPARISONS = frozenset(("eq", "neq", "lt"))
+DEVIATION_KINDS = ("offset", "scale", "stuck_at", "bitflip")
 
 # 2**-53, exact in binary; scales a 53-bit draw into [0, 1).
 _INV_2_53 = 1.0 / 9007199254740992.0
@@ -44,24 +34,24 @@ def _checked(value):
 
 
 def clean_binop(op, a, b):
-    """Exact binary operation on int64 operands; comparisons return 0/1."""
-    if op == OP_ADD:
+    """Exact binary operation on int64 operands; comparisons return a bool."""
+    if op == "add":
         return _checked(a + b)
-    if op == OP_SUB:
+    if op == "sub":
         return _checked(a - b)
-    if op == OP_MUL:
+    if op == "mul":
         return _checked(a * b)
-    if op == OP_MOD:
+    if op == "mod":
         if b == 0:
             raise ZeroDivisionError("modulo by zero")
         return a % b  # floor-mod; |result| < |b| so always in range
-    if op == OP_EQ:
-        return 1 if a == b else 0
-    if op == OP_NEQ:
-        return 1 if a != b else 0
-    if op == OP_LT:
-        return 1 if a < b else 0
-    raise ValueError(f"unknown operator code {op}")
+    if op == "eq":
+        return a == b
+    if op == "neq":
+        return a != b
+    if op == "lt":
+        return a < b
+    raise ValueError(f"unknown operator {op!r}")
 
 
 def checked_neg(a):
@@ -86,16 +76,16 @@ def apply_deviation(kind, clean, p_num, p_den):
     returns p_num; bitflip toggles bit p_num of the two's-complement
     representation (never overflows).
     """
-    if kind == DEV_OFFSET:
+    if kind == "offset":
         return _checked(_div_round_half_even(clean * p_den + p_num, p_den))
-    if kind == DEV_SCALE:
+    if kind == "scale":
         return _checked(_div_round_half_even(clean * p_num, p_den))
-    if kind == DEV_STUCK_AT:
+    if kind == "stuck_at":
         return p_num
-    if kind == DEV_BITFLIP:
+    if kind == "bitflip":
         u = (clean & _MASK64) ^ (1 << p_num)
         return u - _TWO64 if u >= _BIT63 else u
-    raise ValueError(f"unknown deviation code {kind}")
+    raise ValueError(f"unknown deviation kind {kind!r}")
 
 
 def sm64_next(state):

@@ -7,8 +7,9 @@
 stdout carries bare snapshot lines (run) or the sweep summary table; all
 diagnostics go to stderr. Exit codes: 0 success, 1 scenario/config error
 (an unwritable --trace path too), 2 arithmetic fault during simulation,
-3 golden-trace check mismatch, 141 stdout closed by its reader (as in
-`run ... | head -1`; nothing is printed).
+3 golden-trace check mismatch, 130 interrupted (Ctrl-C; one `interrupted`
+line on stderr), 141 stdout closed by its reader (as in `run ... | head -1`;
+nothing is printed).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_CHECK_MISMATCH = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process that Ctrl-C ended
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 # The 7-line fault-free golden prefix: 5 nodes, K=5, first 10 rounds.
@@ -186,6 +188,8 @@ def load_scenario(path: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer of too many digits, or too deep
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     return parse_scenario(obj, source=path)
 
 
@@ -368,6 +372,9 @@ def main(argv=None) -> int:
     except ArithmeticFault as exc:
         print(f"arithmetic fault: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # Point stdout at devnull so that the flush at interpreter exit cannot raise again.
         with open(os.devnull, "w") as devnull:

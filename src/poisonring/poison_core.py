@@ -29,25 +29,6 @@ INT64_MAX = kernel.INT64_MAX
 
 _U64_MAX = (1 << 64) - 1
 
-DEVIATION_KINDS = ("offset", "scale", "stuck_at", "bitflip")
-
-_DEV_CODES = {
-    "offset": kernel.DEV_OFFSET,
-    "scale": kernel.DEV_SCALE,
-    "stuck_at": kernel.DEV_STUCK_AT,
-    "bitflip": kernel.DEV_BITFLIP,
-}
-
-_OP_CODES = {
-    "add": kernel.OP_ADD,
-    "sub": kernel.OP_SUB,
-    "mul": kernel.OP_MUL,
-    "mod": kernel.OP_MOD,
-    "eq": kernel.OP_EQ,
-    "neq": kernel.OP_NEQ,
-    "lt": kernel.OP_LT,
-}
-
 
 class PolicyError(ValueError):
     """Invalid deviation model or poison policy."""
@@ -105,9 +86,9 @@ class DeviationModel:
     magnitude: int | float | Fraction
 
     def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _DEV_CODES:
+        if not isinstance(self.kind, str) or self.kind not in kernel.DEVIATION_KINDS:
             raise PolicyError(
-                f"deviation kind must be one of {DEVIATION_KINDS}, got {self.kind!r}"
+                f"deviation kind must be one of {kernel.DEVIATION_KINDS}, got {self.kind!r}"
             )
         if self.kind == "offset":
             mag = _as_rational(self.magnitude, "offset magnitude")
@@ -136,7 +117,6 @@ class DeviationModel:
         if not (INT64_MIN <= num <= INT64_MAX and 0 < den <= INT64_MAX):
             raise PolicyError("magnitude numerator/denominator exceed 64 bits")
         object.__setattr__(self, "magnitude", magnitude)
-        object.__setattr__(self, "_code", _DEV_CODES[self.kind])
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
@@ -301,7 +281,7 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
 
 def deviate(model: DeviationModel, clean: int) -> int:
     """Pure deviation application; raises OverflowError when the result leaves int64."""
-    return kernel.apply_deviation(model._code, _check_operand(clean), model._num, model._den)
+    return kernel.apply_deviation(model.kind, _check_operand(clean), model._num, model._den)
 
 
 def _poisoned_use(op, value, other, clean_result, is_comparison, step):
@@ -327,7 +307,7 @@ def _poisoned_use(op, value, other, clean_result, is_comparison, step):
             model = policy.deviation
             try:
                 emitted = kernel.apply_deviation(
-                    model._code, clean_result, model._num, model._den
+                    model.kind, clean_result, model._num, model._den
                 )
             except OverflowError as exc:
                 raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
@@ -349,8 +329,7 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     Comparison ops (eq/neq/lt) return the emitted boolean. Exactly one
     OperatorEvent is recorded either way.
     """
-    code = _OP_CODES.get(op)
-    if code is None:
+    if op not in kernel.BINARY_OPS:
         raise ValueError(f"unknown operator {op!r}")
     # Exact in-range ints are clean operands; anything else takes the full checks.
     if type(lhs) is int and INT64_MIN <= lhs <= INT64_MAX:
@@ -364,11 +343,10 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     step = ctx.step_counter
     ctx.step_counter = step + 1
     try:
-        raw = kernel.clean_binop(code, a, b)
+        clean_result = kernel.clean_binop(op, a, b)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
-    is_comparison = code >= kernel.OP_EQ
-    clean_result = bool(raw) if is_comparison else raw
+    is_comparison = op in kernel.COMPARISONS
 
     suppressed = ctx.suppression_depth > 0
     deviated = False

@@ -183,7 +183,7 @@ def loads_record(text: str) -> RunRecord:
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also too many digits, or too deep
             raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: expected an object, got {type(obj).__name__}")

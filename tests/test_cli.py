@@ -34,6 +34,7 @@ from poisonring.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CHECK_MISMATCH,
     EXIT_CONFIG,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_RUNTIME,
     cmd_check,
@@ -88,11 +89,23 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="nope.json"):
             load_scenario(missing)
 
-    def test_invalid_utf8_names_path(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "data,reason",
+        [
+            (b"\xff\xfe{", "cannot read scenario"),
+            # Past json.loads' own limits: an integer of more than 4,300 digits, 100,000 nested lists.
+            (b'{"ring": {"node_count": ' + b"1" * 5000 + b"}}", "invalid JSON"),
+            (b"[" * 100_000 + b"]" * 100_000, "invalid JSON"),
+        ],
+        ids=["utf8", "digits", "depth"],
+    )
+    def test_unreadable_file_exits_1(self, tmp_path, capsys, data, reason):
         path = tmp_path / "bad.json"
-        path.write_bytes(b"\xff\xfe{")
+        path.write_bytes(data)
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"error: {path}: cannot read scenario: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {reason}: ")
+        assert "Traceback" not in err
 
     def test_syntax_error_names_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -303,6 +316,19 @@ class TestRunCommand:
         path = scenario_file({"ring": {"node_count": 5, "k_states": 4, "rounds": 1}})
         assert main(["run", "--config", path]) == EXIT_CONFIG
         assert "K must exceed N" in capsys.readouterr().err
+
+    def test_interrupt_exits_130(self, scenario_file, capsys, monkeypatch):
+        def interrupted(scenario):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("poisonring.cli.execute_scenario", interrupted)
+        try:
+            code = main(["run", "--config", scenario_file(base_scenario_obj())])
+        except KeyboardInterrupt:  # escaping, it would stop the whole test session
+            pytest.fail("KeyboardInterrupt escaped main")
+        assert code == EXIT_INTERRUPTED
+        captured = capsys.readouterr()
+        assert captured.err == "interrupted\n" and captured.out == ""
 
     def test_arithmetic_fault_exits_2(self, scenario_file, capsys):
         path = scenario_file(OVERFLOW_SCENARIO)

@@ -1,10 +1,11 @@
 """Kernel unit and property tests: overflow errors, floor-mod semantics,
 rounding ties, and the draw stream.
 
-Each fixture-driven test runs twice: on the kernel module itself ("py") and
-on the same primitives reached through the core's public operators ("c",
-_CorePath). The second run shows that binop, unop and make_poisoned hand
-the kernel's clean results, deviations and draw streams through unchanged.
+Each fixture-driven test runs twice: on the kernel module itself (id "py")
+and on the same primitives reached through the core's public operators
+(id "c", _CorePath). The second run shows that binop, unop and
+make_poisoned hand the kernel's clean results, deviations and draw streams
+through unchanged. Both are called by operator and deviation-kind name.
 """
 
 from fractions import Fraction
@@ -32,23 +33,6 @@ I64_MAX = _kernel.INT64_MAX
 int64s = st.integers(min_value=I64_MIN, max_value=I64_MAX)
 
 
-_OP_NAMES = {
-    _kernel.OP_ADD: "add",
-    _kernel.OP_SUB: "sub",
-    _kernel.OP_MUL: "mul",
-    _kernel.OP_MOD: "mod",
-    _kernel.OP_EQ: "eq",
-    _kernel.OP_NEQ: "neq",
-    _kernel.OP_LT: "lt",
-}
-_DEV_NAMES = {
-    _kernel.DEV_OFFSET: "offset",
-    _kernel.DEV_SCALE: "scale",
-    _kernel.DEV_STUCK_AT: "stuck_at",
-    _kernel.DEV_BITFLIP: "bitflip",
-}
-
-
 def _one_event(ctx):
     (event,) = ctx.event_sink
     return event
@@ -63,24 +47,16 @@ class _CorePath:
     sm64_next has no counterpart: the core never exposes a raw draw.
     """
 
-    INT64_MIN = _kernel.INT64_MIN
-    INT64_MAX = _kernel.INT64_MAX
-    OP_ADD, OP_SUB, OP_MUL, OP_MOD = (_kernel.OP_ADD, _kernel.OP_SUB,
-                                      _kernel.OP_MUL, _kernel.OP_MOD)
-    OP_EQ, OP_NEQ, OP_LT = _kernel.OP_EQ, _kernel.OP_NEQ, _kernel.OP_LT
-    DEV_OFFSET, DEV_SCALE = _kernel.DEV_OFFSET, _kernel.DEV_SCALE
-    DEV_STUCK_AT, DEV_BITFLIP = _kernel.DEV_STUCK_AT, _kernel.DEV_BITFLIP
-
     @staticmethod
     def clean_binop(op, a, b):
         ctx = EvalContext()
         try:
-            result = binop(_OP_NAMES[op], a, b, ctx)
+            result = binop(op, a, b, ctx)
         except ArithmeticFault as fault:
             raise fault.__cause__
         event = _one_event(ctx)
         assert not event.deviated and event.emitted_result == event.clean_result == result
-        return int(result)
+        return result
 
     @staticmethod
     def checked_neg(a):
@@ -96,11 +72,8 @@ class _CorePath:
     def apply_deviation(kind, clean, p_num, p_den):
         # A deterministic poisoned operand plus 0: the clean result is `clean`
         # and the event carries its deviation.
-        if kind in (_kernel.DEV_OFFSET, _kernel.DEV_SCALE):
-            magnitude = Fraction(p_num, p_den)
-        else:
-            magnitude = p_num
-        policy = PoisonPolicy(DeviationModel(_DEV_NAMES[kind], magnitude))
+        magnitude = Fraction(p_num, p_den) if kind in ("offset", "scale") else p_num
+        policy = PoisonPolicy(DeviationModel(kind, magnitude))
         ctx = EvalContext()
         try:
             binop("add", make_poisoned(clean, policy, origin_id=0, seed=0), 0, ctx)
@@ -138,41 +111,43 @@ def k(request):
 
 class TestCleanBinop:
     def test_arithmetic(self, k):
-        assert k.clean_binop(k.OP_ADD, 2, 3) == 5
-        assert k.clean_binop(k.OP_SUB, 2, 3) == -1
-        assert k.clean_binop(k.OP_MUL, -4, 6) == -24
+        assert k.clean_binop("add", 2, 3) == 5
+        assert k.clean_binop("sub", 2, 3) == -1
+        assert k.clean_binop("mul", -4, 6) == -24
 
     @pytest.mark.parametrize(
         "a,b,expected",
         [(7, 3, 1), (-7, 3, 2), (7, -3, -2), (-7, -3, -1), (I64_MIN, -1, 0), (5, 5, 0)],
     )
     def test_mod_is_floor_mod(self, k, a, b, expected):
-        assert k.clean_binop(k.OP_MOD, a, b) == expected
+        assert k.clean_binop("mod", a, b) == expected
 
     def test_mod_by_zero(self, k):
         with pytest.raises(ZeroDivisionError):
-            k.clean_binop(k.OP_MOD, 1, 0)
+            k.clean_binop("mod", 1, 0)
 
     def test_comparisons_return_01(self, k):
-        assert k.clean_binop(k.OP_EQ, 4, 4) == 1
-        assert k.clean_binop(k.OP_EQ, 4, 5) == 0
-        assert k.clean_binop(k.OP_NEQ, 4, 5) == 1
-        assert k.clean_binop(k.OP_LT, -1, 0) == 1
-        assert k.clean_binop(k.OP_LT, 0, -1) == 0
+        assert k.clean_binop("eq", 4, 4) == 1
+        assert k.clean_binop("eq", 4, 5) == 0
+        assert k.clean_binop("neq", 4, 5) == 1
+        assert k.clean_binop("lt", -1, 0) == 1
+        assert k.clean_binop("lt", 0, -1) == 0
 
     @pytest.mark.parametrize(
         "op,a,b",
         [
-            ("OP_ADD", I64_MAX, 1),
-            ("OP_ADD", I64_MIN, -1),
-            ("OP_SUB", I64_MIN, 1),
-            ("OP_MUL", I64_MAX, 2),
-            ("OP_MUL", I64_MIN, -1),
+            ("add", I64_MAX, 1),
+            ("add", I64_MIN, -1),
+            ("sub", I64_MIN, 1),
+            ("mul", I64_MAX, 2),
+            ("mul", I64_MIN, -1),
         ],
+        # The ids the cases had when operators were integer constants, kept stable.
+        ids=lambda v: f"OP_{v.upper()}" if isinstance(v, str) else None,
     )
     def test_overflow(self, k, op, a, b):
         with pytest.raises(OverflowError):
-            k.clean_binop(getattr(k, op), a, b)
+            k.clean_binop(op, a, b)
 
     def test_neg(self, k):
         assert k.checked_neg(5) == -5
@@ -181,22 +156,37 @@ class TestCleanBinop:
             k.checked_neg(I64_MIN)
 
 
+def test_unknown_names_are_rejected(ctx):
+    """A name outside the kernel's sets is a ValueError; binop then moves no counter and records nothing."""
+    for op in ("div", "ADD", "offset", ""):
+        with pytest.raises(ValueError, match="unknown operator"):
+            _kernel.clean_binop(op, 1, 2)
+        poisoned = make_poisoned(1, make_policy(uses=3), origin_id=0, seed=0)
+        with pytest.raises(ValueError, match="unknown operator"):
+            binop(op, poisoned, None, ctx)  # the name is checked before any operand
+        assert ctx.step_counter == 0 and ctx.event_sink == []
+        assert poisoned.uses_remaining == 3
+    for kind in ("div", "OFFSET", "add", ""):
+        with pytest.raises(ValueError, match="unknown deviation kind"):
+            _kernel.apply_deviation(kind, 1, 1, 1)
+
+
 class TestApplyDeviation:
     def test_scale_one_percent(self, k):
         # "1% more than the correct value"
-        assert k.apply_deviation(k.DEV_SCALE, 200, 101, 100) == 202
+        assert k.apply_deviation("scale", 200, 101, 100) == 202
 
     def test_offset(self, k):
-        assert k.apply_deviation(k.DEV_OFFSET, 0, 1, 1) == 1
-        assert k.apply_deviation(k.DEV_OFFSET, 10, -3, 1) == 7
+        assert k.apply_deviation("offset", 0, 1, 1) == 1
+        assert k.apply_deviation("offset", 10, -3, 1) == 7
 
     def test_stuck_at(self, k):
-        assert k.apply_deviation(k.DEV_STUCK_AT, -13, 7, 1) == 7
+        assert k.apply_deviation("stuck_at", -13, 7, 1) == 7
 
     def test_bitflip(self, k):
-        assert k.apply_deviation(k.DEV_BITFLIP, 4, 0, 1) == 5
-        assert k.apply_deviation(k.DEV_BITFLIP, 0, 63, 1) == I64_MIN
-        assert k.apply_deviation(k.DEV_BITFLIP, -1, 63, 1) == I64_MAX
+        assert k.apply_deviation("bitflip", 4, 0, 1) == 5
+        assert k.apply_deviation("bitflip", 0, 63, 1) == I64_MIN
+        assert k.apply_deviation("bitflip", -1, 63, 1) == I64_MAX
 
     @pytest.mark.parametrize(
         "clean,num,den,expected",
@@ -210,11 +200,11 @@ class TestApplyDeviation:
         ],
     )
     def test_scale_rounds_half_to_even(self, k, clean, num, den, expected):
-        assert k.apply_deviation(k.DEV_SCALE, clean, num, den) == expected
+        assert k.apply_deviation("scale", clean, num, den) == expected
 
     def test_scale_overflow(self, k):
         with pytest.raises(OverflowError):
-            k.apply_deviation(k.DEV_SCALE, I64_MAX, 2, 1)
+            k.apply_deviation("scale", I64_MAX, 2, 1)
 
 
 class TestDrawStream:
@@ -255,17 +245,16 @@ class TestDrawStream:
 def test_arithmetic_matches_bigint_oracle(a, b, op):
     """Kernel arithmetic equals unbounded integer math or raises on overflow."""
     k = _kernel
-    code = {"add": k.OP_ADD, "sub": k.OP_SUB, "mul": k.OP_MUL, "mod": k.OP_MOD}[op]
     if op == "mod" and b == 0:
         with pytest.raises(ZeroDivisionError):
-            k.clean_binop(code, a, b)
+            k.clean_binop(op, a, b)
         return
     exact = {"add": a + b, "sub": a - b, "mul": a * b, "mod": a % b if b else 0}[op]
     if I64_MIN <= exact <= I64_MAX:
-        assert k.clean_binop(code, a, b) == exact
+        assert k.clean_binop(op, a, b) == exact
     else:
         with pytest.raises(OverflowError):
-            k.clean_binop(code, a, b)
+            k.clean_binop(op, a, b)
 
 
 @settings(max_examples=300)
@@ -283,49 +272,49 @@ def test_scale_matches_fraction_oracle(clean, num, den):
     ):
         floor += 1
     if I64_MIN <= floor <= I64_MAX:
-        assert _kernel.apply_deviation(_kernel.DEV_SCALE, clean, num, den) == floor
+        assert _kernel.apply_deviation("scale", clean, num, den) == floor
     else:
         with pytest.raises(OverflowError):
-            _kernel.apply_deviation(_kernel.DEV_SCALE, clean, num, den)
+            _kernel.apply_deviation("scale", clean, num, den)
 
 
 @settings(max_examples=200)
 @given(int64s, st.integers(min_value=0, max_value=63))
 def test_bitflip_is_an_involution(value, bit):
     k = _kernel
-    once = k.apply_deviation(k.DEV_BITFLIP, value, bit, 1)
+    once = k.apply_deviation("bitflip", value, bit, 1)
     assert I64_MIN <= once <= I64_MAX
     assert once != value
-    assert k.apply_deviation(k.DEV_BITFLIP, once, bit, 1) == value
+    assert k.apply_deviation("bitflip", once, bit, 1) == value
 
 
 class TestBackendEquivalence:
     """The core's operators agree bit for bit with the kernel they call."""
 
     @settings(max_examples=400)
-    @given(int64s, int64s, st.integers(min_value=0, max_value=6))
-    def test_binop_bitwise_equal(self, a, b, code):
+    @given(int64s, int64s, st.sampled_from(sorted(_kernel.BINARY_OPS)))
+    def test_binop_bitwise_equal(self, a, b, op):
         try:
-            expected = _kernel.clean_binop(code, a, b)
+            expected = _kernel.clean_binop(op, a, b)
         except (OverflowError, ZeroDivisionError) as exc:
             with pytest.raises(type(exc)):
-                _CorePath.clean_binop(code, a, b)
+                _CorePath.clean_binop(op, a, b)
         else:
-            assert _CorePath.clean_binop(code, a, b) == expected
+            assert _CorePath.clean_binop(op, a, b) == expected
 
     @settings(max_examples=300)
     @given(
-        st.integers(min_value=0, max_value=3),
+        st.sampled_from(_kernel.DEVIATION_KINDS),
         int64s,
         st.integers(min_value=-(10**12), max_value=10**12),
         st.integers(min_value=1, max_value=10**9),
     )
     def test_deviation_bitwise_equal(self, kind, clean, num, den):
-        if kind == _kernel.DEV_BITFLIP:
+        if kind == "bitflip":
             num, den = abs(num) % 64, 1
         # A policy may not offset by 0 or scale by 1.
-        assume(not (kind == _kernel.DEV_OFFSET and num == 0))
-        assume(not (kind == _kernel.DEV_SCALE and num == den))
+        assume(not (kind == "offset" and num == 0))
+        assume(not (kind == "scale" and num == den))
         try:
             expected = _kernel.apply_deviation(kind, clean, num, den)
         except OverflowError:

@@ -4,7 +4,7 @@ import json
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_policy
@@ -291,6 +291,9 @@ def _edited_trace(edits, order) -> str:
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.text(max_size=200), _EDITED_TRACES.map(lambda drawn: _edited_trace(*drawn))))
+# Past json.loads' own limits: an integer of more than 4,300 digits, and 100,000 nested arrays.
+@example('{"type":"run","scenario_digest":"d","seed":' + "1" * 5000 + ',"final_statuses":[]}')
+@example("[" * 100_000 + "]" * 100_000)
 def test_any_text_loads_or_is_a_trace_format_error(text):
     """loads_record gives a RunRecord that the analytics accept, or a TraceFormatError."""
     try:
