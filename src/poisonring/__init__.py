@@ -21,7 +21,6 @@ from .poison_core import (
     kernel_backend,
     make_poisoned,
     unop,
-    with_suppression,
 )
 from .ring_sim import (
     Injection,
@@ -98,6 +97,5 @@ __all__ = [
     "unop",
     "update",
     "validate_injections",
-    "with_suppression",
     "write_record",
 ]

@@ -11,8 +11,8 @@ the deviated number is visible in the event trace. Comparison results are
 plain booleans and DO return the deviated (negated) truth value — they are
 the channel through which poisoning perturbs control flow.
 
-Monitoring code runs inside a suppression scope (with_suppression or
-EvalContext.suppression), which forces clean semantics and leaves poison
+Monitoring code runs inside a suppression scope, written one way:
+`with ctx.suppression():`. The scope forces clean semantics and leaves poison
 lifetimes untouched, so observation never alters the experiment.
 """
 
@@ -27,7 +27,7 @@ from .trace_metrics import OperatorEvent
 INT64_MIN = kernel.INT64_MIN
 INT64_MAX = kernel.INT64_MAX
 
-_U64_MAX = (1 << 64) - 1
+U64_MAX = (1 << 64) - 1
 
 
 class PolicyError(ValueError):
@@ -204,6 +204,8 @@ class PoisonedScalar:
 class EvalContext:
     """Per-run interception state: suppression depth, step counter, event sink.
 
+    The context is its own suppression scope: `with ctx.suppression():` runs
+    its body with poisoning disabled; scopes nest and survive errors.
     Confined to one logical thread; run concurrent experiments on separate
     contexts with separate sinks.
     """
@@ -215,35 +217,16 @@ class EvalContext:
         self.suppression_depth = 0
         self.step_counter = 0
 
-    @property
-    def suppressed(self) -> bool:
-        return self.suppression_depth > 0
-
     def suppression(self):
-        """Dynamic scope with poisoning disabled; nests and survives errors."""
-        return _Suppression(self)
-
-
-class _Suppression:
-    """The context manager EvalContext.suppression returns; binds the context."""
-
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx):
-        self.ctx = ctx
+        """The suppression scope: the context itself."""
+        return self
 
     def __enter__(self):
-        self.ctx.suppression_depth += 1
-        return self.ctx
+        self.suppression_depth += 1
+        return self
 
     def __exit__(self, *exc):
-        self.ctx.suppression_depth -= 1
-
-
-def with_suppression(ctx: EvalContext, body, *args, **kwargs):
-    """Run body(*args, **kwargs) inside a suppression scope and return its result."""
-    with ctx.suppression():
-        return body(*args, **kwargs)
+        self.suppression_depth -= 1
 
 
 def is_poisoned(value) -> bool:
@@ -273,7 +256,7 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
         raise PolicyError("policy must be a PoisonPolicy")
     if not isinstance(origin_id, int) or isinstance(origin_id, bool):
         raise PolicyError("origin_id must be an integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= _U64_MAX:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= U64_MAX:
         raise PolicyError("seed must be an unsigned 64-bit integer")
     state = kernel.stream_seed(seed, origin_id)
     return PoisonedScalar(value, policy, origin_id, state)
@@ -284,7 +267,7 @@ def deviate(model: DeviationModel, clean: int) -> int:
     return kernel.apply_deviation(model.kind, _check_operand(clean), model._num, model._den)
 
 
-def _poisoned_use(op, value, other, clean_result, is_comparison, step):
+def _poisoned_use(op, value, other, clean_result, step):
     """One unsuppressed use of a poisoned operand: draw, spend a use, deviate, infect.
 
     value governs the result (its policy and draw stream decide); other is a
@@ -299,6 +282,7 @@ def _poisoned_use(op, value, other, clean_result, is_comparison, step):
     lifetime_after = value._consume_use()
     if other is not None:
         other._consume_use()
+    is_comparison = op in kernel.COMPARISONS
     emitted = clean_result
     if deviated:
         if is_comparison:
@@ -346,7 +330,6 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         clean_result = kernel.clean_binop(op, a, b)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
-    is_comparison = op in kernel.COMPARISONS
 
     suppressed = ctx.suppression_depth > 0
     deviated = False
@@ -361,7 +344,7 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         else:
             other = rhs if lhs_poisoned and rhs_poisoned and rhs is not lhs else None
             deviated, emitted, lifetime_after, result = _poisoned_use(
-                op, governing, other, clean_result, is_comparison, step
+                op, governing, other, clean_result, step
             )
 
     ctx.event_sink.append(
@@ -398,7 +381,7 @@ def unop(op: str, operand, ctx: EvalContext):
             lifetime_after = operand.uses_remaining
         else:
             deviated, emitted, lifetime_after, result = _poisoned_use(
-                op, operand, None, clean_result, False, step
+                op, operand, None, clean_result, step
             )
 
     ctx.event_sink.append(

@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .poison_core import (
+    INT64_MAX,
+    U64_MAX,
     ArithmeticFault,
     EvalContext,
     PoisonPolicy,
@@ -25,8 +27,6 @@ from .poison_core import (
     make_poisoned,
 )
 from .trace_metrics import SnapshotEvent
-
-_U64_MAX = (1 << 64) - 1
 
 
 class ScenarioError(ValueError):
@@ -52,9 +52,11 @@ class RingConfig:
                 f"K must exceed N: k_states must be > {self.node_count - 1} "
                 f"for {self.node_count} nodes, got {self.k_states}"
             )
+        if self.k_states > INT64_MAX:
+            raise ScenarioError(f"k_states must be at most {INT64_MAX}, got {self.k_states}")
         if type(self.rounds) is not int or self.rounds < 0:
             raise ScenarioError(f"rounds must be a non-negative integer, got {self.rounds!r}")
-        if type(self.seed) is not int or not 0 <= self.seed <= _U64_MAX:
+        if type(self.seed) is not int or not 0 <= self.seed <= U64_MAX:
             raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 

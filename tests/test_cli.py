@@ -312,10 +312,44 @@ class TestRunCommand:
         assert len(record.snapshots) == 50
         assert record.final_statuses == [0, 0, 0, 0, 0]
 
-    def test_bad_config_exits_1(self, scenario_file, capsys):
-        path = scenario_file({"ring": {"node_count": 5, "k_states": 4, "rounds": 1}})
+    @pytest.mark.parametrize(
+        "obj,named",
+        [
+            ({"ring": {"node_count": 5, "k_states": 4, "rounds": 1}}, "K must exceed N"),
+            (base_scenario_obj(ring={"node_count": 5, "k_states": 2**63, "rounds": 3}),
+             "k_states"),
+            # new_status 2**63 fits a K above int64, and that K is what is rejected.
+            (base_scenario_obj(
+                ring={"node_count": 5, "k_states": 2**64, "rounds": 3},
+                injections=[{"kind": "perturb", "node": 0, "at_round": 0, "new_status": 2**63}],
+            ), "k_states"),
+        ],
+        ids=["k_not_above_n", "k_above_int64", "new_status_above_int64"],
+    )
+    def test_bad_config_exits_1(self, scenario_file, capsys, obj, named):
+        path = scenario_file(obj)
         assert main(["run", "--config", path]) == EXIT_CONFIG
-        assert "K must exceed N" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert named in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_k_at_int64_max_runs(self, scenario_file, tmp_path, capsys):
+        from poisonring import read_record
+
+        # Node 0 steps from INT64_MAX - 1: own + 1 reaches INT64_MAX and wraps to 0.
+        obj = base_scenario_obj(
+            ring={"node_count": 5, "k_states": INT64_MAX, "rounds": 3},
+            injections=[{"kind": "perturb", "node": 0, "at_round": 0,
+                         "new_status": INT64_MAX - 1}],
+        )
+        trace = tmp_path / "trace.jsonl"
+        assert main(["run", "--config", scenario_file(obj), "--trace", str(trace)]) == EXIT_OK
+        assert capsys.readouterr().out.count("\n") == 14
+        events = read_record(trace).events
+        assert any(e.op == "mod" and e.lhs_clean == INT64_MAX and e.clean_result == 0
+                   for e in events)
 
     def test_interrupt_exits_130(self, scenario_file, capsys, monkeypatch):
         def interrupted(scenario):

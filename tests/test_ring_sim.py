@@ -45,7 +45,8 @@ class TestRingConfig:
     @pytest.mark.parametrize(
         "args",
         [(True, 5, 10, 0), (5, True, 10, 0), (5, 5, True, 0), (5, 5, 10, True),
-         (5.0, 5, 10, 0), (5, "5", 10, 0), (5, 5, None, 0), (5, 5, 10, -1), (5, 5, 10, 2**64)],
+         (5.0, 5, 10, 0), (5, "5", 10, 0), (5, 5, None, 0), (5, 5, 10, -1), (5, 5, 10, 2**64),
+         (5, 2**63, 10, 0)],
     )
     def test_rejects_non_int_fields(self, args):
         with pytest.raises(ScenarioError):
@@ -286,9 +287,9 @@ class TestRun:
 
 
 class TestMonitoringNeutrality:
-    def _manual_run(self, extra_out: bool):
+    def _manual_run(self, extra_out: bool, seed: int):
         ctx = EvalContext()
-        config = RingConfig(5, 5, 10, seed=42)
+        config = RingConfig(5, 5, 10, seed=seed)
         state = RingState(config.node_count, config.k_states)
         state.statuses[0] = make_poisoned(
             0, make_policy(rate=0.5, uses=8, infectious=True), 0, config.seed
@@ -305,8 +306,19 @@ class TestMonitoringNeutrality:
         return state, snapshots, ctx.event_sink
 
     def test_extra_out_calls_change_nothing(self):
-        plain_state, plain_snaps, plain_events = self._manual_run(False)
-        noisy_state, noisy_snaps, noisy_events = self._manual_run(True)
+        self._assert_neutral(seed=42)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP A: child streams are keyed by a step counter that counts suppressed ops",
+    )
+    def test_extra_out_calls_change_nothing_at_seed_0(self):
+        self._assert_neutral(seed=0)
+
+    def _assert_neutral(self, seed: int):
+        plain_state, plain_snaps, plain_events = self._manual_run(False, seed)
+        noisy_state, noisy_snaps, noisy_events = self._manual_run(True, seed)
         assert plain_state.clean_statuses() == noisy_state.clean_statuses()
         assert [s.line for s in plain_snaps] == [s.line for s in noisy_snaps]
         assert not any(e.deviated for e in noisy_events if e.suppressed)
