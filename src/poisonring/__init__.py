@@ -16,7 +16,6 @@ from .poison_core import (
     PolicyError,
     binop,
     clean_value_of,
-    deviate,
     is_poisoned,
     kernel_backend,
     make_poisoned,
@@ -76,7 +75,6 @@ __all__ = [
     "binop",
     "clean_value_of",
     "convergence_point",
-    "deviate",
     "deviation_stats",
     "dumps_record",
     "execute_scenario",

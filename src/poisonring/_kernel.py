@@ -2,6 +2,7 @@
 
 The hot primitives behind every intercepted operation: checked 64-bit signed
 arithmetic, deviation application, and the SplitMix64 draw stream.
+clean_binop is the one operator entry: the binary operators and "neg".
 
 All value arguments are Python ints already verified to lie in the signed
 64-bit range. Results outside that range raise OverflowError.
@@ -34,7 +35,7 @@ def _checked(value):
 
 
 def clean_binop(op, a, b):
-    """Exact binary operation on int64 operands; comparisons return a bool."""
+    """Exact operation on int64 operands; comparisons return a bool, "neg" ignores b."""
     if op == "add":
         return _checked(a + b)
     if op == "sub":
@@ -51,12 +52,9 @@ def clean_binop(op, a, b):
         return a != b
     if op == "lt":
         return a < b
+    if op == "neg":
+        return _checked(-a)
     raise ValueError(f"unknown operator {op!r}")
-
-
-def checked_neg(a):
-    """Arithmetic negation; overflows only for INT64_MIN."""
-    return _checked(-a)
 
 
 def _div_round_half_even(num, den):

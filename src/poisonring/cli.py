@@ -9,7 +9,8 @@ diagnostics go to stderr. Exit codes: 0 success, 1 scenario/config error
 (an unwritable --trace path too), 2 arithmetic fault during simulation,
 3 golden-trace check mismatch, 130 interrupted (Ctrl-C; one `interrupted`
 line on stderr), 141 stdout closed by its reader (as in `run ... | head -1`;
-nothing is printed).
+nothing is printed). A stdout that cannot be written (as `> /dev/full`) exits 1
+with one `error: cannot write stdout: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -375,11 +376,14 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-    except BrokenPipeError:
+    except OSError as exc:  # stdout closed by its reader (BrokenPipeError), or unwritable
+        closed = isinstance(exc, BrokenPipeError)
+        if not closed:
+            print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         # Point stdout at devnull so that the flush at interpreter exit cannot raise again.
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        return EXIT_BROKEN_PIPE if closed else EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 A PoisonedScalar wraps a signed 64-bit integer together with a poison policy
 and a private draw stream. Programs apply operators through binop()/unop()
 instead of native operators; each application records one OperatorEvent and,
-when an unsuppressed operand is poisoned, may emit a deviated result.
+when an unsuppressed operand is poisoned, may emit a deviated result. There is
+one interception path: unop is binop's path with no right operand.
 
 Deviation is an emission phenomenon: arithmetic results handed back to the
 program always carry the exact clean value (the shadow computation), while
@@ -156,14 +157,6 @@ class PoisonPolicy:
         if not isinstance(self.infectious, bool):
             raise PolicyError(f"infectious must be a boolean, got {self.infectious!r}")
 
-    @property
-    def is_intermittent(self) -> bool:
-        return self.rate is not None
-
-    @property
-    def is_transient(self) -> bool:
-        return self.uses is not None
-
 
 class PoisonedScalar:
     """A signed 64-bit value carrying poison state and its own draw stream.
@@ -262,11 +255,6 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
     return PoisonedScalar(value, policy, origin_id, state)
 
 
-def deviate(model: DeviationModel, clean: int) -> int:
-    """Pure deviation application; raises OverflowError when the result leaves int64."""
-    return kernel.apply_deviation(model.kind, _check_operand(clean), model._num, model._den)
-
-
 def _poisoned_use(op, value, other, clean_result, step):
     """One unsuppressed use of a poisoned operand: draw, spend a use, deviate, infect.
 
@@ -305,15 +293,19 @@ def _poisoned_use(op, value, other, clean_result, step):
     return deviated, emitted, lifetime_after, clean_result
 
 
+# The right operand of a unary op: unop("neg", x, ctx) is binop("neg", x, _NO_OPERAND, ctx).
+_NO_OPERAND = object()
+
+
 def binop(op: str, lhs, rhs, ctx: EvalContext):
-    """Apply one intercepted binary operator.
+    """Apply one intercepted binary operator; the one interception path.
 
     Arithmetic ops (add/sub/mul/mod) return the clean result, wrapped as a
     poisoned scalar when the governing operand's policy is infectious.
     Comparison ops (eq/neq/lt) return the emitted boolean. Exactly one
-    OperatorEvent is recorded either way.
+    OperatorEvent is recorded either way; unop's event has rhs fields None.
     """
-    if op not in kernel.BINARY_OPS:
+    if op not in kernel.BINARY_OPS and (op != "neg" or rhs is not _NO_OPERAND):
         raise ValueError(f"unknown operator {op!r}")
     # Exact in-range ints are clean operands; anything else takes the full checks.
     if type(lhs) is int and INT64_MIN <= lhs <= INT64_MAX:
@@ -322,6 +314,8 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         a, lhs_poisoned = clean_value_of(lhs), is_poisoned(lhs)
     if type(rhs) is int and INT64_MIN <= rhs <= INT64_MAX:
         b, rhs_poisoned = rhs, False
+    elif rhs is _NO_OPERAND:
+        b = rhs_poisoned = None
     else:
         b, rhs_poisoned = clean_value_of(rhs), is_poisoned(rhs)
     step = ctx.step_counter
@@ -357,37 +351,7 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
 
 
 def unop(op: str, operand, ctx: EvalContext):
-    """Apply one intercepted unary operator (neg); same contract as binop."""
+    """Apply one intercepted unary operator (neg): binop's path with no right operand."""
     if op != "neg":
         raise ValueError(f"unknown operator {op!r}")
-    if type(operand) is int and INT64_MIN <= operand <= INT64_MAX:
-        a, poisoned = operand, False
-    else:
-        a, poisoned = clean_value_of(operand), is_poisoned(operand)
-    step = ctx.step_counter
-    ctx.step_counter = step + 1
-    try:
-        clean_result = kernel.checked_neg(a)
-    except OverflowError as exc:
-        raise ArithmeticFault(f"neg: {exc}", step) from exc
-
-    suppressed = ctx.suppression_depth > 0
-    deviated = False
-    emitted = result = clean_result
-    origin = lifetime_after = None
-    if poisoned:
-        origin = operand.origin_id
-        if suppressed:
-            lifetime_after = operand.uses_remaining
-        else:
-            deviated, emitted, lifetime_after, result = _poisoned_use(
-                op, operand, None, clean_result, step
-            )
-
-    ctx.event_sink.append(
-        OperatorEvent(
-            step, op, a, poisoned, deviated, clean_result, emitted, suppressed,
-            None, None, origin, lifetime_after,
-        )
-    )
-    return result
+    return binop(op, operand, _NO_OPERAND, ctx)

@@ -29,6 +29,10 @@ from .poison_core import (
 from .trace_metrics import SnapshotEvent
 
 
+# The largest ring RingConfig accepts; RingState holds a list of this many statuses.
+MAX_NODES = 1 << 20
+
+
 class ScenarioError(ValueError):
     """Invalid ring configuration, injection, or scenario file."""
 
@@ -45,6 +49,8 @@ class RingConfig:
     def __post_init__(self):
         if type(self.node_count) is not int or self.node_count < 1:
             raise ScenarioError(f"node_count must be an integer >= 1, got {self.node_count!r}")
+        if self.node_count > MAX_NODES:
+            raise ScenarioError(f"node_count must be at most {MAX_NODES}, got {self.node_count}")
         if type(self.k_states) is not int:
             raise ScenarioError(f"k_states must be an integer, got {self.k_states!r}")
         if self.k_states <= self.node_count - 1:

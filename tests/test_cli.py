@@ -323,8 +323,11 @@ class TestRunCommand:
                 ring={"node_count": 5, "k_states": 2**64, "rounds": 3},
                 injections=[{"kind": "perturb", "node": 0, "at_round": 0, "new_status": 2**63}],
             ), "k_states"),
+            # Rejected before RingState could try to allocate its status list.
+            (base_scenario_obj(ring={"node_count": 2**62, "k_states": INT64_MAX, "rounds": 1}),
+             "node_count"),
         ],
-        ids=["k_not_above_n", "k_above_int64", "new_status_above_int64"],
+        ids=["k_not_above_n", "k_above_int64", "new_status_above_int64", "node_count_huge"],
     )
     def test_bad_config_exits_1(self, scenario_file, capsys, obj, named):
         path = scenario_file(obj)
@@ -592,6 +595,24 @@ class TestSubprocessDeterminism:
             os.close(write_end)
         assert result.returncode == EXIT_BROKEN_PIPE
         assert result.stderr == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "--config", "small.json"],
+         ["sweep", "--config", "small.json", "--param", "rate", "--values", "0.5", "--reps", "1"]],
+        ids=["run", "sweep"],
+    )
+    def test_full_stdout_exits_1(self, tmp_path, args):
+        obj = base_scenario_obj(injections=[poison_injection_obj(effect={"intermittent": 0.5})])
+        (tmp_path / "small.json").write_text(json.dumps(obj), encoding="utf-8")
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "poisonring", *args], cwd=tmp_path,
+                                    stdout=full, stderr=subprocess.PIPE,
+                                    env=subprocess_env(), timeout=120)
+        assert result.returncode == EXIT_CONFIG
+        assert result.stderr.startswith(b"error: cannot write stdout: ")
+        assert result.stderr.count(b"\n") == 1  # one line, no traceback
 
     def test_console_check_passes(self):
         result = self._invoke("check")

@@ -51,21 +51,11 @@ class _CorePath:
     def clean_binop(op, a, b):
         ctx = EvalContext()
         try:
-            result = binop(op, a, b, ctx)
+            result = unop(op, a, ctx) if op == "neg" else binop(op, a, b, ctx)
         except ArithmeticFault as fault:
             raise fault.__cause__
         event = _one_event(ctx)
         assert not event.deviated and event.emitted_result == event.clean_result == result
-        return result
-
-    @staticmethod
-    def checked_neg(a):
-        ctx = EvalContext()
-        try:
-            result = unop("neg", a, ctx)
-        except ArithmeticFault as fault:
-            raise fault.__cause__
-        assert _one_event(ctx).emitted_result == result
         return result
 
     @staticmethod
@@ -150,22 +140,31 @@ class TestCleanBinop:
             k.clean_binop(op, a, b)
 
     def test_neg(self, k):
-        assert k.checked_neg(5) == -5
-        assert k.checked_neg(I64_MAX) == I64_MIN + 1
+        assert k.clean_binop("neg", 5, 0) == -5
+        assert k.clean_binop("neg", I64_MAX, 0) == I64_MIN + 1
         with pytest.raises(OverflowError):
-            k.checked_neg(I64_MIN)
+            k.clean_binop("neg", I64_MIN, 0)
 
 
 def test_unknown_names_are_rejected(ctx):
-    """A name outside the kernel's sets is a ValueError; binop then moves no counter and records nothing."""
+    """A name outside the kernel's sets is a ValueError; binop then moves no counter and records nothing.
+
+    "neg" is a name only for unop: binop rejects it with any right operand,
+    and unop rejects every binary operator.
+    """
+    poisoned = make_poisoned(1, make_policy(uses=3), origin_id=0, seed=0)
+    other = make_poisoned(2, make_policy(uses=3), origin_id=1, seed=0)
+    rejected = [lambda op=op: binop(op, poisoned, None, ctx) for op in ("div", "ADD", "offset", "")]
+    rejected += [lambda rhs=rhs: binop("neg", poisoned, rhs, ctx) for rhs in (0, other, None)]
+    rejected += [lambda op=op: unop(op, poisoned, ctx) for op in sorted(_kernel.BINARY_OPS)]
+    for call in rejected:
+        with pytest.raises(ValueError, match="unknown operator"):
+            call()  # the name is checked before any operand
+        assert ctx.step_counter == 0 and ctx.event_sink == []
+        assert poisoned.uses_remaining == other.uses_remaining == 3
     for op in ("div", "ADD", "offset", ""):
         with pytest.raises(ValueError, match="unknown operator"):
             _kernel.clean_binop(op, 1, 2)
-        poisoned = make_poisoned(1, make_policy(uses=3), origin_id=0, seed=0)
-        with pytest.raises(ValueError, match="unknown operator"):
-            binop(op, poisoned, None, ctx)  # the name is checked before any operand
-        assert ctx.step_counter == 0 and ctx.event_sink == []
-        assert poisoned.uses_remaining == 3
     for kind in ("div", "OFFSET", "add", ""):
         with pytest.raises(ValueError, match="unknown deviation kind"):
             _kernel.apply_deviation(kind, 1, 1, 1)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_policy
+from unop_reference import reference_unop
 from poisonring import (
     ArithmeticFault,
     DeviationModel,
@@ -18,7 +19,6 @@ from poisonring import (
     PolicyError,
     RingState,
     binop,
-    deviate,
     has_privilege,
     is_poisoned,
     make_poisoned,
@@ -86,8 +86,8 @@ class TestPoisonPolicy:
             make_policy(infectious=infectious)
 
     def test_valid_combinations(self):
-        assert make_policy().is_intermittent is False
-        assert make_policy(rate=0.25, uses=3).is_transient is True
+        assert make_policy().rate is None
+        assert make_policy(rate=0.25, uses=3).uses == 3
 
 
 class TestMakePoisoned:
@@ -113,22 +113,34 @@ class TestMakePoisoned:
             make_poisoned(INT64_MAX + 1, make_policy(), 0, 0)
 
 
+def _deviated(model, clean, ctx):
+    """The emitted result of one deterministic, non-infectious use of a value `clean`."""
+    p = make_poisoned(clean, PoisonPolicy(model), origin_id=0, seed=0)
+    assert binop("add", p, 0, ctx) == clean
+    event = ctx.event_sink[-1]
+    assert event.deviated and event.clean_result == clean
+    return event.emitted_result
+
+
 class TestDeviate:
-    def test_scale_one_percent(self):
-        assert deviate(DeviationModel("scale", 1.01), 200) == 202
+    """Deviation models applied through binop, read off the event's emitted result."""
 
-    def test_offset(self):
-        assert deviate(DeviationModel("offset", 1), 0) == 1
+    def test_scale_one_percent(self, ctx):
+        assert _deviated(DeviationModel("scale", 1.01), 200, ctx) == 202
 
-    def test_bitflip(self):
-        assert deviate(DeviationModel("bitflip", 0), 4) == 5
+    def test_offset(self, ctx):
+        assert _deviated(DeviationModel("offset", 1), 0, ctx) == 1
 
-    def test_stuck_at(self):
-        assert deviate(DeviationModel("stuck_at", 7), -13) == 7
+    def test_bitflip(self, ctx):
+        assert _deviated(DeviationModel("bitflip", 0), 4, ctx) == 5
 
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            deviate(DeviationModel("offset", 1), INT64_MAX)
+    def test_stuck_at(self, ctx):
+        assert _deviated(DeviationModel("stuck_at", 7), -13, ctx) == 7
+
+    def test_overflow(self, ctx):
+        with pytest.raises(ArithmeticFault) as raised:
+            _deviated(DeviationModel("offset", 1), INT64_MAX, ctx)
+        assert isinstance(raised.value.__cause__, OverflowError)
 
 
 class TestBinop:
@@ -285,6 +297,87 @@ class TestUnop:
     def test_overflow(self, ctx):
         with pytest.raises(ArithmeticFault):
             unop("neg", INT64_MIN, ctx)
+
+
+class _Edge(IntEnum):
+    MIN = INT64_MIN
+    ZERO = 0
+    MAX = INT64_MAX
+
+
+_deviations = st.one_of(
+    st.builds(DeviationModel, st.just("offset"), st.sampled_from([1, -3, Fraction(5, 2)])),
+    st.builds(DeviationModel, st.just("scale"), st.sampled_from([2, -1, Fraction(101, 100)])),
+    st.builds(DeviationModel, st.just("stuck_at"), st.sampled_from([INT64_MIN, 0, 7, INT64_MAX])),
+    st.builds(DeviationModel, st.just("bitflip"), st.integers(0, 63)),
+)
+_policies = st.builds(
+    PoisonPolicy,
+    _deviations,
+    rate=st.one_of(st.none(), st.floats(0.01, 0.99)),
+    uses=st.one_of(st.none(), st.integers(1, 3)),
+    infectious=st.booleans(),
+)
+_int64_edges = st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX])
+_int64s = st.one_of(_int64_edges, st.integers(INT64_MIN, INT64_MAX))
+# A recipe for a fresh operand: each run of the comparison needs its own poison state.
+_operand_recipes = st.one_of(
+    st.tuples(st.just("plain"), st.one_of(_int64s, st.sampled_from(list(_Edge)))),
+    st.tuples(st.just("plain"), st.sampled_from([True, False, INT64_MAX + 1, INT64_MIN - 1,
+                                                 3.0, "3", None])),
+    st.tuples(st.just("poisoned"), _int64s, _policies, st.integers(0, 7), st.integers(0, 99)),
+)
+
+
+def _fresh_operand(recipe):
+    if recipe[0] == "plain":
+        return recipe[1]
+    _, clean, policy, origin_id, seed = recipe
+    return make_poisoned(clean, policy, origin_id, seed)
+
+
+def _observed(value):
+    """What a caller can see of a result or operand: its type, value and poison state."""
+    if isinstance(value, PoisonedScalar):
+        return ("scalar", value.clean_value, value.policy, value.uses_remaining,
+                value.origin_id, value.rng_state)
+    return (type(value), value)
+
+
+def _outcome(apply, operand, ctx):
+    try:
+        return "ok", apply("neg", operand, ctx)
+    except (ArithmeticFault, TypeError, ValueError) as exc:
+        return "raised", (type(exc), str(exc), getattr(exc, "step", None), type(exc.__cause__))
+
+
+@settings(max_examples=300)
+@given(_operand_recipes,
+       st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=6))
+def test_unop_matches_the_reference_path(recipe, calls):
+    """unop through binop's path is the old separate unop: results, events, counter, poison state.
+
+    Each call runs suppressed or not, on the original operand or on the last
+    result (an infected child, when the policy is infectious).
+    """
+    runs = []
+    for apply in (unop, reference_unop):
+        ctx = EvalContext()
+        operand = _fresh_operand(recipe)
+        last = operand
+        seen = []
+        for suppressed, on_last in calls:
+            with ctx.suppression() if suppressed else _null_scope():
+                kind, result = _outcome(apply, last if on_last else operand, ctx)
+            if kind == "ok":
+                last = result
+                result = _observed(result)
+            seen.append((kind, result, ctx.step_counter, _observed(operand)))
+        runs.append((seen, ctx.event_sink))
+    (seen, events), (reference_seen, reference_events) = runs
+    assert seen == reference_seen
+    assert events == reference_events
+    assert all(e.rhs_clean is None and e.rhs_poisoned is None for e in events)
 
 
 class _Small(IntEnum):

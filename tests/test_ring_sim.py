@@ -25,6 +25,7 @@ from poisonring import (
     update,
     validate_injections,
 )
+from poisonring.ring_sim import MAX_NODES
 
 GOLDEN = [
     "1,0,0,0,0",
@@ -46,11 +47,15 @@ class TestRingConfig:
         "args",
         [(True, 5, 10, 0), (5, True, 10, 0), (5, 5, True, 0), (5, 5, 10, True),
          (5.0, 5, 10, 0), (5, "5", 10, 0), (5, 5, None, 0), (5, 5, 10, -1), (5, 5, 10, 2**64),
-         (5, 2**63, 10, 0)],
+         (5, 2**63, 10, 0), (MAX_NODES + 1, MAX_NODES + 1, 10, 0)],
     )
     def test_rejects_non_int_fields(self, args):
         with pytest.raises(ScenarioError):
             RingConfig(*args)
+
+    def test_max_nodes_accepted(self):
+        # A RingConfig allocates nothing; only RingState holds a status per node.
+        RingConfig(MAX_NODES, MAX_NODES, 0)
 
     def test_minimum_sizes(self):
         RingConfig(node_count=1, k_states=1, rounds=0)
