@@ -18,6 +18,8 @@ class TraceFormatError(ValueError):
 
 
 _LINE_RE = re.compile(r"[01](,[01])*")
+# How every op line starts: dumps_record writes it, loads_record tests for it.
+_OP_PREFIX = '{"type":"op","step":'
 
 # JSON key order and the JSON types each key may hold (a bool is not an int
 # here). Optional keys are omitted, not null.
@@ -148,7 +150,7 @@ def dumps_record(record: RunRecord) -> str:
     lines = [_ENCODE(header)]
     for event in record.events:
         line = (
-            f'{{"type":"op","step":{j(event.step)},"op":{j(event.op)}'
+            f'{_OP_PREFIX}{j(event.step)},"op":{j(event.op)}'
             f',"lhs_clean":{j(event.lhs_clean)}'
         )
         if event.rhs_clean is not None:
@@ -174,12 +176,35 @@ def dumps_record(record: RunRecord) -> str:
 
 
 def loads_record(text: str) -> RunRecord:
-    """Parse a JSONL trace produced by dumps_record; any other text is a TraceFormatError."""
+    """Parse a JSONL trace: records separated by "\\n", each one JSON object.
+
+    Blank lines are skipped. One run header is required (other keys ignored);
+    op and snapshot records hold only their own keys, typed as dumps_record
+    writes them, optional op keys left out, in any order and with any JSON
+    whitespace ("\\r\\n" line ends load too). Any other text is a TraceFormatError.
+    Each distinct op-line tail, the text after the step number, is decoded once.
+    """
     record = None
     events: list[OperatorEvent] = []
     snapshots: list[SnapshotEvent] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
+    tails: dict[str, tuple] = {}  # op-line tail -> the 11 fields after step it decodes to
+    start = len(_OP_PREFIX)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tail = None
+        if raw.startswith(_OP_PREFIX):
+            comma = raw.find(",", start)
+            token, tail = raw[start:comma], raw[comma:]
+            fields = tails.get(tail)
+            if fields is not None:
+                try:
+                    step = int(token)
+                except ValueError:  # not an integer, or past 4,300 digits
+                    pass
+                else:
+                    if str(step) == token:  # canonical, as dumps_record writes it
+                        events.append(OperatorEvent(step, *fields))
+                        continue
+        elif not raw.strip():
             continue
         try:
             obj = json.loads(raw)
@@ -198,12 +223,16 @@ def loads_record(text: str) -> RunRecord:
                         raise TraceFormatError(
                             f"line {lineno}: op field {key!r} has type {type(value).__name__}"
                         )
-                events.append(OperatorEvent(
-                    obj["step"], obj["op"], obj["lhs_clean"], obj["lhs_poisoned"],
-                    obj["deviated"], obj["clean_result"], obj["emitted_result"],
-                    obj["suppressed"], obj.get("rhs_clean"), obj.get("rhs_poisoned"),
-                    obj.get("origin_id"), obj.get("lifetime_after"),
-                ))
+                step = obj["step"]
+                fields = (obj["op"], obj["lhs_clean"], obj["lhs_poisoned"], obj["deviated"],
+                          obj["clean_result"], obj["emitted_result"], obj["suppressed"],
+                          obj.get("rhs_clean"), obj.get("rhs_poisoned"),
+                          obj.get("origin_id"), obj.get("lifetime_after"))
+                events.append(OperatorEvent(step, *fields))
+                # An int step's text holds no comma, so the tail is all that follows it;
+                # with no escape and no "step" key there, any step can precede it.
+                if tail is not None and "\\" not in tail and '"step"' not in tail:
+                    tails[tail] = fields
             elif kind == "snapshot":
                 snap = SnapshotEvent(**obj)
                 if (

@@ -18,6 +18,7 @@ import pytest
 
 from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
 from ring_oracle import all_initial_states, reference_convergence_point, reference_run
+from trace_reference import reference_loads_record
 
 from poisonring import (
     EvalContext,
@@ -32,6 +33,7 @@ from poisonring import (
     is_poisoned,
     make_poisoned,
     out,
+    read_record,
     run,
     token_count,
     update,
@@ -262,9 +264,8 @@ INLINE_POISONED_SCENARIOS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(FROZEN_TRACE_SHA256))
-def test_frozen_trace_digests(tmp_path, capsys, name):
-    """`run --trace` bytes for each shipped and inline scenario match their frozen sha256."""
+def _frozen_trace(tmp_path, capsys, name) -> Path:
+    """The `run --trace` file of a shipped or inline scenario named in FROZEN_TRACE_SHA256."""
     if name in INLINE_POISONED_SCENARIOS:
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(INLINE_POISONED_SCENARIOS[name]), encoding="utf-8")
@@ -273,4 +274,18 @@ def test_frozen_trace_digests(tmp_path, capsys, name):
     trace = tmp_path / "trace.jsonl"
     assert main(["run", "--config", str(config), "--trace", str(trace), "--quiet"]) == EXIT_OK
     capsys.readouterr()
+    return trace
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TRACE_SHA256))
+def test_frozen_trace_digests(tmp_path, capsys, name):
+    """`run --trace` bytes for each shipped and inline scenario match their frozen sha256."""
+    trace = _frozen_trace(tmp_path, capsys, name)
     assert hashlib.sha256(trace.read_bytes()).hexdigest() == FROZEN_TRACE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TRACE_SHA256))
+def test_frozen_traces_read_as_the_reference_reads_them(tmp_path, capsys, name):
+    """read_record of each frozen-digest trace equals the reference decoder's record."""
+    trace = _frozen_trace(tmp_path, capsys, name)
+    assert read_record(trace) == reference_loads_record(trace.read_bytes().decode("utf-8"))

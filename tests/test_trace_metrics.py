@@ -1,5 +1,6 @@
 """Snapshot analytics and JSONL trace round-tripping."""
 
+import dataclasses
 import json
 from enum import IntEnum
 
@@ -30,7 +31,8 @@ from poisonring import (
     write_record,
 )
 from poisonring._kernel import INT64_MAX, INT64_MIN
-from trace_reference import EVENT_KEYS, reference_dumps_record
+from poisonring.trace_metrics import _OP_PREFIX
+from trace_reference import EVENT_KEYS, reference_dumps_record, reference_loads_record
 
 
 def _op_line(**changes):
@@ -248,6 +250,27 @@ class TestJsonlRoundTrip:
         with pytest.raises(TraceFormatError, match=rf"^line {line}: invalid UTF-8"):
             read_record(path)
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
+    def test_other_line_breaks_inside_a_string_load(self, separator):
+        # Records are "\n"-delimited; these are legal raw inside a JSON string.
+        header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}'
+        op_line = json.dumps(json.loads(_op_line(op=f"a{separator}b")), ensure_ascii=False)
+        assert loads_record(f"{header}\n{op_line}\n").events[0].op == f"a{separator}b"
+
+    def test_line_numbers_count_newlines_only(self, tmp_path):
+        # A form-feed line is one line, as read_record counts lines for invalid UTF-8.
+        header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}'
+        with pytest.raises(TraceFormatError, match=r"^line 3: unknown record type"):
+            loads_record(f'{header}\n\x0c\n{{"type":"nope"}}\n')
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(f"{header}\n\x0c\n".encode() + b'{"type":"n\xffope"}\n')
+        with pytest.raises(TraceFormatError, match=r"^line 3: invalid UTF-8"):
+            read_record(path)
+
+    def test_crlf_line_ends_load(self):
+        record = _rich_record()
+        assert loads_record(dumps_record(record).replace("\n", "\r\n")) == record
+
     def test_well_typed_op_record_loads(self):
         header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[1]}'
         record = loads_record(f"{header}\n{_op_line()}\n")
@@ -330,9 +353,9 @@ _OTHER_VALUES = st.one_of(
 
 
 @st.composite
-def _generated_events(draw):
+def _generated_events(draw, op_names=_OP_NAMES):
     event = OperatorEvent(
-        step=draw(_INT64S), op=draw(_OP_NAMES), lhs_clean=draw(_INT64S),
+        step=draw(_INT64S), op=draw(op_names), lhs_clean=draw(_INT64S),
         lhs_poisoned=draw(st.booleans()), deviated=draw(st.booleans()),
         clean_result=draw(_RESULTS), emitted_result=draw(_RESULTS),
         suppressed=draw(st.booleans()), rhs_clean=draw(st.none() | _INT64S),
@@ -367,3 +390,64 @@ def test_encoder_matches_reference_bytes(record):
 def test_encoder_matches_reference_on_a_run():
     record = _rich_record()
     assert dumps_record(record) == reference_dumps_record(record)
+
+
+# Edits of an op line's step token and tail, the text after the token. Each
+# keeps the line starting as dumps_record writes it.
+_LINE_EDITS = {
+    **{f"step {token[:6]!r}": lambda step, tail, token=token: (token, tail)
+       for token in ["-0", "007", "+5", " 5", "1_0", "5.0", "9" * 4301]},
+    "escaped step key": lambda step, tail: (step, ',"st\\u0065p":3' + tail),
+    "second step key": lambda step, tail: (step, tail[:-1] + ',"step":3}'),
+    "type key": lambda step, tail: (step, ',"type":"op"' + tail),
+    "spaces after commas": lambda step, tail: (step, tail.replace(',"', ', "')),
+    "trailing CR": lambda step, tail: (step, tail + "\r"),
+    "bad field type": lambda step, tail: (step, tail[:-1] + ',"deviated":0}'),
+    "unknown and missing field": lambda step, tail: (step, tail.replace('"deviated"', '"bogus"')),
+}
+
+
+def _edit_op_line(line, edit):
+    comma = line.find(",", len(_OP_PREFIX))
+    return _OP_PREFIX + "".join(edit(line[len(_OP_PREFIX):comma], line[comma:]))
+
+
+@st.composite
+def _shared_tail_traces(draw):
+    """The lines of a trace whose op lines are one or two events under many
+    steps, so that they share tails; and the indices of the op lines to edit."""
+    templates = draw(st.lists(
+        _generated_events(st.sampled_from(["add", "neg", "eq", "lt", "step", 'say "hi"'])),
+        min_size=1, max_size=2,
+    ))
+    picks = draw(st.lists(st.tuples(st.sampled_from(templates), st.integers(-2, 12) | _INT64S,
+                                    st.booleans()),
+                          min_size=2, max_size=8))
+    events = [dataclasses.replace(event, step=step) for event, step, _ in picks]
+    record = RunRecord("d", 0, events, [SnapshotEvent(0, 1, "1,0")], [1, 0])
+    return dumps_record(record).split("\n"), {i for i, pick in enumerate(picks, 1) if pick[2]}
+
+
+def _outcome(loads, text):
+    """The record loads gives, or the message of the TraceFormatError it raises."""
+    try:
+        return loads(text)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+_EVENT = OperatorEvent(0, "add", 1, True, True, 2, 3, False, 1, False, 0, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_tail_traces())
+# Three op lines with one tail, the last two edited: each edit follows a cached tail.
+@example((dumps_record(RunRecord("d", 0, [dataclasses.replace(_EVENT, step=step)
+                                          for step in (5, 6, 7)])).split("\n"), {2, 3}))
+def test_decoder_matches_the_reference(drawn):
+    """As drawn and under each edit of the chosen op lines, loads_record reads as the reference."""
+    lines, edited = drawn
+    for name, edit in [("no edit", None), *_LINE_EDITS.items()]:
+        text = "\n".join(_edit_op_line(line, edit) if edit and index in edited else line
+                         for index, line in enumerate(lines))
+        assert _outcome(loads_record, text) == _outcome(reference_loads_record, text), name
