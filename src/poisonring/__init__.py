@@ -30,7 +30,6 @@ from .ring_sim import (
     has_privilege,
     out,
     perturb,
-    privilege_vector,
     run,
     update,
     validate_injections,
@@ -88,7 +87,6 @@ __all__ = [
     "out",
     "reference_scenario",
     "perturb",
-    "privilege_vector",
     "read_record",
     "run",
     "token_count",

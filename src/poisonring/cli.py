@@ -271,8 +271,6 @@ def _sweep_value(scenario: Scenario, param: str, value) -> Scenario:
 
 def cmd_sweep(scenario: Scenario, param: str, values, reps: int) -> int:
     """Fault campaign over one policy knob; one aggregated table row per value."""
-    if param not in SWEEP_PARAMS:
-        raise ScenarioError(f"--param must be one of {SWEEP_PARAMS}, got {param!r}")
     if not values:
         raise ScenarioError("no values: --values must list at least one value")
     if reps < 1:
@@ -331,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="fault campaign over a policy knob")
     p_sweep.add_argument("--config", required=True, help="scenario JSON path")
-    p_sweep.add_argument("--param", required=True, help="rate or transient_uses")
+    p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS, help="the swept knob")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
     p_sweep.add_argument("--reps", type=int, required=True, help="repetitions per value")
     return parser

@@ -109,15 +109,14 @@ class Scenario:
 
 
 class RingState:
-    """Mutable ring state: one status per node plus the last privilege vector."""
+    """Mutable ring state: one status per node."""
 
-    __slots__ = ("statuses", "k_states", "round_index", "privilege")
+    __slots__ = ("statuses", "k_states", "round_index")
 
     def __init__(self, node_count: int, k_states: int):
         self.statuses = [0] * node_count
         self.k_states = k_states
         self.round_index = 0
-        self.privilege = [False] * node_count
 
     @property
     def node_count(self) -> int:
@@ -127,27 +126,23 @@ class RingState:
         return [clean_value_of(s) for s in self.statuses]
 
 
+def _guard(statuses: list, node: int, ctx: EvalContext) -> bool:
+    """Dijkstra's guard: node 0 holds it when its left neighbour equals it,
+    any other node when they differ. Node 0's left neighbour is the last node."""
+    return binop("neq" if node else "eq", statuses[node - 1], statuses[node], ctx)
+
+
 def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
     """Monitoring predicate; evaluated with poisoning disabled."""
-    statuses = state.statuses
-    left = statuses[node - 1]  # node 0 reads the last node
-    own = statuses[node]
     with ctx.suppression():
-        if node == 0:
-            return binop("eq", left, own, ctx)
-        return binop("neq", left, own, ctx)
-
-
-def privilege_vector(state: RingState, ctx: EvalContext) -> list[bool]:
-    """Privilege flag per node; refreshes state.privilege."""
-    flags = [has_privilege(state, node, ctx) for node in range(state.node_count)]
-    state.privilege = flags
-    return flags
+        return _guard(state.statuses, node, ctx)
 
 
 def out(state: RingState, ctx: EvalContext) -> str:
     """Snapshot line: comma-separated privilege flags in node order."""
-    return ",".join("1" if flag else "0" for flag in privilege_vector(state, ctx))
+    return ",".join(
+        "1" if has_privilege(state, node, ctx) else "0" for node in range(state.node_count)
+    )
 
 
 def perturb(state: RingState, node: int, new_status: int) -> RingState:
@@ -163,14 +158,8 @@ def perturb(state: RingState, node: int, new_status: int) -> RingState:
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
     """Run one node's guarded rule; emits a snapshot only when the guard fires."""
     statuses = state.statuses
-    left = statuses[node - 1]  # node 0 reads the last node
-    own = statuses[node]
     try:
-        if node == 0:
-            fires = binop("eq", left, own, ctx)
-        else:
-            fires = binop("neq", left, own, ctx)
-        if not fires:
+        if not _guard(statuses, node, ctx):
             return state
         snapshots.append(
             SnapshotEvent(
@@ -180,10 +169,10 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
             )
         )
         if node == 0:
-            bumped = binop("add", own, 1, ctx)
+            bumped = binop("add", statuses[0], 1, ctx)
             statuses[0] = binop("mod", bumped, state.k_states, ctx)
         else:
-            statuses[node] = left
+            statuses[node] = statuses[node - 1]
     except ArithmeticFault as exc:
         exc.node = node
         exc.round_index = state.round_index

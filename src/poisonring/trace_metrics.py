@@ -30,6 +30,12 @@ _EVENT_TYPES = {
     "clean_result": (int, bool), "emitted_result": (int, bool), "suppressed": _BOOL,
     "origin_id": _INT, "lifetime_after": _INT,
 }
+# Every record's keys and their JSON types, by the record's "type".
+_RECORD_TYPES = {
+    "op": _EVENT_TYPES,
+    "snapshot": {"round": _INT, "firing_node": _INT, "line": (str,)},
+    "run": {"scenario_digest": (str,), "seed": _INT, "final_statuses": (list,)},
+}
 
 
 @dataclass(slots=True)
@@ -178,10 +184,11 @@ def dumps_record(record: RunRecord) -> str:
 def loads_record(text: str) -> RunRecord:
     """Parse a JSONL trace: records separated by "\\n", each one JSON object.
 
-    Blank lines are skipped. One run header is required (other keys ignored);
-    op and snapshot records hold only their own keys, typed as dumps_record
-    writes them, optional op keys left out, in any order and with any JSON
-    whitespace ("\\r\\n" line ends load too). Any other text is a TraceFormatError.
+    Blank lines are skipped. One run header is required, holding only its three
+    keys (scenario_digest, seed, final_statuses); op and snapshot records hold
+    only their own keys. Every key is typed as dumps_record writes it, optional
+    op keys left out, in any order and with any JSON whitespace ("\\r\\n" line
+    ends load too). Any other text is a TraceFormatError.
     Each distinct op-line tail, the text after the step number, is decoded once.
     """
     record = None
@@ -213,16 +220,19 @@ def loads_record(text: str) -> RunRecord:
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: expected an object, got {type(obj).__name__}")
         kind = obj.pop("type", None)
+        schema = _RECORD_TYPES.get(kind) if type(kind) is str else None
+        if schema is None:
+            raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
+        for key, value in obj.items():
+            types = schema.get(key)
+            if types is None:
+                raise TraceFormatError(f"line {lineno}: unknown {kind} field {key!r}")
+            if type(value) not in types:
+                raise TraceFormatError(
+                    f"line {lineno}: {kind} field {key!r} has type {type(value).__name__}"
+                )
         try:
             if kind == "op":
-                for key, value in obj.items():
-                    types = _EVENT_TYPES.get(key)
-                    if types is None:
-                        raise TraceFormatError(f"line {lineno}: unknown op field {key!r}")
-                    if type(value) not in types:
-                        raise TraceFormatError(
-                            f"line {lineno}: op field {key!r} has type {type(value).__name__}"
-                        )
                 step = obj["step"]
                 fields = (obj["op"], obj["lhs_clean"], obj["lhs_poisoned"], obj["deviated"],
                           obj["clean_result"], obj["emitted_result"], obj["suppressed"],
@@ -234,32 +244,21 @@ def loads_record(text: str) -> RunRecord:
                 if tail is not None and "\\" not in tail and '"step"' not in tail:
                     tails[tail] = fields
             elif kind == "snapshot":
-                snap = SnapshotEvent(**obj)
-                if (
-                    type(snap.round) is not int
-                    or type(snap.firing_node) is not int
-                    or type(snap.line) is not str
-                    or not _LINE_RE.fullmatch(snap.line)
-                ):
-                    raise TraceFormatError(f"line {lineno}: malformed snapshot record")
+                snap = SnapshotEvent(obj["round"], obj["firing_node"], obj["line"])
+                if not _LINE_RE.fullmatch(snap.line):
+                    raise TraceFormatError(f"line {lineno}: malformed snapshot line {snap.line!r}")
                 snapshots.append(snap)
-            elif kind == "run":
+            else:  # "run"
                 digest, seed, statuses = obj["scenario_digest"], obj["seed"], obj["final_statuses"]
-                if not (type(digest) is str and type(seed) is int and type(statuses) is list
-                        and all(type(status) is int for status in statuses)):
+                if not all(type(status) is int for status in statuses):
                     raise TraceFormatError(
-                        f"line {lineno}: run header needs a string scenario_digest, "
-                        "an integer seed and a list of integer final_statuses"
+                        f"line {lineno}: run field 'final_statuses' holds a non-integer"
                     )
                 if record is not None:
                     raise TraceFormatError(f"line {lineno}: second run header")
                 record = RunRecord(digest, seed, final_statuses=statuses)
-            else:
-                raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
         except KeyError as exc:
             raise TraceFormatError(f"line {lineno}: {kind} record lacks field {exc}") from exc
-        except TypeError as exc:
-            raise TraceFormatError(f"line {lineno}: bad {kind} record: {exc}") from exc
     if record is None:
         raise TraceFormatError("trace has no run header")
     record.events = events
@@ -280,4 +279,5 @@ def read_record(path) -> RunRecord:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise TraceFormatError(f"line {line}: invalid UTF-8 at byte {exc.start}") from None
+    del data  # so that the parse does not hold the trace twice, as bytes and as text
     return loads_record(text)

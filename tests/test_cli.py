@@ -548,6 +548,13 @@ class TestSweepCommand:
         assert main(self._sweep_args(path, param="voltage")) == EXIT_CONFIG
         assert "--param" in capsys.readouterr().err
 
+    def test_unknown_param_named_before_values_are_read(self, scenario_file, capsys):
+        path = scenario_file(base_scenario_obj(injections=[poison_injection_obj()]))
+        assert main(self._sweep_args(path, param="voltage", values="abc")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: argument --param: invalid choice: ")
+        assert err.count("\n") == 1
+
 
 class TestSubprocessDeterminism:
     def _invoke(self, *args):

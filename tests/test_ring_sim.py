@@ -96,11 +96,6 @@ class TestOut:
         state.statuses[0] = 1
         assert out(state, ctx) == "0,1,0,0,0"
 
-    def test_refreshes_privilege_vector(self, ctx):
-        state = RingState(5, 5)
-        out(state, ctx)
-        assert state.privilege == [True, False, False, False, False]
-
 
 class TestUpdate:
     def test_node0_fires_from_all_zero(self, ctx):

@@ -188,6 +188,11 @@ class TestJsonlRoundTrip:
         with pytest.raises(TraceFormatError, match="header"):
             loads_record('{"type":"snapshot","round":0,"firing_node":0,"line":"1"}\n')
 
+    def test_header_unknown_key_rejected(self):
+        header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[],"bogus":[1]}'
+        with pytest.raises(TraceFormatError, match=r"^line 1: unknown run field 'bogus'$"):
+            loads_record(header + "\n")
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TraceFormatError, match="unknown record type"):
             loads_record('{"type":"nope"}\n')
@@ -222,13 +227,18 @@ class TestJsonlRoundTrip:
             '{"type":"snapshot","round":0,"firing_node":0,"line":7}',
             '{"type":"snapshot","round":0,"firing_node":0,"line":"1,2"}',
             '{"type":"snapshot","round":0,"firing_node":0,"line":"1\\n"}',
+            '{"type":[1]}',
+            '{"type":{}}',
+            '{"type":"snapshot","round":0,"firing_node":0,"line":"1","bogus":0}',
+            '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[0,true]}',
         ],
         ids=["header_without_digest", "op_unknown_key", "json_list", "snapshot_without_fields",
              "second_header", "header_int_digest", "header_str_seed", "header_bool_seed",
              "header_str_statuses", "header_float_status", "op_str_step", "op_bool_step",
              "op_int_op", "op_int_deviated", "op_float_operand", "op_str_origin",
              "snapshot_str_round", "snapshot_null_node", "snapshot_int_line",
-             "snapshot_bad_line", "snapshot_line_newline"],
+             "snapshot_bad_line", "snapshot_line_newline", "list_type", "object_type",
+             "snapshot_unknown_key", "header_bool_status"],
     )
     def test_malformed_record_is_a_trace_format_error(self, bad_line):
         header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}'
