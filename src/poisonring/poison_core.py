@@ -197,18 +197,24 @@ class PoisonedScalar:
 class EvalContext:
     """Per-run interception state: suppression depth, step counter, event sink.
 
+    event_sink takes each OperatorEvent through append(): a new list by
+    default. An event is built only if the sink can hold one, so a sink whose
+    maxlen is 0, such as deque(maxlen=0), gets none: that is how a caller
+    keeps no events. The sink is fixed when the context is built.
+
     The context is its own suppression scope: `with ctx.suppression():` runs
     its body with poisoning disabled; scopes nest and survive errors.
     Confined to one logical thread; run concurrent experiments on separate
     contexts with separate sinks.
     """
 
-    __slots__ = ("event_sink", "suppression_depth", "step_counter")
+    __slots__ = ("event_sink", "suppression_depth", "step_counter", "_keeps_events")
 
     def __init__(self, event_sink=None):
         self.event_sink = [] if event_sink is None else event_sink
         self.suppression_depth = 0
         self.step_counter = 0
+        self._keeps_events = getattr(self.event_sink, "maxlen", None) != 0
 
     def suppression(self):
         """The suppression scope: the context itself."""
@@ -303,7 +309,8 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     Arithmetic ops (add/sub/mul/mod) return the clean result, wrapped as a
     poisoned scalar when the governing operand's policy is infectious.
     Comparison ops (eq/neq/lt) return the emitted boolean. Exactly one
-    OperatorEvent is recorded either way; unop's event has rhs fields None.
+    OperatorEvent is recorded either way, or none built if ctx's sink keeps
+    none; unop's event has rhs fields None.
     """
     if op not in kernel.BINARY_OPS and (op != "neg" or rhs is not _NO_OPERAND):
         raise ValueError(f"unknown operator {op!r}")
@@ -341,12 +348,13 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
                 op, governing, other, clean_result, step
             )
 
-    ctx.event_sink.append(
-        OperatorEvent(
-            step, op, a, lhs_poisoned, deviated, clean_result, emitted, suppressed,
-            b, rhs_poisoned, origin, lifetime_after,
+    if ctx._keeps_events:
+        ctx.event_sink.append(
+            OperatorEvent(
+                step, op, a, lhs_poisoned, deviated, clean_result, emitted, suppressed,
+                b, rhs_poisoned, origin, lifetime_after,
+            )
         )
-    )
     return result
 
 

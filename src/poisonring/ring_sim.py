@@ -147,6 +147,8 @@ def out(state: RingState, ctx: EvalContext) -> str:
 
 def perturb(state: RingState, node: int, new_status: int) -> RingState:
     """Overwrite a node's status with a clean value, clearing any poison."""
+    if type(node) is not int or not 0 <= node < state.node_count:
+        raise ScenarioError(f"perturb node {node!r} out of range (node_count {state.node_count})")
     if type(new_status) is not int or not 0 <= new_status < state.k_states:
         raise ScenarioError(
             f"perturb status must lie in [0, {state.k_states}), got {new_status}"

@@ -21,8 +21,11 @@ from ring_oracle import all_initial_states, reference_convergence_point, referen
 from trace_reference import reference_loads_record
 
 from poisonring import (
+    ArithmeticFault,
     EvalContext,
     Injection,
+    OperatorEvent,
+    PoisonedScalar,
     RingConfig,
     RingState,
     RunRecord,
@@ -38,8 +41,9 @@ from poisonring import (
     token_count,
     update,
 )
+from poisonring import poison_core
 from poisonring._kernel import bernoulli, stream_seed
-from poisonring.cli import EXIT_OK, GOLDEN_PREFIX, main
+from poisonring.cli import EXIT_OK, GOLDEN_PREFIX, load_scenario, main, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -289,3 +293,59 @@ def test_frozen_traces_read_as_the_reference_reads_them(tmp_path, capsys, name):
     """read_record of each frozen-digest trace equals the reference decoder's record."""
     trace = _frozen_trace(tmp_path, capsys, name)
     assert read_record(trace) == reference_loads_record(trace.read_bytes().decode("utf-8"))
+
+
+# Every frozen-digest scenario, plus one whose offset deviation overflows
+# mid-run (an ArithmeticFault at step 34, round 4, after intermittent draws).
+SINK_SCENARIOS = {
+    **{name: SCENARIOS / name for name in FROZEN_TRACE_SHA256 if name.endswith(".json")},
+    **INLINE_POISONED_SCENARIOS,
+    "intermittent_offset_overflow": base_scenario_obj(
+        ring={"node_count": 3, "k_states": 2**63 - 1, "rounds": 6},
+        injections=[
+            {"kind": "perturb", "node": 0, "at_round": 0, "new_status": 2**63 - 2},
+            {"kind": "perturb", "node": 2, "at_round": 1, "new_status": 5},
+            poison_injection_obj(node=0, at_round=1, effect={"intermittent": 0.5}),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINK_SCENARIOS))
+def test_zero_capacity_sink_builds_no_event(monkeypatch, name):
+    """A deque(maxlen=0) sink gets no OperatorEvent built, and the run is the
+    list-sink run: snapshots, statuses, steps, scalar state and fault step."""
+    source = SINK_SCENARIOS[name]
+    scenario = load_scenario(str(source)) if isinstance(source, Path) else parse_scenario(source)
+    built = []
+
+    def counted_event(*fields):
+        built.append(fields)
+        return OperatorEvent(*fields)
+
+    monkeypatch.setattr(poison_core, "OperatorEvent", counted_event)
+
+    def outcome(sink):
+        ctx = EvalContext(event_sink=sink)
+        try:
+            state, snapshots = run(scenario.ring, scenario.injections, ctx)
+        except ArithmeticFault as exc:
+            return ("fault", exc.step, exc.node, exc.round_index, ctx.step_counter)
+        scalars = [
+            (s.clean_value, s.policy, s.uses_remaining, s.rng_state)
+            if isinstance(s, PoisonedScalar) else s
+            for s in state.statuses
+        ]
+        return [s.line for s in snapshots], state.clean_statuses(), ctx.step_counter, scalars
+
+    events = []
+    kept = outcome(events)
+    assert len(built) == len(events) > 0
+    built.clear()
+    assert outcome(deque(maxlen=0)) == kept
+    assert built == []
+    last_two = deque(maxlen=2)
+    assert outcome(last_two) == kept
+    assert list(last_two) == events[-2:]
+    if name == "intermittent_offset_overflow":
+        assert kept == ("fault", 34, 0, 4, 35)

@@ -167,8 +167,14 @@ class TestPerturb:
 
     def test_range_check(self):
         state = RingState(5, 5)
-        with pytest.raises(ScenarioError):
-            perturb(state, 2, 5)
+        for node, status, message in (
+            (2, 5, r"status must lie in \[0, 5\), got 5"),
+            (-1, 3, r"node -1 out of range \(node_count 5\)"),
+            (5, 3, r"node 5 out of range \(node_count 5\)"),
+        ):
+            with pytest.raises(ScenarioError, match=message):
+                perturb(state, node, status)
+        assert state.statuses == [0] * 5
 
 
 class TestRun:
