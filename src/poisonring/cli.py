@@ -11,6 +11,11 @@ diagnostics go to stderr. Exit codes: 0 success, 1 scenario/config error
 line on stderr), 141 stdout closed by its reader (as in `run ... | head -1`;
 nothing is printed). A stdout that cannot be written (as `> /dev/full`) exits 1
 with one `error: cannot write stdout: ...` line on stderr.
+
+Each sweep --values entry is a JSON value, read as a scenario file holds it: a
+sweep point is the canonical scenario object with that value set on every poison
+injection, read back by parse_scenario. A bad entry's error names `param=entry`,
+then the field path.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ GOLDEN_PREFIX = (
     "0,1,0,0,0",
 )
 
-SWEEP_PARAMS = ("rate", "transient_uses")
+# Each sweep --param: the policy axis of the canonical scenario object it edits, and its key.
+SWEEP_PARAMS = {"rate": ("effect", "intermittent"), "transient_uses": ("lifetime", "transient")}
 
 
 def reference_scenario() -> Scenario:
@@ -117,7 +123,7 @@ def _build(field: str, factory, *args, **kwargs):
     """factory(*args, **kwargs), its domain error prefixed with the field path."""
     try:
         return factory(*args, **kwargs)
-    except (ScenarioError, PolicyError) as exc:
+    except (ScenarioError, PolicyError, RecursionError) as exc:  # a value too deep for its repr
         raise ScenarioError(f"{field}: {exc}") from exc
 
 
@@ -258,20 +264,24 @@ def cmd_check() -> int:
     return EXIT_CHECK_MISMATCH
 
 
-def _sweep_value(scenario: Scenario, param: str, value) -> Scenario:
-    """Scenario with the swept knob applied to every poison injection."""
-    knob = {"rate": value} if param == "rate" else {"uses": value}
-    injections = tuple(
-        inj if inj.policy is None else dataclasses.replace(
-            inj, policy=dataclasses.replace(inj.policy, **knob))
-        for inj in scenario.injections
-    )
-    return dataclasses.replace(scenario, injections=injections)
+def _sweep_point(scenario: Scenario, param: str, entry: str):
+    """(value, scenario) for one --values entry: the JSON value set on every poison injection."""
+    axis, key = SWEEP_PARAMS[param]
+    field = f"--values: {param}={entry if entry.isprintable() else repr(entry)}"  # one line
+    try:
+        value = json.loads(entry)
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer of too many digits, too deep
+        raise ScenarioError(f"{field}: invalid JSON: {exc}") from exc
+    obj = scenario_obj(scenario)
+    for injection in obj["injections"]:
+        if injection["kind"] == "poison":
+            injection["policy"][axis] = {key: value}
+    return value, _build(field, parse_scenario, obj)
 
 
-def cmd_sweep(scenario: Scenario, param: str, values, reps: int) -> int:
-    """Fault campaign over one policy knob; one aggregated table row per value."""
-    if not values:
+def cmd_sweep(scenario: Scenario, param: str, entries, reps: int) -> int:
+    """Fault campaign over one policy knob; one aggregated table row per --values entry."""
+    if not entries:
         raise ScenarioError("no values: --values must list at least one value")
     if reps < 1:
         raise ScenarioError("--reps must be at least 1")
@@ -280,10 +290,7 @@ def cmd_sweep(scenario: Scenario, param: str, values, reps: int) -> int:
             f"parameter {param!r} not applicable: scenario has no poison injection"
         )
     # Every value is checked before the table starts, so a bad one prints no partial table.
-    sweeps = [
-        (value, _build(f"--values: {param}={value}", _sweep_value, scenario, param, value))
-        for value in values
-    ]
+    sweeps = [_sweep_point(scenario, param, entry) for entry in entries]
     header = f"{'value':>12} {'runs':>6} {'converged':>9} {'mean_cp':>9} {'max_cp':>7} {'mean_dev_rate':>13}"
     print(header)
     for value, swept in sweeps:
@@ -330,20 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="fault campaign over a policy knob")
     p_sweep.add_argument("--config", required=True, help="scenario JSON path")
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS, help="the swept knob")
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.add_argument("--values", required=True,
+                         help="comma-separated JSON values, read as a scenario file holds them")
     p_sweep.add_argument("--reps", type=int, required=True, help="repetitions per value")
     return parser
-
-
-def _parse_values(param: str, csv: str):
-    tokens = [t.strip() for t in csv.split(",") if t.strip()]
-    values = []
-    for token in tokens:
-        try:
-            values.append(int(token) if param == "transient_uses" else float(token))
-        except ValueError:
-            raise ScenarioError(f"--values: cannot parse {token!r} for {param}") from None
-    return values
 
 
 def main(argv=None) -> int:
@@ -358,8 +355,8 @@ def main(argv=None) -> int:
                     scenario = _build("--seed", _with_seed, scenario, args.seed)
                 code = cmd_run(scenario, quiet=args.quiet, trace_path=args.trace)
             else:
-                values = _parse_values(args.param, args.values)
-                code = cmd_sweep(scenario, args.param, values, args.reps)
+                entries = [entry.strip() for entry in args.values.split(",") if entry.strip()]
+                code = cmd_sweep(scenario, args.param, entries, args.reps)
         sys.stdout.flush()  # inside the try, so that a reader gone away is caught below
         return code
     except _UsageError as exc:

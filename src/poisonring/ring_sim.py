@@ -149,10 +149,10 @@ def perturb(state: RingState, node: int, new_status: int) -> RingState:
     """Overwrite a node's status with a clean value, clearing any poison."""
     if type(node) is not int or not 0 <= node < state.node_count:
         raise ScenarioError(f"perturb node {node!r} out of range (node_count {state.node_count})")
-    if type(new_status) is not int or not 0 <= new_status < state.k_states:
-        raise ScenarioError(
-            f"perturb status must lie in [0, {state.k_states}), got {new_status}"
-        )
+    if type(new_status) is not int:
+        raise ScenarioError(f"perturb status must be an integer, got {new_status!r}")
+    if not 0 <= new_status < state.k_states:
+        raise ScenarioError(f"perturb status must lie in [0, {state.k_states}), got {new_status}")
     state.statuses[node] = new_status
     return state
 

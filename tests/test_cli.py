@@ -26,6 +26,8 @@ from poisonring import (
     RingConfig,
     Scenario,
     ScenarioError,
+    convergence_point,
+    deviation_stats,
     execute_scenario,
     load_scenario,
 )
@@ -530,9 +532,16 @@ class TestSweepCommand:
         assert main(self._sweep_args(path)) == EXIT_CONFIG
         assert "not applicable" in capsys.readouterr().err
 
+    # named: the start of the error line after "error: --values: ", up to the message.
     @pytest.mark.parametrize(
         "param,values,named",
-        [("transient_uses", "2,0", "transient_uses=0"), ("rate", "0.5,1.5", "rate=1.5")],
+        [("transient_uses", "2,0", "transient_uses=0"), ("rate", "0.5,1.5", "rate=1.5"),
+         *(("rate", entry, f"rate={entry}: invalid JSON") for entry in (".5", "1_0", "abc")),
+         ("rate", '"0.5"', 'rate="0.5": <scenario>.injections[0].policy'),
+         ("rate", "null", "rate=null: <scenario>.injections[0].policy.effect"),
+         ("transient_uses", "3.0", "transient_uses=3.0: <scenario>.injections[0].policy"),
+         ("transient_uses", "true", "transient_uses=true: <scenario>.injections[0].policy"),
+         ("rate", "1\n2", "rate='1\\n2': invalid JSON")],
     )
     def test_bad_value_prints_no_table(self, scenario_file, capsys, param, values, named):
         obj = base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": 1})])
@@ -541,6 +550,49 @@ class TestSweepCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: --values: {named}: ")
+        assert captured.err.count("\n") == 1
+
+    def test_deeply_nested_value_is_a_config_error(self, scenario_file, capsys):
+        # Just below the recursion limit an entry decodes, yet is too deep for
+        # the repr in its error message.
+        path = scenario_file(base_scenario_obj(injections=[poison_injection_obj()]))
+        limit = sys.getrecursionlimit()
+        for depth in range(limit - 300, limit + 1):
+            entry = "[" * depth + "]" * depth
+            assert main(self._sweep_args(path, values=entry, reps="1")) == EXIT_CONFIG
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --values: rate=[[")
+            assert captured.err.count("\n") == 1
+
+    def test_rate_is_set_on_every_poison_injection(self, scenario_file, capsys):
+        injections = [
+            poison_injection_obj(node=0, lifetime={"transient": 6}),
+            poison_injection_obj(node=3, at_round=2, effect={"intermittent": 0.9}),
+            {"kind": "perturb", "node": 2, "at_round": 1, "new_status": 3},
+        ]
+        path = scenario_file(base_scenario_obj(seed=11, injections=injections))
+        assert main(self._sweep_args(path, values="0.3", reps="3")) == EXIT_OK
+        row = capsys.readouterr().out.splitlines()[1].split()
+
+        def by_hand(injections):
+            edited = copy.deepcopy(injections)
+            for injection in edited[:2]:
+                injection["policy"]["effect"] = {"intermittent": 0.3}
+            scenario = parse_scenario(base_scenario_obj(seed=11, injections=edited))
+            points, rates = [], []
+            for seed in (11, 12, 13):
+                record = execute_scenario(dataclasses.replace(
+                    scenario, ring=dataclasses.replace(scenario.ring, seed=seed)))
+                points.append(convergence_point(record))
+                rates.append(deviation_stats(record).rate)
+            converged = [p for p in points if p is not None]
+            return ["0.3", "3", str(len(converged)),
+                    f"{sum(converged) / len(converged):.2f}" if converged else "-",
+                    str(max(converged)) if converged else "-", f"{sum(rates) / 3:.4f}"]
+
+        assert row == by_hand(injections)
+        assert row != by_hand(injections[:2])  # the perturb, kept as it was, shows in the row
 
     def test_unknown_param_rejected(self, scenario_file, capsys):
         obj = base_scenario_obj(injections=[poison_injection_obj()])
@@ -671,3 +723,22 @@ def test_fuzzed_scenario_ends_in_an_exit_code(tmp_path_factory, mutations):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["run", "--config", str(config), "--quiet"])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_CHECK_MISMATCH)
+
+
+VALUES_POOL = ("0.5", ".5", "1_0", "nan", "NaN", "Infinity", "1e999", "null", "true", "[1]",
+               "{}", '"0.5"', "-1", "0", "9" * 5000)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["rate", "transient_uses"]),
+       st.lists(st.sampled_from(VALUES_POOL), min_size=1, max_size=2))
+def test_fuzzed_sweep_values_end_in_an_exit_code(param, entries):
+    """Any one or two --values entries give exit 0, or exit 1 with one stderr line and no table."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--config", str(SCENARIOS / "poison_node0.json"), "--param", param,
+                     "--values", ",".join(entries), "--reps", "1"])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+    if code == EXIT_CONFIG:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -169,12 +169,35 @@ class TestPerturb:
         state = RingState(5, 5)
         for node, status, message in (
             (2, 5, r"status must lie in \[0, 5\), got 5"),
+            (2, "3", r"status must be an integer, got '3'"),
+            (2, 3.0, r"status must be an integer, got 3\.0"),
             (-1, 3, r"node -1 out of range \(node_count 5\)"),
             (5, 3, r"node 5 out of range \(node_count 5\)"),
         ):
             with pytest.raises(ScenarioError, match=message):
                 perturb(state, node, status)
         assert state.statuses == [0] * 5
+
+
+class TestPropagation:
+    def test_copies_share_one_scalar_and_children_start_with_full_lifetime(self, ctx):
+        policy = make_policy(uses=50, infectious=True)
+        # Deterministic deviation flips node 0's eq guard, so node 0 keeps the
+        # injected scalar and every other node copies it from its left.
+        state, _ = run(RingConfig(5, 5, 1), [Injection(0, 0, policy=policy)])
+        shared = state.statuses[0]
+        assert all(status is shared for status in state.statuses)
+        assert shared.uses_remaining == 45  # one counter: one guard use per node
+        # With node 4 clean at 1 the flipped guard lets node 0 fire. Its new status,
+        # the infected result of (parent + 1) % 5, starts at policy.uses, not at
+        # the 48 uses its parent has left.
+        state = RingState(5, 5)
+        parent = make_poisoned(0, policy, 0, seed=0)
+        state.statuses[0], state.statuses[4] = parent, 1
+        update(state, 0, ctx, [])
+        assert parent.uses_remaining == 48  # the guard and the add
+        assert state.statuses[0] is not parent
+        assert state.statuses[0].uses_remaining == policy.uses == 50
 
 
 class TestRun:
