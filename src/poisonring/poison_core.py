@@ -14,7 +14,10 @@ the channel through which poisoning perturbs control flow.
 
 Monitoring code runs inside a suppression scope, written one way:
 `with ctx.suppression():`. The scope forces clean semantics and leaves poison
-lifetimes untouched, so observation never alters the experiment.
+lifetimes untouched, so observation never alters a non-infectious experiment.
+Under an infectious policy it can: monitoring ops still advance the step that
+keys an infected result's draw stream (ROADMAP A; pinned by a strict xfail in
+tests/test_ring_sim.py::TestMonitoringNeutrality).
 """
 
 from __future__ import annotations
@@ -175,8 +178,7 @@ class PoisonedScalar:
 
     def _consume_use(self):
         """Spend one unsuppressed use; returns the remaining count (transient only)."""
-        policy = self.policy
-        if policy is None or policy.uses is None:
+        if self.policy.uses is None:
             return None
         self.uses_remaining -= 1
         remaining = self.uses_remaining
@@ -261,44 +263,6 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
     return PoisonedScalar(value, policy, origin_id, state)
 
 
-def _poisoned_use(op, value, other, clean_result, step):
-    """One unsuppressed use of a poisoned operand: draw, spend a use, deviate, infect.
-
-    value governs the result (its policy and draw stream decide); other is a
-    second, distinct poisoned operand whose use is spent too, or None.
-    Returns (deviated, emitted, lifetime_after, result).
-    """
-    policy = value.policy
-    if policy.rate is None:
-        deviated = True
-    else:
-        value.rng_state, deviated = kernel.bernoulli(value.rng_state, policy.rate)
-    lifetime_after = value._consume_use()
-    if other is not None:
-        other._consume_use()
-    is_comparison = op in kernel.COMPARISONS
-    emitted = clean_result
-    if deviated:
-        if is_comparison:
-            emitted = not clean_result
-        else:
-            model = policy.deviation
-            try:
-                emitted = kernel.apply_deviation(
-                    model.kind, clean_result, model._num, model._den
-                )
-            except OverflowError as exc:
-                raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
-    if is_comparison:
-        return deviated, emitted, lifetime_after, emitted
-    if policy.infectious:
-        child = PoisonedScalar(
-            clean_result, policy, value.origin_id, kernel.stream_child(value.rng_state, step)
-        )
-        return deviated, emitted, lifetime_after, child
-    return deviated, emitted, lifetime_after, clean_result
-
-
 # The right operand of a unary op: unop("neg", x, ctx) is binop("neg", x, _NO_OPERAND, ctx).
 _NO_OPERAND = object()
 
@@ -343,10 +307,30 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         if suppressed:
             lifetime_after = governing.uses_remaining
         else:
-            other = rhs if lhs_poisoned and rhs_poisoned and rhs is not lhs else None
-            deviated, emitted, lifetime_after, result = _poisoned_use(
-                op, governing, other, clean_result, step
-            )
+            # Draw, spend a use of each poisoned operand object, deviate, infect.
+            policy = governing.policy
+            if policy.rate is None:
+                deviated = True
+            else:
+                governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
+            lifetime_after = governing._consume_use()
+            if lhs_poisoned and rhs_poisoned and rhs is not lhs:
+                rhs._consume_use()
+            if op in kernel.COMPARISONS:
+                if deviated:
+                    emitted = result = not clean_result
+            else:
+                if deviated:
+                    model = policy.deviation
+                    try:
+                        emitted = kernel.apply_deviation(
+                            model.kind, clean_result, model._num, model._den
+                        )
+                    except OverflowError as exc:
+                        raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
+                if policy.infectious:
+                    child_state = kernel.stream_child(governing.rng_state, step)
+                    result = PoisonedScalar(clean_result, policy, origin, child_state)
 
     if ctx._keeps_events:
         ctx.event_sink.append(

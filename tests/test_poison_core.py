@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_policy
-from unop_reference import reference_unop
+from unop_reference import reference_binop, reference_unop
 from poisonring import (
     ArithmeticFault,
     DeviationModel,
@@ -25,7 +25,7 @@ from poisonring import (
     out,
     unop,
 )
-from poisonring._kernel import INT64_MAX, INT64_MIN, bernoulli, stream_seed
+from poisonring._kernel import BINARY_OPS, INT64_MAX, INT64_MIN, bernoulli, stream_seed
 
 
 class TestDeviationModel:
@@ -344,9 +344,9 @@ def _observed(value):
     return (type(value), value)
 
 
-def _outcome(apply, operand, ctx):
+def _outcome(apply, *args):
     try:
-        return "ok", apply("neg", operand, ctx)
+        return "ok", apply(*args)
     except (ArithmeticFault, TypeError, ValueError) as exc:
         return "raised", (type(exc), str(exc), getattr(exc, "step", None), type(exc.__cause__))
 
@@ -368,7 +368,7 @@ def test_unop_matches_the_reference_path(recipe, calls):
         seen = []
         for suppressed, on_last in calls:
             with ctx.suppression() if suppressed else _null_scope():
-                kind, result = _outcome(apply, last if on_last else operand, ctx)
+                kind, result = _outcome(apply, "neg", last if on_last else operand, ctx)
             if kind == "ok":
                 last = result
                 result = _observed(result)
@@ -378,6 +378,40 @@ def test_unop_matches_the_reference_path(recipe, calls):
     assert seen == reference_seen
     assert events == reference_events
     assert all(e.rhs_clean is None and e.rhs_poisoned is None for e in events)
+
+
+@settings(max_examples=300)
+@given(_operand_recipes,
+       st.one_of(st.just("same"), _operand_recipes),
+       st.lists(st.tuples(st.sampled_from(sorted(BINARY_OPS)), st.booleans(), st.booleans()),
+                min_size=1, max_size=6))
+def test_binop_matches_the_reference_path(left_recipe, right_recipe, calls):
+    """binop with the policy block inlined is the old binop that called it: same observables.
+
+    The right operand is a fresh one or the left operand object itself. Each
+    call runs suppressed or not, on the original operands or with the last
+    result in the left slot (in both slots when one object fills them).
+    """
+    runs = []
+    for apply in (binop, reference_binop):
+        ctx = EvalContext()
+        left = _fresh_operand(left_recipe)
+        right = left if right_recipe == "same" else _fresh_operand(right_recipe)
+        last = left
+        seen = []
+        for op, suppressed, on_last in calls:
+            lhs = last if on_last else left
+            rhs = lhs if right_recipe == "same" else right
+            with ctx.suppression() if suppressed else _null_scope():
+                kind, result = _outcome(apply, op, lhs, rhs, ctx)
+            if kind == "ok":
+                last = result
+                result = _observed(result)
+            seen.append((kind, result, ctx.step_counter, _observed(left), _observed(right)))
+        runs.append((seen, ctx.event_sink))
+    (seen, events), (reference_seen, reference_events) = runs
+    assert seen == reference_seen
+    assert events == reference_events
 
 
 class _Small(IntEnum):

@@ -3,10 +3,12 @@
 import contextlib
 import io
 import re
+import shlex
 import types
 from pathlib import Path
 
 import poisonring
+from poisonring import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,3 +29,15 @@ def test_readme_python_examples_run():
     for code in blocks:
         with contextlib.redirect_stdout(io.StringIO()):
             exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_cli_examples_run(monkeypatch, capsys):
+    """Each `poisonring ...` line of the CLI block, without its [optional] groups, exits 0."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```\n(.*?)^```", text, re.MULTILINE | re.DOTALL).group(1)
+    commands = [re.sub(r"\s*\[[^]]*\]", "", line) for line in block.splitlines()
+                if line.startswith("poisonring ")]
+    assert [shlex.split(c)[1] for c in commands] == ["run", "check", "sweep"]
+    monkeypatch.chdir(README.parent)
+    for command in commands:
+        assert cli.main(shlex.split(command)[1:]) == 0, (command, capsys.readouterr().err)

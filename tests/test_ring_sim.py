@@ -8,6 +8,7 @@ from conftest import make_policy
 from ring_oracle import reference_convergence_point, reference_run
 
 from poisonring import (
+    ArithmeticFault,
     EvalContext,
     Injection,
     RingConfig,
@@ -17,6 +18,7 @@ from poisonring import (
     convergence_point,
     has_privilege,
     is_legitimate,
+    is_poisoned,
     make_poisoned,
     out,
     perturb,
@@ -25,6 +27,7 @@ from poisonring import (
     update,
     validate_injections,
 )
+from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.ring_sim import MAX_NODES
 
 GOLDEN = [
@@ -128,8 +131,6 @@ class TestUpdate:
         assert state.statuses[0] == 0
 
     def test_arithmetic_fault_carries_node_and_round(self, ctx):
-        from poisonring import ArithmeticFault
-
         state = RingState(5, 5)
         state.round_index = 3
         state.statuses[4] = 1  # makes node 0's clean guard false
@@ -316,21 +317,22 @@ class TestRun:
 
 
 class TestMonitoringNeutrality:
-    def _manual_run(self, extra_out: bool, seed: int):
+    def _manual_run(self, extra_outs: int, seed: int, policy=None):
+        """A 5-node ring with node 0 poisoned; extra_outs out() calls before each update."""
         ctx = EvalContext()
         config = RingConfig(5, 5, 10, seed=seed)
         state = RingState(config.node_count, config.k_states)
-        state.statuses[0] = make_poisoned(
-            0, make_policy(rate=0.5, uses=8, infectious=True), 0, config.seed
-        )
+        if policy is None:
+            policy = make_policy(rate=0.5, uses=8, infectious=True)
+        state.statuses[0] = make_poisoned(0, policy, 0, config.seed)
         snapshots = []
         for round_index in range(config.rounds):
             state.round_index = round_index
             for node in range(config.node_count):
-                if extra_out:
+                for _ in range(extra_outs):
                     out(state, ctx)
                 update(state, node, ctx, snapshots)
-            if extra_out:
+            for _ in range(extra_outs):
                 out(state, ctx)
         return state, snapshots, ctx.event_sink
 
@@ -345,10 +347,46 @@ class TestMonitoringNeutrality:
     def test_extra_out_calls_change_nothing_at_seed_0(self):
         self._assert_neutral(seed=0)
 
-    def _assert_neutral(self, seed: int):
-        plain_state, plain_snaps, plain_events = self._manual_run(False, seed)
-        noisy_state, noisy_snaps, noisy_events = self._manual_run(True, seed)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        rate=st.one_of(st.none(), st.floats(0.01, 0.99)),
+        uses=st.one_of(st.none(), st.integers(1, 12)),
+        deviation=st.one_of(
+            st.tuples(st.just("offset"), st.sampled_from([1, -3, 2.5, INT64_MAX])),
+            st.tuples(st.just("scale"), st.sampled_from([2, -1, 1.01, INT64_MAX])),
+            st.tuples(st.just("stuck_at"), st.sampled_from([INT64_MIN, 0, 7, INT64_MAX])),
+            st.tuples(st.just("bitflip"), st.integers(0, 63)),
+        ),
+        extra_outs=st.integers(1, 3),
+    )
+    def test_extra_out_calls_change_nothing_without_infection(
+        self, seed, rate, uses, deviation, extra_outs
+    ):
+        """Any non-infectious policy: monitoring moves only the step, never the outcome.
+
+        ROADMAP A lifts the infectious=False restriction.
+        """
+        kind, magnitude = deviation
+        policy = make_policy(kind, magnitude, rate=rate, uses=uses)
+        self._assert_neutral(seed, policy, extra_outs)
+
+    def _assert_neutral(self, seed: int, policy=None, extra_outs: int = 1):
+        runs, faults = [], []
+        for outs in (0, extra_outs):
+            try:
+                runs.append(self._manual_run(outs, seed, policy))
+            except ArithmeticFault as exc:
+                faults.append((exc.node, exc.round_index))
+        # A fault must hit both sides at the same node and round; the step may differ.
+        assert len(faults) in (0, 2) and faults[:1] == faults[1:]
+        if faults:
+            return
+        (plain_state, plain_snaps, plain_events), (noisy_state, noisy_snaps, noisy_events) = runs
         assert plain_state.clean_statuses() == noisy_state.clean_statuses()
+        assert [is_poisoned(v) for v in plain_state.statuses] == [
+            is_poisoned(v) for v in noisy_state.statuses
+        ]
         assert [s.line for s in plain_snaps] == [s.line for s in noisy_snaps]
         assert not any(e.deviated for e in noisy_events if e.suppressed)
         # unsuppressed decisions are identical op for op
