@@ -36,6 +36,13 @@ def _checked(value):
 
 def clean_binop(op, a, b):
     """Exact operation on int64 operands; comparisons return a bool, "neg" ignores b."""
+    # Comparisons first: guards and monitoring make up most of a ring's ops.
+    if op == "neq":
+        return a != b
+    if op == "eq":
+        return a == b
+    if op == "lt":
+        return a < b
     if op == "add":
         return _checked(a + b)
     if op == "sub":
@@ -46,12 +53,6 @@ def clean_binop(op, a, b):
         if b == 0:
             raise ZeroDivisionError("modulo by zero")
         return a % b  # floor-mod; |result| < |b| so always in range
-    if op == "eq":
-        return a == b
-    if op == "neq":
-        return a != b
-    if op == "lt":
-        return a < b
     if op == "neg":
         return _checked(-a)
     raise ValueError(f"unknown operator {op!r}")

@@ -15,7 +15,7 @@ with one `error: cannot write stdout: ...` line on stderr.
 Each sweep --values entry is a JSON value, read as a scenario file holds it: a
 sweep point is the canonical scenario object with that value set on every poison
 injection, read back by parse_scenario. A bad entry's error names `param=entry`,
-then the field path.
+then the field path. Only a comma outside brackets, braces and strings ends an entry.
 """
 
 from __future__ import annotations
@@ -70,6 +70,8 @@ _AXES = (("effect", "rate", "deterministic", "intermittent"),
          ("lifetime", "uses", "always", "transient"))
 # A magnitude string as str() writes a Fraction or an int: "7", "-5/2".
 _MAGNITUDE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# What decides where --values splits: a JSON string, a bracket, a brace or a comma.
+_VALUES_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{},]')
 
 
 def scenario_obj(scenario: Scenario) -> dict:
@@ -279,6 +281,17 @@ def _sweep_point(scenario: Scenario, param: str, entry: str):
     return value, _build(field, parse_scenario, obj)
 
 
+def _split_values(text: str) -> list[str]:
+    """The stripped, non-blank --values entries: text split at commas outside [], {} and strings."""
+    entries, depth, start = [], 0, 0
+    for token in _VALUES_TOKEN_RE.finditer(text):
+        if token[0] == "," and not depth:
+            entries.append(text[start:token.start()])
+            start = token.end()
+        depth = max(depth + (token[0] in "[{") - (token[0] in "]}"), 0)
+    return [entry.strip() for entry in [*entries, text[start:]] if entry.strip()]
+
+
 def cmd_sweep(scenario: Scenario, param: str, entries, reps: int) -> int:
     """Fault campaign over one policy knob; one aggregated table row per --values entry."""
     if not entries:
@@ -355,8 +368,7 @@ def main(argv=None) -> int:
                     scenario = _build("--seed", _with_seed, scenario, args.seed)
                 code = cmd_run(scenario, quiet=args.quiet, trace_path=args.trace)
             else:
-                entries = [entry.strip() for entry in args.values.split(",") if entry.strip()]
-                code = cmd_sweep(scenario, args.param, entries, args.reps)
+                code = cmd_sweep(scenario, args.param, _split_values(args.values), args.reps)
         sys.stdout.flush()  # inside the try, so that a reader gone away is caught below
         return code
     except _UsageError as exc:

@@ -278,13 +278,17 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     """
     if op not in kernel.BINARY_OPS and (op != "neg" or rhs is not _NO_OPERAND):
         raise ValueError(f"unknown operator {op!r}")
-    # Exact in-range ints are clean operands; anything else takes the full checks.
+    # Exact in-range ints and exact PoisonedScalars are read in place; others take the full checks.
     if type(lhs) is int and INT64_MIN <= lhs <= INT64_MAX:
         a, lhs_poisoned = lhs, False
+    elif type(lhs) is PoisonedScalar:
+        a, lhs_poisoned = lhs.clean_value, lhs.policy is not None
     else:
         a, lhs_poisoned = clean_value_of(lhs), is_poisoned(lhs)
     if type(rhs) is int and INT64_MIN <= rhs <= INT64_MAX:
         b, rhs_poisoned = rhs, False
+    elif type(rhs) is PoisonedScalar:
+        b, rhs_poisoned = rhs.clean_value, rhs.policy is not None
     elif rhs is _NO_OPERAND:
         b = rhs_poisoned = None
     else:

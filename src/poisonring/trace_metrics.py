@@ -1,9 +1,9 @@
 """Structured run records and self-stabilization analytics.
 
-One run produces an ordered stream of OperatorEvents (one per intercepted
-operation) and SnapshotEvents (one per firing node). RunRecord bundles both
-with the scenario digest and seed; the JSONL codec round-trips records
-exactly, one self-describing object per line.
+One run produces an ordered stream of OperatorEvents (one per intercepted operation)
+and SnapshotEvents (one per firing node). RunRecord bundles both with the scenario
+digest and seed; the JSONL codec round-trips records exactly, one self-describing
+object per line, and encodes and decodes each distinct op-line tail only once.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 
 class TraceFormatError(ValueError):
@@ -36,6 +37,10 @@ _RECORD_TYPES = {
     "snapshot": {"round": _INT, "firing_node": _INT, "line": (str,)},
     "run": {"scenario_digest": (str,), "seed": _INT, "final_statuses": (list,)},
 }
+# An op event's fields after step, in JSON key order: an op line's tail is their text.
+# Only plain-typed tails are cached: equal floats or tuples may encode apart (-0.0, 0.0).
+_TAIL_FIELDS = attrgetter(*list(_EVENT_TYPES)[1:])
+_PLAIN_TYPES = frozenset((int, bool, str, type(None)))
 
 
 @dataclass(slots=True)
@@ -144,35 +149,43 @@ def _json_value(value) -> str:
     return _ENCODE(value)
 
 
+def _op_tail(op, lhs_clean, rhs_clean, lhs_poisoned, rhs_poisoned, deviated, clean_result,
+             emitted_result, suppressed, origin_id, lifetime_after) -> str:
+    """The text of an op line after its step number; optional keys left out when None."""
+    j = _json_value
+    rhs = "" if rhs_clean is None else f',"rhs_clean":{j(rhs_clean)}'
+    rhs_flag = "" if rhs_poisoned is None else f',"rhs_poisoned":{j(rhs_poisoned)}'
+    origin = "" if origin_id is None else f',"origin_id":{j(origin_id)}'
+    lifetime = "" if lifetime_after is None else f',"lifetime_after":{j(lifetime_after)}'
+    return (f',"op":{j(op)},"lhs_clean":{j(lhs_clean)}{rhs},"lhs_poisoned":{j(lhs_poisoned)}'
+            f'{rhs_flag},"deviated":{j(deviated)},"clean_result":{j(clean_result)}'
+            f',"emitted_result":{j(emitted_result)},"suppressed":{j(suppressed)}'
+            f'{origin}{lifetime}}}')
+
+
 def dumps_record(record: RunRecord) -> str:
     """Serialize to newline-delimited JSON: header, events, snapshots.
 
-    Each op and snapshot line is written directly, keys in _EVENT_TYPES order
-    and optional keys left out when None, as json.dumps would write its dict.
+    Each op and snapshot line is written directly, keys in _EVENT_TYPES order and
+    optional keys left out when None, as json.dumps would write its dict. Each distinct
+    op-line tail, the text after the step, is encoded once, keyed by field values and types.
     """
     j = _json_value
     header = {"type": "run", "scenario_digest": record.scenario_digest, "seed": record.seed,
               "final_statuses": record.final_statuses}
     lines = [_ENCODE(header)]
+    tails: dict[tuple, str] = {}  # (fields, *their types) -> tail
     for event in record.events:
-        line = (
-            f'{_OP_PREFIX}{j(event.step)},"op":{j(event.op)}'
-            f',"lhs_clean":{j(event.lhs_clean)}'
-        )
-        if event.rhs_clean is not None:
-            line += f',"rhs_clean":{j(event.rhs_clean)}'
-        line += f',"lhs_poisoned":{j(event.lhs_poisoned)}'
-        if event.rhs_poisoned is not None:
-            line += f',"rhs_poisoned":{j(event.rhs_poisoned)}'
-        line += (
-            f',"deviated":{j(event.deviated)},"clean_result":{j(event.clean_result)}'
-            f',"emitted_result":{j(event.emitted_result)},"suppressed":{j(event.suppressed)}'
-        )
-        if event.origin_id is not None:
-            line += f',"origin_id":{j(event.origin_id)}'
-        if event.lifetime_after is not None:
-            line += f',"lifetime_after":{j(event.lifetime_after)}'
-        lines.append(line + "}")
+        fields = _TAIL_FIELDS(event)
+        key = (fields, *map(type, fields))
+        try:
+            tail = tails[key]
+        except (KeyError, TypeError):  # a new tail, or an unhashable field (never plain)
+            tail = _op_tail(*fields)
+            if _PLAIN_TYPES.issuperset(key[1:]):
+                tails[key] = tail
+        step = event.step
+        lines.append(f"{_OP_PREFIX}{step if type(step) is int else j(step)}{tail}")
     lines += [
         f'{{"type":"snapshot","round":{j(snap.round)},"firing_node":{j(snap.firing_node)}'
         f',"line":{j(snap.line)}}}'

@@ -45,6 +45,7 @@ from poisonring.cli import (
     parse_scenario,
     scenario_digest,
     scenario_obj,
+    _split_values,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -541,7 +542,15 @@ class TestSweepCommand:
          ("rate", "null", "rate=null: <scenario>.injections[0].policy.effect"),
          ("transient_uses", "3.0", "transient_uses=3.0: <scenario>.injections[0].policy"),
          ("transient_uses", "true", "transient_uses=true: <scenario>.injections[0].policy"),
-         ("rate", "1\n2", "rate='1\\n2': invalid JSON")],
+         ("rate", "1\n2", "rate='1\\n2': invalid JSON"),
+         # A comma inside brackets, braces or a string does not end an entry.
+         ("rate", "0.5,[0.5,0.6]", "rate=[0.5,0.6]: <scenario>.injections[0].policy"),
+         ("rate", "[1,2]", "rate=[1,2]: <scenario>.injections[0].policy"),
+         ("transient_uses", '{"a":1,"b":2}',
+          'transient_uses={"a":1,"b":2}: <scenario>.injections[0].policy'),
+         ("transient_uses", '"a,b"', 'transient_uses="a,b": <scenario>.injections[0].policy'),
+         ("rate", '0.5, "a,b"', 'rate="a,b": <scenario>.injections[0].policy'),
+         ("rate", "[1,2", "rate=[1,2: invalid JSON")],
     )
     def test_bad_value_prints_no_table(self, scenario_file, capsys, param, values, named):
         obj = base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": 1})])
@@ -726,7 +735,28 @@ def test_fuzzed_scenario_ends_in_an_exit_code(tmp_path_factory, mutations):
 
 
 VALUES_POOL = ("0.5", ".5", "1_0", "nan", "NaN", "Infinity", "1e999", "null", "true", "[1]",
-               "{}", '"0.5"', "-1", "0", "9" * 5000)
+               "{}", '"0.5"', "-1", "0", "9" * 5000, "[1,2]", '{"a":1,"b":2}', '"a,b"')
+
+
+@given(st.text(alphabet=st.sampled_from(list("0123456789.,-+e \t\nabc:")), max_size=40))
+def test_plain_values_split_as_a_comma_list(text):
+    """Without brackets, braces or quotes, --values splits at every comma, as it always did."""
+    assert _split_values(text) == [entry.strip() for entry in text.split(",") if entry.strip()]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(st.lists(_json_values, min_size=1, max_size=4))
+def test_json_values_are_never_cut(values):
+    """Whole JSON values joined by commas come back one entry each, whatever commas they hold."""
+    texts = [json.dumps(value) for value in values]
+    assert _split_values(",".join(texts)) == texts
+    assert _split_values(" , ".join(texts)) == texts
 
 
 @settings(max_examples=200, deadline=None)

@@ -26,6 +26,7 @@ from poisonring import (
     unop,
 )
 from poisonring._kernel import BINARY_OPS, INT64_MAX, INT64_MIN, bernoulli, stream_seed
+from poisonring.poison_core import _NO_OPERAND
 
 
 class TestDeviationModel:
@@ -419,7 +420,8 @@ class _Small(IntEnum):
 
 
 class TestOperandFastPath:
-    """Exact in-range ints skip the operand checks; every other operand still takes them."""
+    """Exact in-range ints and exact PoisonedScalars skip the operand checks; every other
+    operand, PoisonedScalar subclasses included, still takes them."""
 
     def test_int64_bounds_accepted(self, ctx):
         assert binop("lt", INT64_MIN, INT64_MAX, ctx) is True
@@ -458,6 +460,49 @@ class TestOperandFastPath:
         assert binop(op, 5, _Small.THREE, with_enum) == binop(op, 5, 3, with_int)
         assert unop("neg", _Small.THREE, with_enum) == unop("neg", 3, with_int)
         assert with_enum.event_sink == with_int.event_sink
+
+    @pytest.mark.parametrize("suppressed", [False, True], ids=["live", "suppressed"])
+    @pytest.mark.parametrize("right", ["active", "expired", "subclass", "int", "same"])
+    @pytest.mark.parametrize("left", ["active", "expired", "subclass", "int"])
+    def test_scalar_operand_matches_the_reference_path(self, left, right, suppressed):
+        """An exact PoisonedScalar is read in place; expired, shared and subclassed
+        scalars give what the full operand checks give: results, events, steps, state."""
+        runs = []
+        for apply in (binop, reference_binop):
+            ctx = EvalContext()
+            lhs = _scalar_operand(left, seed=3)
+            rhs = lhs if right == "same" else _scalar_operand(right, seed=4)
+            seen = []
+            for op in [*sorted(BINARY_OPS), "neg"]:
+                with ctx.suppression() if suppressed else _null_scope():
+                    kind, result = _outcome(apply, op, lhs, _NO_OPERAND if op == "neg" else rhs, ctx)
+                if kind == "ok":
+                    result = _observed(result)
+                seen.append((kind, result, ctx.step_counter, _observed(lhs), _observed(rhs)))
+            runs.append((seen, ctx.event_sink))
+        (seen, events), (reference_seen, reference_events) = runs
+        assert seen == reference_seen
+        assert events == reference_events
+
+
+class _SubScalar(PoisonedScalar):
+    __slots__ = ()
+
+
+def _scalar_operand(kind, seed):
+    """A fresh operand of one kind: a live poisoned scalar (infectious, rate 0.5, 3 uses),
+    one whose one use is spent (policy None), a live PoisonedScalar subclass, or an int."""
+    if kind == "int":
+        return 7
+    if kind == "expired":
+        scalar = make_poisoned(7, make_policy(uses=1), 1, seed)
+        binop("add", scalar, 0, EvalContext())
+        assert scalar.policy is None
+        return scalar
+    policy = make_policy(rate=0.5, uses=3, infectious=True)
+    if kind == "subclass":
+        return _SubScalar(7, policy, 1, stream_seed(seed, 1))
+    return make_poisoned(7, policy, 1, seed)
 
 
 def _raise_in_scope(ctx):

@@ -402,6 +402,32 @@ def test_encoder_matches_reference_on_a_run():
     assert dumps_record(record) == reference_dumps_record(record)
 
 
+# Values that compare equal, and so hash alike, yet may encode apart; and two
+# unhashable values, which the encoder cannot cache.
+_LOOKALIKES = (
+    (True, 1, 1.0),
+    (_Level.HIGH, 7, 7.0),
+    (False, 0, -0.0, 0.0),
+    ((1,), (True,), (1.0,)),
+    ([1], {"a": 1}),
+)
+
+
+@pytest.mark.parametrize("order", ["forward", "reversed"])
+@pytest.mark.parametrize("key", EVENT_KEYS[1:])
+def test_tail_cache_tells_lookalike_values_apart(key, order):
+    """Events differing only in one field's type each get their own tail, cached or not."""
+    base = OperatorEvent(0, "add", 1, True, False, 2, 2, False, rhs_clean=1,
+                         rhs_poisoned=False, origin_id=0, lifetime_after=1)
+    values = [value for group in _LOOKALIKES for value in group]
+    if order == "reversed":
+        values.reverse()
+    events = [dataclasses.replace(base, step=step, **{key: value})
+              for step, value in enumerate(values * 2)]  # the second pass reads the cache
+    record = RunRecord("digest", 1, events=events)
+    assert dumps_record(record) == reference_dumps_record(record)
+
+
 # Edits of an op line's step token and tail, the text after the token. Each
 # keeps the line starting as dumps_record writes it.
 _LINE_EDITS = {
