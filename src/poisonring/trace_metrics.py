@@ -163,8 +163,8 @@ def _op_tail(op, lhs_clean, rhs_clean, lhs_poisoned, rhs_poisoned, deviated, cle
             f'{origin}{lifetime}}}')
 
 
-def dumps_record(record: RunRecord) -> str:
-    """Serialize to newline-delimited JSON: header, events, snapshots.
+def _record_lines(record: RunRecord):
+    """Yield the record's JSONL lines, each ending in "\\n": header, events, snapshots.
 
     Each op and snapshot line is written directly, keys in _EVENT_TYPES order and
     optional keys left out when None, as json.dumps would write its dict. Each distinct
@@ -173,25 +173,27 @@ def dumps_record(record: RunRecord) -> str:
     j = _json_value
     header = {"type": "run", "scenario_digest": record.scenario_digest, "seed": record.seed,
               "final_statuses": record.final_statuses}
-    lines = [_ENCODE(header)]
-    tails: dict[tuple, str] = {}  # (fields, *their types) -> tail
+    yield _ENCODE(header) + "\n"
+    tails: dict[tuple, str] = {}  # (fields, *their types) -> tail, "\n" included
     for event in record.events:
         fields = _TAIL_FIELDS(event)
         key = (fields, *map(type, fields))
         try:
             tail = tails[key]
         except (KeyError, TypeError):  # a new tail, or an unhashable field (never plain)
-            tail = _op_tail(*fields)
+            tail = _op_tail(*fields) + "\n"
             if _PLAIN_TYPES.issuperset(key[1:]):
                 tails[key] = tail
         step = event.step
-        lines.append(f"{_OP_PREFIX}{step if type(step) is int else j(step)}{tail}")
-    lines += [
-        f'{{"type":"snapshot","round":{j(snap.round)},"firing_node":{j(snap.firing_node)}'
-        f',"line":{j(snap.line)}}}'
-        for snap in record.snapshots
-    ]
-    return "\n".join(lines) + "\n"
+        yield f"{_OP_PREFIX}{step if type(step) is int else j(step)}{tail}"
+    for snap in record.snapshots:
+        yield (f'{{"type":"snapshot","round":{j(snap.round)},"firing_node":{j(snap.firing_node)}'
+               f',"line":{j(snap.line)}}}\n')
+
+
+def dumps_record(record: RunRecord) -> str:
+    """Serialize to JSONL (header, events, snapshots) in one string; write_record streams it."""
+    return "".join(_record_lines(record))
 
 
 def loads_record(text: str) -> RunRecord:
@@ -201,15 +203,20 @@ def loads_record(text: str) -> RunRecord:
     keys (scenario_digest, seed, final_statuses); op and snapshot records hold
     only their own keys. Every key is typed as dumps_record writes it, optional
     op keys left out, in any order and with any JSON whitespace ("\\r\\n" line
-    ends load too). Any other text is a TraceFormatError.
-    Each distinct op-line tail, the text after the step number, is decoded once.
+    ends load too). Any other text is a TraceFormatError, raised at the first bad
+    line. read_record parses a file's lines the same way, one at a time.
     """
+    return _parse_lines(text.split("\n"))
+
+
+def _parse_lines(lines) -> RunRecord:
+    """loads_record's parse of lines without their "\\n"; decodes each distinct op-line tail once."""
     record = None
     events: list[OperatorEvent] = []
     snapshots: list[SnapshotEvent] = []
     tails: dict[str, tuple] = {}  # op-line tail -> the 11 fields after step it decodes to
     start = len(_OP_PREFIX)
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         tail = None
         if raw.startswith(_OP_PREFIX):
             comma = raw.find(",", start)
@@ -280,17 +287,25 @@ def loads_record(text: str) -> RunRecord:
 
 
 def write_record(record: RunRecord, path) -> None:
+    """Write dumps_record's text to path one line at a time, never the whole trace at once."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_record(record))
+        fh.writelines(_record_lines(record))
 
 
 def read_record(path) -> RunRecord:
+    """Load a trace file as loads_record loads its text, reading and decoding line by line.
+
+    Each line is parsed before the next is read, so the first bad line wins: invalid JSON
+    on line 2 is reported even if line 3 is invalid UTF-8, a TraceFormatError
+    "line N: invalid UTF-8 at byte B" with B counted from the start of the file.
+    """
+    def decoded(fh):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield raw.decode("utf-8").removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                byte = fh.tell() - len(raw) + exc.start
+                raise TraceFormatError(f"line {lineno}: invalid UTF-8 at byte {byte}") from None
+
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise TraceFormatError(f"line {line}: invalid UTF-8 at byte {exc.start}") from None
-    del data  # so that the parse does not hold the trace twice, as bytes and as text
-    return loads_record(text)
+        return _parse_lines(decoded(fh))

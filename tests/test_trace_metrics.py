@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from enum import IntEnum
 
 import pytest
@@ -40,6 +41,26 @@ def _op_line(**changes):
     fields = {"step": 0, "op": "add", "lhs_clean": 1, "lhs_poisoned": False, "deviated": False,
               "clean_result": 2, "emitted_result": 2, "suppressed": False}
     return json.dumps({"type": "op", **fields, **changes})
+
+
+def _outcome(loads, text):
+    """The record loads gives, or the message of the TraceFormatError it raises."""
+    try:
+        return loads(text)
+    except TraceFormatError as exc:
+        return str(exc)
+
+
+def _read_back(path, text):
+    """What read_record gives, or the message it raises, for text written to path as UTF-8."""
+    path.write_bytes(text.encode("utf-8"))
+    return _outcome(read_record, path)
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    """One file path that each hypothesis example of a test overwrites."""
+    return tmp_path_factory.mktemp("traces") / "trace.jsonl"
 
 
 class TestTokenCount:
@@ -161,6 +182,34 @@ class TestJsonlRoundTrip:
         write_record(record, path)
         assert read_record(path) == record
 
+    def test_file_codec_holds_one_line_at_a_time(self, tmp_path):
+        """Neither write_record nor read_record holds the trace's text: each peaks at
+        under a quarter of the file's size, besides the record that read_record returns."""
+        events = [OperatorEvent(step, "add", step % 5, True, step % 3 == 0, step % 5 + 1,
+                                step % 5 + 2, step % 2 == 0, rhs_clean=1, rhs_poisoned=False,
+                                origin_id=3, lifetime_after=step % 7)
+                  for step in range(20_000)]
+        record = RunRecord("ab" * 32, 42, events, [SnapshotEvent(0, 1, "1,0")], [0, 1])
+        path = tmp_path / "trace.jsonl"
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            write_record(record, path)
+            write_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            loaded = read_record(path)
+            held, read_peak = tracemalloc.get_traced_memory()  # held counts the record too
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert loaded == record
+        size = path.stat().st_size
+        assert size >= 4_000_000
+        assert write_peak < size / 4
+        assert read_peak - held < size / 4
+
     def test_one_json_object_per_line(self):
         import json
 
@@ -246,18 +295,21 @@ class TestJsonlRoundTrip:
             loads_record(f"{header}\n{bad_line}\n")
 
     @pytest.mark.parametrize(
-        "data,line",
+        "data,message",
         [
-            (b"\xff\xfe{", 1),
+            (b"\xff\xfe{", "line 1: invalid UTF-8 at byte 0"),
             (b'{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}\n'
-             b'{"type":"snap\xffshot"}\n', 2),
+             b'{"type":"snap\xffshot"}\n', "line 2: invalid UTF-8 at byte 79"),
+            # The first bad line wins, though a later line is not UTF-8.
+            (b'{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}\n'
+             b'{"type":\n{"type":"snap\xffshot"}\n', "line 2: invalid JSON"),
         ],
-        ids=["first_line", "after_header"],
+        ids=["first_line", "after_header", "invalid_json_first"],
     )
-    def test_invalid_utf8_is_a_trace_format_error(self, tmp_path, data, line):
+    def test_invalid_utf8_is_a_trace_format_error(self, tmp_path, data, message):
         path = tmp_path / "trace.jsonl"
         path.write_bytes(data)
-        with pytest.raises(TraceFormatError, match=rf"^line {line}: invalid UTF-8"):
+        with pytest.raises(TraceFormatError, match=rf"^{message}\b"):
             read_record(path)
 
     @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\u2029"])
@@ -327,11 +379,16 @@ def _edited_trace(edits, order) -> str:
 # Past json.loads' own limits: an integer of more than 4,300 digits, and 100,000 nested arrays.
 @example('{"type":"run","scenario_digest":"d","seed":' + "1" * 5000 + ',"final_statuses":[]}')
 @example("[" * 100_000 + "]" * 100_000)
-def test_any_text_loads_or_is_a_trace_format_error(text):
-    """loads_record gives a RunRecord that the analytics accept, or a TraceFormatError."""
-    try:
-        record = loads_record(text)
-    except TraceFormatError:
+# Blank, form-feed and CR-ended lines, and a last line with no "\n".
+@example('\n{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}\r\n\x0c\n\n'
+         + _op_line() + "\r\n \n" + _op_line(step=1))
+@example('{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}\n\x0c{"type":"op"}')
+def test_any_text_loads_or_is_a_trace_format_error(trace_path, text):
+    """loads_record gives a RunRecord that the analytics accept, or a TraceFormatError;
+    read_record gives the same for the text written to a file."""
+    record = _outcome(loads_record, text)
+    assert _read_back(trace_path, text) == record
+    if isinstance(record, str):
         return
     assert isinstance(record, RunRecord)
     assert loads_record(dumps_record(record)) == record
@@ -393,8 +450,10 @@ _GENERATED_RECORDS = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(_GENERATED_RECORDS)
-def test_encoder_matches_reference_bytes(record):
+def test_encoder_matches_reference_bytes(trace_path, record):
     assert dumps_record(record) == reference_dumps_record(record)
+    write_record(record, trace_path)
+    assert trace_path.read_bytes() == dumps_record(record).encode()
 
 
 def test_encoder_matches_reference_on_a_run():
@@ -464,14 +523,6 @@ def _shared_tail_traces(draw):
     return dumps_record(record).split("\n"), {i for i, pick in enumerate(picks, 1) if pick[2]}
 
 
-def _outcome(loads, text):
-    """The record loads gives, or the message of the TraceFormatError it raises."""
-    try:
-        return loads(text)
-    except TraceFormatError as exc:
-        return str(exc)
-
-
 _EVENT = OperatorEvent(0, "add", 1, True, True, 2, 3, False, 1, False, 0, 2)
 
 
@@ -480,10 +531,13 @@ _EVENT = OperatorEvent(0, "add", 1, True, True, 2, 3, False, 1, False, 0, 2)
 # Three op lines with one tail, the last two edited: each edit follows a cached tail.
 @example((dumps_record(RunRecord("d", 0, [dataclasses.replace(_EVENT, step=step)
                                           for step in (5, 6, 7)])).split("\n"), {2, 3}))
-def test_decoder_matches_the_reference(drawn):
-    """As drawn and under each edit of the chosen op lines, loads_record reads as the reference."""
+def test_decoder_matches_the_reference(trace_path, drawn):
+    """As drawn and under each edit of the chosen op lines, loads_record reads as the
+    reference, and read_record reads the text's file the same."""
     lines, edited = drawn
     for name, edit in [("no edit", None), *_LINE_EDITS.items()]:
         text = "\n".join(_edit_op_line(line, edit) if edit and index in edited else line
                          for index, line in enumerate(lines))
-        assert _outcome(loads_record, text) == _outcome(reference_loads_record, text), name
+        outcome = _outcome(reference_loads_record, text)
+        assert _outcome(loads_record, text) == outcome, name
+        assert _read_back(trace_path, text) == outcome, name
