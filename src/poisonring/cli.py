@@ -12,10 +12,10 @@ line on stderr), 141 stdout closed by its reader (as in `run ... | head -1`;
 nothing is printed). A stdout that cannot be written (as `> /dev/full`) exits 1
 with one `error: cannot write stdout: ...` line on stderr.
 
-Each sweep --values entry is a JSON value, read as a scenario file holds it: a
-sweep point is the canonical scenario object with that value set on every poison
-injection, read back by parse_scenario. A bad entry's error names `param=entry`,
-then the field path. Only a comma outside brackets, braces and strings ends an entry.
+Sweep --values is the inside of a JSON array, decoded once; a bad text is one
+`invalid JSON at character N` error. A sweep point is the canonical scenario object
+with one value set on every poison injection, read back by parse_scenario; its
+error names `param=value`, the value in compact JSON, then the field path.
 """
 
 from __future__ import annotations
@@ -70,8 +70,6 @@ _AXES = (("effect", "rate", "deterministic", "intermittent"),
          ("lifetime", "uses", "always", "transient"))
 # A magnitude string as str() writes a Fraction or an int: "7", "-5/2".
 _MAGNITUDE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
-# What decides where --values splits: a JSON string, a bracket, a brace or a comma.
-_VALUES_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[][{},]')
 
 
 def scenario_obj(scenario: Scenario) -> dict:
@@ -219,10 +217,11 @@ def _print_summary(record: RunRecord) -> None:
     stats = deviation_stats(record)
     point = convergence_point(record)
     hist = " ".join(f"{k}:{v}" for k, v in sorted(histogram.items())) or "(empty)"
+    rate = f"{stats.rate:.4f}" if stats.uses else "-"  # no use: no rate, not a rate of 0
     print(
         f"snapshots: {len(record.snapshots)}\ntoken-count histogram: {hist}\n"
         f"convergence point: {'none' if point is None else point}\n"
-        f"deviation stats: uses={stats.uses} deviations={stats.deviations} rate={stats.rate:.4f}",
+        f"deviation stats: uses={stats.uses} deviations={stats.deviations} rate={rate}",
         file=sys.stderr,
     )
 
@@ -266,62 +265,58 @@ def cmd_check() -> int:
     return EXIT_CHECK_MISMATCH
 
 
-def _sweep_point(scenario: Scenario, param: str, entry: str):
-    """(value, scenario) for one --values entry: the JSON value set on every poison injection."""
-    axis, key = SWEEP_PARAMS[param]
-    field = f"--values: {param}={entry if entry.isprintable() else repr(entry)}"  # one line
+def _sweep_values(text: str) -> list:
+    """The --values text decoded as the inside of one JSON array."""
     try:
-        value = json.loads(entry)
-    except (ValueError, RecursionError) as exc:  # bad JSON, an integer of too many digits, too deep
-        raise ScenarioError(f"{field}: invalid JSON: {exc}") from exc
+        return json.loads(f"[{text}]")
+    except json.JSONDecodeError as exc:  # pos counts the added "[", N counts within text
+        raise ScenarioError(f"--values: invalid JSON at character {exc.pos - 1}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer of too many digits, or too deep
+        raise ScenarioError(f"--values: invalid JSON: {exc}") from exc
+
+
+def _sweep_point(scenario: Scenario, param: str, value) -> Scenario:
+    """The sweep point of one decoded --values value: it is set on every poison injection."""
+    axis, key = SWEEP_PARAMS[param]
+    # A value decoded just below the recursion limit can be too deep to write back.
+    name = _build("--values: invalid JSON", json.dumps, value, separators=(",", ":"))
+    field = f"--values: {param}={name}"
     obj = scenario_obj(scenario)
     for injection in obj["injections"]:
         if injection["kind"] == "poison":
             injection["policy"][axis] = {key: value}
-    return value, _build(field, parse_scenario, obj)
+    return _build(field, parse_scenario, obj)
 
 
-def _split_values(text: str) -> list[str]:
-    """The stripped, non-blank --values entries: text split at commas outside [], {} and strings."""
-    entries, depth, start = [], 0, 0
-    for token in _VALUES_TOKEN_RE.finditer(text):
-        if token[0] == "," and not depth:
-            entries.append(text[start:token.start()])
-            start = token.end()
-        depth = max(depth + (token[0] in "[{") - (token[0] in "]}"), 0)
-    return [entry.strip() for entry in [*entries, text[start:]] if entry.strip()]
+def cmd_sweep(scenario: Scenario, param: str, values: list, reps: int) -> int:
+    """Fault campaign over one policy knob; one table row per value, rep r at seed + r.
 
-
-def cmd_sweep(scenario: Scenario, param: str, entries, reps: int) -> int:
-    """Fault campaign over one policy knob; one aggregated table row per --values entry."""
-    if not entries:
+    `runs` is reps; `converged` counts reps whose snapshot tail is legitimate; `mean_cp`
+    and `max_cp` are snapshot indices over the converged reps only (`-` if none);
+    `mean_dev_rate` is the mean over reps of deviations/uses, a mean of ratios and not
+    the pooled rate (ROADMAP H), `-` if no rep made an unsuppressed poisoned use.
+    """
+    if not values:
         raise ScenarioError("no values: --values must list at least one value")
     if reps < 1:
         raise ScenarioError("--reps must be at least 1")
     if not any(inj.policy is not None for inj in scenario.injections):
-        raise ScenarioError(
-            f"parameter {param!r} not applicable: scenario has no poison injection"
-        )
+        raise ScenarioError(f"parameter {param!r} not applicable: scenario has no poison injection")
     # Every value is checked before the table starts, so a bad one prints no partial table.
-    sweeps = [_sweep_point(scenario, param, entry) for entry in entries]
-    header = f"{'value':>12} {'runs':>6} {'converged':>9} {'mean_cp':>9} {'max_cp':>7} {'mean_dev_rate':>13}"
-    print(header)
+    sweeps = [(value, _sweep_point(scenario, param, value)) for value in values]
+    print(f"{'value':>12} {'runs':>6} {'converged':>9} {'mean_cp':>9} {'max_cp':>7} {'mean_dev_rate':>13}")
     for value, swept in sweeps:
-        points = []
-        rates = []
+        points, stats = [], []
         for rep in range(reps):
             seeded = _with_seed(swept, (scenario.seed + rep) % 2**64)
             record = execute_scenario(seeded)
             points.append(convergence_point(record))
-            rates.append(deviation_stats(record).rate)
+            stats.append(deviation_stats(record))
         converged = [p for p in points if p is not None]
         mean_cp = f"{sum(converged) / len(converged):.2f}" if converged else "-"
         max_cp = f"{max(converged)}" if converged else "-"
-        mean_rate = sum(rates) / len(rates)
-        print(
-            f"{value!s:>12} {reps:>6} {len(converged):>9} {mean_cp:>9} "
-            f"{max_cp:>7} {mean_rate:>13.4f}"
-        )
+        mean_rate = f"{sum(s.rate for s in stats) / reps:.4f}" if any(s.uses for s in stats) else "-"
+        print(f"{value!s:>12} {reps:>6} {len(converged):>9} {mean_cp:>9} {max_cp:>7} {mean_rate:>13}")
     return EXIT_OK
 
 
@@ -351,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True, help="scenario JSON path")
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS, help="the swept knob")
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated JSON values, read as a scenario file holds them")
+                         help="the inside of a JSON array: JSON values separated by commas")
     p_sweep.add_argument("--reps", type=int, required=True, help="repetitions per value")
     return parser
 
@@ -368,7 +363,7 @@ def main(argv=None) -> int:
                     scenario = _build("--seed", _with_seed, scenario, args.seed)
                 code = cmd_run(scenario, quiet=args.quiet, trace_path=args.trace)
             else:
-                code = cmd_sweep(scenario, args.param, _split_values(args.values), args.reps)
+                code = cmd_sweep(scenario, args.param, _sweep_values(args.values), args.reps)
         sys.stdout.flush()  # inside the try, so that a reader gone away is caught below
         return code
     except _UsageError as exc:

@@ -114,6 +114,8 @@ def convergence_point(record: RunRecord) -> int | None:
 
 @dataclass(slots=True, frozen=True)
 class DeviationStats:
+    """Unsuppressed poisoned uses and deviations; rate is 0.0 if uses is 0 (the CLI prints -)."""
+
     uses: int
     deviations: int
     rate: float

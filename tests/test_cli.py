@@ -45,7 +45,7 @@ from poisonring.cli import (
     parse_scenario,
     scenario_digest,
     scenario_obj,
-    _split_values,
+    _sweep_values,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -525,8 +525,26 @@ class TestSweepCommand:
     def test_empty_values_rejected(self, scenario_file, capsys):
         obj = base_scenario_obj(injections=[poison_injection_obj()])
         path = scenario_file(obj)
-        assert main(self._sweep_args(path, values=" , ")) == EXIT_CONFIG
+        assert main(self._sweep_args(path, values=" ")) == EXIT_CONFIG
         assert "no values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_rejected(self, scenario_file, capsys, reps):
+        path = scenario_file(base_scenario_obj(injections=[poison_injection_obj()]))
+        assert main(self._sweep_args(path, reps=reps)) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --reps must be at least 1\n"
+
+    def test_unused_poison_has_no_rate(self, scenario_file, capsys):
+        # Injected at the last round, the poison is never used: no rate, not a rate of 0.
+        obj = base_scenario_obj(injections=[poison_injection_obj(at_round=10)])
+        path = scenario_file(obj)
+        assert main(["run", "--config", path]) == EXIT_OK
+        assert "deviation stats: uses=0 deviations=0 rate=-\n" in capsys.readouterr().err
+        assert main(self._sweep_args(path, reps="3")) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split()[-1] for row in rows] == ["-", "-"]
 
     def test_not_applicable_without_poison_injection(self, scenario_file, capsys):
         path = scenario_file(base_scenario_obj())
@@ -537,20 +555,17 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         "param,values,named",
         [("transient_uses", "2,0", "transient_uses=0"), ("rate", "0.5,1.5", "rate=1.5"),
-         *(("rate", entry, f"rate={entry}: invalid JSON") for entry in (".5", "1_0", "abc")),
          ("rate", '"0.5"', 'rate="0.5": <scenario>.injections[0].policy'),
          ("rate", "null", "rate=null: <scenario>.injections[0].policy.effect"),
          ("transient_uses", "3.0", "transient_uses=3.0: <scenario>.injections[0].policy"),
          ("transient_uses", "true", "transient_uses=true: <scenario>.injections[0].policy"),
-         ("rate", "1\n2", "rate='1\\n2': invalid JSON"),
-         # A comma inside brackets, braces or a string does not end an entry.
+         # A comma inside brackets, braces or a string does not end a value.
          ("rate", "0.5,[0.5,0.6]", "rate=[0.5,0.6]: <scenario>.injections[0].policy"),
          ("rate", "[1,2]", "rate=[1,2]: <scenario>.injections[0].policy"),
          ("transient_uses", '{"a":1,"b":2}',
           'transient_uses={"a":1,"b":2}: <scenario>.injections[0].policy'),
          ("transient_uses", '"a,b"', 'transient_uses="a,b": <scenario>.injections[0].policy'),
-         ("rate", '0.5, "a,b"', 'rate="a,b": <scenario>.injections[0].policy'),
-         ("rate", "[1,2", "rate=[1,2: invalid JSON")],
+         ("rate", '0.5, "a,b"', 'rate="a,b": <scenario>.injections[0].policy')],
     )
     def test_bad_value_prints_no_table(self, scenario_file, capsys, param, values, named):
         obj = base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": 1})])
@@ -561,9 +576,23 @@ class TestSweepCommand:
         assert captured.err.startswith(f"error: --values: {named}: ")
         assert captured.err.count("\n") == 1
 
+    # at: the character index within the --values text that the error names; the
+    # length of the text when the text ends too soon.
+    @pytest.mark.parametrize(
+        "values,at",
+        [(".5", 0), ("1_0", 1), ("abc", 0), ("1\n2", 2), ("[1,2", 5), ("0.1,,0.5", 4), ("0.1,", 4)],
+    )
+    def test_invalid_json_names_its_character(self, scenario_file, capsys, values, at):
+        path = scenario_file(base_scenario_obj(injections=[poison_injection_obj()]))
+        assert main(self._sweep_args(path, values=values, reps="2")) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --values: invalid JSON at character {at}: ")
+        assert captured.err.count("\n") == 1
+
     def test_deeply_nested_value_is_a_config_error(self, scenario_file, capsys):
-        # Just below the recursion limit an entry decodes, yet is too deep for
-        # the repr in its error message.
+        # Near the recursion limit a value fails to decode; just below it, it decodes
+        # yet can be too deep to write back or for the repr in its error message.
         path = scenario_file(base_scenario_obj(injections=[poison_injection_obj()]))
         limit = sys.getrecursionlimit()
         for depth in range(limit - 300, limit + 1):
@@ -571,7 +600,9 @@ class TestSweepCommand:
             assert main(self._sweep_args(path, values=entry, reps="1")) == EXIT_CONFIG
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: --values: rate=[[")
+            assert captured.err.startswith((
+                "error: --values: rate=[[",
+                "error: --values: invalid JSON: maximum recursion depth exceeded"))
             assert captured.err.count("\n") == 1
 
     def test_rate_is_set_on_every_poison_injection(self, scenario_file, capsys):
@@ -735,13 +766,30 @@ def test_fuzzed_scenario_ends_in_an_exit_code(tmp_path_factory, mutations):
 
 
 VALUES_POOL = ("0.5", ".5", "1_0", "nan", "NaN", "Infinity", "1e999", "null", "true", "[1]",
-               "{}", '"0.5"', "-1", "0", "9" * 5000, "[1,2]", '{"a":1,"b":2}', '"a,b"')
+               "{}", '"0.5"', "-1", "0", "9" * 5000, "[1,2]", '{"a":1,"b":2}', '"a,b"',
+               "", " \t", "0.5,")
+
+
+def _json_or_none(piece):
+    """[value] for a piece that is JSON, so that a JSON null is not taken for None."""
+    try:
+        return [json.loads(piece)]
+    except ValueError:
+        return None
 
 
 @given(st.text(alphabet=st.sampled_from(list("0123456789.,-+e \t\nabc:")), max_size=40))
 def test_plain_values_split_as_a_comma_list(text):
-    """Without brackets, braces or quotes, --values splits at every comma, as it always did."""
-    assert _split_values(text) == [entry.strip() for entry in text.split(",") if entry.strip()]
+    """Without brackets, braces or quotes, the values are the comma-separated pieces, each
+    JSON; one piece that is not JSON makes the whole text one invalid-JSON error."""
+    pieces = [_json_or_none(piece) for piece in text.split(",")]
+    if text.strip() and all(pieces):
+        assert _sweep_values(text) == [value for (value,) in pieces]
+    elif text.strip():
+        with pytest.raises(ScenarioError, match=r"\A--values: invalid JSON at character \d+: [^\n]*\Z"):
+            _sweep_values(text)
+    else:
+        assert _sweep_values(text) == []
 
 
 _json_values = st.recursive(
@@ -751,12 +799,16 @@ _json_values = st.recursive(
 )
 
 
-@given(st.lists(_json_values, min_size=1, max_size=4))
-def test_json_values_are_never_cut(values):
-    """Whole JSON values joined by commas come back one entry each, whatever commas they hold."""
+@given(st.lists(_json_values, min_size=1, max_size=4), st.integers(0, 4))
+def test_json_values_are_never_cut(values, bad_at):
+    """Whole JSON values joined by commas come back as the same values, whatever commas
+    they hold; one piece that is not JSON among them makes the text one config error."""
     texts = [json.dumps(value) for value in values]
-    assert _split_values(",".join(texts)) == texts
-    assert _split_values(" , ".join(texts)) == texts
+    assert _sweep_values(",".join(texts)) == values
+    assert _sweep_values(" , ".join(texts)) == values
+    texts.insert(min(bad_at, len(texts)), ".5")
+    with pytest.raises(ScenarioError, match=r"\A--values: invalid JSON at character \d+: [^\n]*\Z"):
+        _sweep_values(",".join(texts))
 
 
 @settings(max_examples=200, deadline=None)

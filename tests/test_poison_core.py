@@ -41,7 +41,7 @@ class TestDeviationModel:
         with pytest.raises(PolicyError, match="scale magnitude"):
             DeviationModel("scale", 1)
 
-    @pytest.mark.parametrize("bit", [-1, 64, 1000])
+    @pytest.mark.parametrize("bit", [-1, 64, 1000, 1.5])
     def test_bitflip_index_bounds(self, bit):
         with pytest.raises(PolicyError, match="bit index"):
             DeviationModel("bitflip", bit)
@@ -50,6 +50,11 @@ class TestDeviationModel:
         DeviationModel("stuck_at", INT64_MIN)
         with pytest.raises(PolicyError, match="stuck_at"):
             DeviationModel("stuck_at", INT64_MAX + 1)
+
+    @pytest.mark.parametrize("kind,magnitude", [("offset", 2**70), ("scale", 1e-30)])
+    def test_magnitude_beyond_64_bits(self, kind, magnitude):
+        with pytest.raises(PolicyError, match="numerator/denominator exceed 64 bits"):
+            DeviationModel(kind, magnitude)
 
     def test_unknown_kind(self):
         with pytest.raises(PolicyError, match="kind"):
@@ -86,6 +91,11 @@ class TestPoisonPolicy:
         with pytest.raises(PolicyError, match="infectious must be a boolean"):
             make_policy(infectious=infectious)
 
+    @pytest.mark.parametrize("deviation", [None, "offset", ("offset", 1)])
+    def test_deviation_must_be_a_model(self, deviation):
+        with pytest.raises(PolicyError, match="deviation must be a DeviationModel"):
+            PoisonPolicy(deviation)
+
     def test_valid_combinations(self):
         assert make_policy().rate is None
         assert make_policy(rate=0.25, uses=3).uses == 3
@@ -112,6 +122,32 @@ class TestMakePoisoned:
     def test_rejects_out_of_range_value(self):
         with pytest.raises(ValueError):
             make_poisoned(INT64_MAX + 1, make_policy(), 0, 0)
+
+    @pytest.mark.parametrize(
+        "policy,origin_id,seed,named",
+        [(DeviationModel("offset", 1), 0, 0, "policy must be a PoisonPolicy"),
+         (None, 0, 0, "policy must be a PoisonPolicy"),
+         (PoisonPolicy(DeviationModel("offset", 1)), True, 0, "origin_id must be an integer"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 1.0, 0, "origin_id must be an integer"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, -1, "seed must be an unsigned 64-bit"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, 2**64, "seed must be an unsigned 64-bit"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, True, "seed must be an unsigned 64-bit")],
+        ids=["model", "none", "origin_bool", "origin_float", "seed_negative", "seed_2_64",
+             "seed_bool"],
+    )
+    def test_rejects_bad_arguments(self, policy, origin_id, seed, named):
+        with pytest.raises(PolicyError, match=named):
+            make_poisoned(7, policy, origin_id, seed)
+
+    @pytest.mark.parametrize(
+        "policy,shown",
+        [(None, "PoisonedScalar(7, clean)"),
+         (make_policy(), "PoisonedScalar(7, poisoned, origin=3)"),
+         (make_policy(uses=2), "PoisonedScalar(7, poisoned, origin=3, uses_remaining=2)")],
+        ids=["clean", "always", "transient"],
+    )
+    def test_repr(self, policy, shown):
+        assert repr(PoisonedScalar(7, policy, origin_id=3, rng_state=0)) == shown
 
 
 def _deviated(model, clean, ctx):
