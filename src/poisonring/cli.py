@@ -267,12 +267,16 @@ def cmd_check() -> int:
 
 def _sweep_values(text: str) -> list:
     """The --values text decoded as the inside of one JSON array."""
+    wrapped = f"[{text}]"
     try:
-        return json.loads(f"[{text}]")
+        values, end = json.JSONDecoder().raw_decode(wrapped)
+        if end < len(wrapped):  # a stray "]" in text closed the array: it is wrapped[end - 1]
+            raise json.JSONDecodeError("unmatched ']'", wrapped, end - 1)
     except json.JSONDecodeError as exc:  # pos counts the added "[", N counts within text
         raise ScenarioError(f"--values: invalid JSON at character {exc.pos - 1}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an integer of too many digits, or too deep
         raise ScenarioError(f"--values: invalid JSON: {exc}") from exc
+    return values
 
 
 def _sweep_point(scenario: Scenario, param: str, value) -> Scenario:

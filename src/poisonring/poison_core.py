@@ -178,13 +178,11 @@ class PoisonedScalar:
 
     def _consume_use(self):
         """Spend one unsuppressed use; returns the remaining count (transient only)."""
-        if self.policy.uses is None:
-            return None
-        self.uses_remaining -= 1
-        remaining = self.uses_remaining
-        if remaining == 0:
-            self.policy = None
-            self.uses_remaining = None
+        remaining = self.uses_remaining  # None while poisoned iff the policy has no use limit
+        if remaining is not None:
+            remaining = self.uses_remaining = remaining - 1
+            if remaining == 0:
+                self.policy = self.uses_remaining = None
         return remaining
 
     def __repr__(self):
@@ -201,8 +199,9 @@ class EvalContext:
 
     event_sink takes each OperatorEvent through append(): a new list by
     default. An event is built only if the sink can hold one, so a sink whose
-    maxlen is 0, such as deque(maxlen=0), gets none: that is how a caller
-    keeps no events. The sink is fixed when the context is built.
+    maxlen is 0, such as deque(maxlen=0), keeps none; with it an op with no
+    poisoned operand returns right after the kernel, its step counted and
+    any ArithmeticFault raised. The sink is fixed when the context is built.
 
     The context is its own suppression scope: `with ctx.suppression():` runs
     its body with poisoning disabled; scopes nest and survive errors.
@@ -299,6 +298,8 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         clean_result = kernel.clean_binop(op, a, b)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
+    if not (lhs_poisoned or rhs_poisoned or ctx._keeps_events):
+        return clean_result
 
     suppressed = ctx.suppression_depth > 0
     deviated = False

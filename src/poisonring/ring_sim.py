@@ -141,7 +141,7 @@ def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
 def out(state: RingState, ctx: EvalContext) -> str:
     """Snapshot line: comma-separated privilege flags in node order."""
     return ",".join(
-        "1" if has_privilege(state, node, ctx) else "0" for node in range(state.node_count)
+        ["1" if has_privilege(state, node, ctx) else "0" for node in range(len(state.statuses))]
     )
 
 
@@ -163,13 +163,7 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
     try:
         if not _guard(statuses, node, ctx):
             return state
-        snapshots.append(
-            SnapshotEvent(
-                round=state.round_index,
-                firing_node=node,
-                line=out(state, ctx),
-            )
-        )
+        snapshots.append(SnapshotEvent(state.round_index, node, out(state, ctx)))
         if node == 0:
             bumped = binop("add", statuses[0], 1, ctx)
             statuses[0] = binop("mod", bumped, state.k_states, ctx)
@@ -217,10 +211,8 @@ def validate_injections(config: RingConfig, injections) -> None:
         seen[key] = i
 
 
-def _apply_injections(state, config, injections, round_index):
-    for origin_id, injection in enumerate(injections):
-        if injection.at_round != round_index:
-            continue
+def _apply_injections(state, config, scheduled):
+    for origin_id, injection in scheduled:
         if injection.policy is not None:
             current = clean_value_of(state.statuses[injection.node])
             state.statuses[injection.node] = make_poisoned(
@@ -240,13 +232,16 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
     validate_injections(config, injections)
     if ctx is None:
         ctx = EvalContext()
+    schedule = {}  # at_round -> [(origin_id, injection)]; origin_id is the scenario index
+    for origin_id, injection in enumerate(injections):
+        schedule.setdefault(injection.at_round, []).append((origin_id, injection))
     state = RingState(config.node_count, config.k_states)
     snapshots: list[SnapshotEvent] = []
     for round_index in range(config.rounds):
         state.round_index = round_index
-        _apply_injections(state, config, injections, round_index)
+        _apply_injections(state, config, schedule.get(round_index, ()))
         for node in range(config.node_count):
             update(state, node, ctx, snapshots)
     state.round_index = config.rounds
-    _apply_injections(state, config, injections, config.rounds)
+    _apply_injections(state, config, schedule.get(config.rounds, ()))
     return state, snapshots

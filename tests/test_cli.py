@@ -10,18 +10,22 @@ import os
 import re
 import subprocess
 import sys
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
 from poisonring import (
     GOLDEN_PREFIX,
+    ArithmeticFault,
     DeviationModel,
+    EvalContext,
     Injection,
+    PoisonedScalar,
     PoisonPolicy,
     RingConfig,
     Scenario,
@@ -30,6 +34,7 @@ from poisonring import (
     deviation_stats,
     execute_scenario,
     load_scenario,
+    run,
 )
 from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.cli import (
@@ -217,6 +222,35 @@ def _scenarios(draw):
     specs = st.one_of(st.builds(dict, policy=_POLICIES),
                       st.builds(dict, new_status=st.integers(0, ring.k_states - 1)))
     return Scenario(ring, tuple(Injection(node, at, **draw(specs)) for node, at in slots))
+
+
+def _sink_outcome(scenario, sink):
+    """A run as seen without its events: snapshot lines, clean statuses, steps and each
+    poisoned scalar's state, or the step, node and round of its ArithmeticFault."""
+    ctx = EvalContext(event_sink=sink)
+    try:
+        state, snapshots = run(scenario.ring, scenario.injections, ctx)
+    except ArithmeticFault as exc:
+        return "fault", exc.step, exc.node, exc.round_index, ctx.step_counter
+    scalars = [(s.clean_value, s.policy, s.uses_remaining, s.rng_state)
+               for s in state.statuses if isinstance(s, PoisonedScalar)]
+    return [s.line for s in snapshots], state.clean_statuses(), ctx.step_counter, scalars
+
+
+_SMALL_RING = RingConfig(4, 5, 8, seed=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios())
+@example(Scenario(_SMALL_RING))  # fault-free
+@example(Scenario(_SMALL_RING, (Injection(2, 0, new_status=4), Injection(0, 3, new_status=1))))
+@example(Scenario(_SMALL_RING, (Injection(1, 1, policy=PoisonPolicy(
+    DeviationModel("offset", 1), rate=0.5, uses=3, infectious=True)),)))
+@example(parse_scenario(OVERFLOW_SCENARIO))  # an ArithmeticFault in round 1
+def test_discarding_sink_changes_nothing(scenario):
+    """With a deque(maxlen=0) sink, clean ops return right after the kernel; the run is
+    still the list-sink run, clean, perturbed, poisoned or faulting."""
+    assert _sink_outcome(scenario, deque(maxlen=0)) == _sink_outcome(scenario, [])
 
 
 class TestScenarioCodec:
@@ -577,10 +611,11 @@ class TestSweepCommand:
         assert captured.err.count("\n") == 1
 
     # at: the character index within the --values text that the error names; the
-    # length of the text when the text ends too soon.
+    # length of the text when the text ends too soon, and a stray "]" itself.
     @pytest.mark.parametrize(
         "values,at",
-        [(".5", 0), ("1_0", 1), ("abc", 0), ("1\n2", 2), ("[1,2", 5), ("0.1,,0.5", 4), ("0.1,", 4)],
+        [(".5", 0), ("1_0", 1), ("abc", 0), ("1\n2", 2), ("[1,2", 5), ("0.1,,0.5", 4), ("0.1,", 4),
+         ("1]", 1), ("1] 2", 1), ("[1]] ", 3)],
     )
     def test_invalid_json_names_its_character(self, scenario_file, capsys, values, at):
         path = scenario_file(base_scenario_obj(injections=[poison_injection_obj()]))
@@ -589,6 +624,8 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: --values: invalid JSON at character {at}: ")
         assert captured.err.count("\n") == 1
+        if values[at:at + 1] == "]":
+            assert captured.err.endswith(f"character {at}: unmatched ']'\n")
 
     def test_deeply_nested_value_is_a_config_error(self, scenario_file, capsys):
         # Near the recursion limit a value fails to decode; just below it, it decodes

@@ -27,7 +27,7 @@ from poisonring import (
     update,
     validate_injections,
 )
-from poisonring._kernel import INT64_MAX, INT64_MIN
+from poisonring._kernel import INT64_MAX, INT64_MIN, stream_seed
 from poisonring.ring_sim import MAX_NODES
 
 GOLDEN = [
@@ -228,6 +228,26 @@ class TestRun:
         record = RunRecord("", 0, snapshots=snapshots)
         point = convergence_point(record)
         assert point == reference_convergence_point(expected_lines) == 3  # frozen
+
+    def test_injection_schedule_keeps_scenario_order(self):
+        """An injection's origin_id is its index in the scenario, whatever its round:
+        two injections in one round keep theirs by position, and one at at_round ==
+        rounds is applied after the last round, so no operator ever reads it."""
+        config = RingConfig(3, 4, rounds=2, seed=7)
+        policy = make_policy()  # deterministic: no draw moves a stream
+        mid_run = (Injection(0, 0, new_status=3), Injection(1, 1, policy=policy))
+        injections = (Injection(2, 2, policy=policy), mid_run[0],
+                      Injection(0, 2, policy=policy), mid_run[1])
+        ctx = EvalContext()
+        state, snapshots = run(config, injections, ctx)
+        assert state.round_index == config.rounds
+        for node, origin_id in ((2, 0), (0, 2)):
+            scalar = state.statuses[node]
+            assert (scalar.origin_id, scalar.rng_state) == (origin_id, stream_seed(7, origin_id))
+        assert {e.origin_id for e in ctx.event_sink} == {None, 3}
+        unread_state, unread_snapshots = run(config, mid_run)
+        assert snapshots == unread_snapshots
+        assert state.clean_statuses() == unread_state.clean_statuses()
 
     def test_conflicting_injections_rejected(self):
         injections = [
