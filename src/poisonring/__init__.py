@@ -1,10 +1,11 @@
 """Data-poisoning fault injection for integer programs.
 
 Wrap values with make_poisoned() and route operators through binop()/unop();
-every application records an OperatorEvent and may emit a deviated result per
-the value's PoisonPolicy (deterministic/intermittent effect, always/transient
-lifetime, infectious propagation). Includes Dijkstra's K-state self-stabilizing
-token ring as the reference workload plus trace analytics and a CLI.
+every application records an OperatorEvent when the sink keeps events, and may
+emit a deviated result per the value's PoisonPolicy (deterministic/intermittent
+effect, always/transient lifetime, infectious propagation). Includes Dijkstra's
+K-state self-stabilizing token ring as the reference workload plus trace
+analytics and a CLI.
 """
 
 from .poison_core import (

@@ -2,8 +2,8 @@
 
 A PoisonedScalar wraps a signed 64-bit integer together with a poison policy
 and a private draw stream. Programs apply operators through binop()/unop()
-instead of native operators; each application records one OperatorEvent and,
-when an unsuppressed operand is poisoned, may emit a deviated result. There is
+instead of native operators; each application records one OperatorEvent if the sink
+keeps events and, when an unsuppressed operand is poisoned, may emit a deviated result. There is
 one interception path: unop is binop's path with no right operand.
 
 Deviation is an emission phenomenon: arithmetic results handed back to the

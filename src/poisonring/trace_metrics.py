@@ -1,16 +1,18 @@
 """Structured run records and self-stabilization analytics.
 
-One run produces an ordered stream of OperatorEvents (one per intercepted operation)
-and SnapshotEvents (one per firing node). RunRecord bundles both with the scenario
-digest and seed; the JSONL codec round-trips records exactly, one self-describing
-object per line, and encodes and decodes each distinct op-line tail only once.
+One run produces an ordered stream of OperatorEvents (one per intercepted operation,
+when the sink keeps events) and SnapshotEvents (one per firing node). RunRecord bundles
+both with the scenario digest and seed; the JSONL codec round-trips records exactly, one
+self-describing object per line. One table, _RECORD_TYPES, states each line's keys, their
+order and JSON types; the writer and the reader both follow it. Each distinct op-line tail
+is encoded once and decoded once; only snapshot lines are written directly, as f-strings.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dataclass_fields
 from operator import attrgetter
 
 
@@ -22,8 +24,7 @@ _LINE_RE = re.compile(r"[01](,[01])*")
 # How every op line starts: dumps_record writes it, loads_record tests for it.
 _OP_PREFIX = '{"type":"op","step":'
 
-# JSON key order and the JSON types each key may hold (a bool is not an int
-# here). Optional keys are omitted, not null.
+# JSON key order and the JSON types each key may hold (a bool is not an int here).
 _INT, _BOOL = (int,), (bool,)
 _EVENT_TYPES = {
     "step": _INT, "op": (str,), "lhs_clean": _INT, "rhs_clean": _INT,
@@ -31,15 +32,19 @@ _EVENT_TYPES = {
     "clean_result": (int, bool), "emitted_result": (int, bool), "suppressed": _BOOL,
     "origin_id": _INT, "lifetime_after": _INT,
 }
+# The op keys left out of a line when None, never written as null; all others are required.
+_OPTIONAL = frozenset(("rhs_clean", "rhs_poisoned", "origin_id", "lifetime_after"))
 # Every record's keys and their JSON types, by the record's "type".
 _RECORD_TYPES = {
     "op": _EVENT_TYPES,
     "snapshot": {"round": _INT, "firing_node": _INT, "line": (str,)},
     "run": {"scenario_digest": (str,), "seed": _INT, "final_statuses": (list,)},
 }
-# An op event's fields after step, in JSON key order: an op line's tail is their text.
+_REQUIRED = {kind: frozenset(schema.keys() - _OPTIONAL) for kind, schema in _RECORD_TYPES.items()}
+# An op line's keys after step, in JSON key order: the line's tail is their text.
 # Only plain-typed tails are cached: equal floats or tuples may encode apart (-0.0, 0.0).
-_TAIL_FIELDS = attrgetter(*list(_EVENT_TYPES)[1:])
+_TAIL_KEYS = tuple(_EVENT_TYPES)[1:]
+_TAIL_FIELDS = attrgetter(*_TAIL_KEYS)
 _PLAIN_TYPES = frozenset((int, bool, str, type(None)))
 
 
@@ -64,6 +69,10 @@ class OperatorEvent:
     rhs_poisoned: bool | None = None
     origin_id: int | None = None
     lifetime_after: int | None = None
+
+
+# OperatorEvent's fields after step, in its positional order: what an op tail decodes to.
+_EVENT_FIELDS = tuple(f.name for f in dataclass_fields(OperatorEvent))[1:]
 
 
 @dataclass(slots=True)
@@ -151,26 +160,13 @@ def _json_value(value) -> str:
     return _ENCODE(value)
 
 
-def _op_tail(op, lhs_clean, rhs_clean, lhs_poisoned, rhs_poisoned, deviated, clean_result,
-             emitted_result, suppressed, origin_id, lifetime_after) -> str:
-    """The text of an op line after its step number; optional keys left out when None."""
-    j = _json_value
-    rhs = "" if rhs_clean is None else f',"rhs_clean":{j(rhs_clean)}'
-    rhs_flag = "" if rhs_poisoned is None else f',"rhs_poisoned":{j(rhs_poisoned)}'
-    origin = "" if origin_id is None else f',"origin_id":{j(origin_id)}'
-    lifetime = "" if lifetime_after is None else f',"lifetime_after":{j(lifetime_after)}'
-    return (f',"op":{j(op)},"lhs_clean":{j(lhs_clean)}{rhs},"lhs_poisoned":{j(lhs_poisoned)}'
-            f'{rhs_flag},"deviated":{j(deviated)},"clean_result":{j(clean_result)}'
-            f',"emitted_result":{j(emitted_result)},"suppressed":{j(suppressed)}'
-            f'{origin}{lifetime}}}')
-
-
 def _record_lines(record: RunRecord):
     """Yield the record's JSONL lines, each ending in "\\n": header, events, snapshots.
 
-    Each op and snapshot line is written directly, keys in _EVENT_TYPES order and
-    optional keys left out when None, as json.dumps would write its dict. Each distinct
-    op-line tail, the text after the step, is encoded once, keyed by field values and types.
+    The header and each op-line tail, the text after the step, are _ENCODE's text of
+    their keys in _RECORD_TYPES order, optional keys left out when None. Each distinct
+    tail is encoded once, keyed by its field values and types. Snapshot lines are
+    written directly, as _ENCODE would write their dicts.
     """
     j = _json_value
     header = {"type": "run", "scenario_digest": record.scenario_digest, "seed": record.seed,
@@ -183,7 +179,8 @@ def _record_lines(record: RunRecord):
         try:
             tail = tails[key]
         except (KeyError, TypeError):  # a new tail, or an unhashable field (never plain)
-            tail = _op_tail(*fields) + "\n"
+            tail = "," + _ENCODE({name: value for name, value in zip(_TAIL_KEYS, fields)
+                                  if value is not None or name not in _OPTIONAL})[1:] + "\n"
             if _PLAIN_TYPES.issuperset(key[1:]):
                 tails[key] = tail
         step = event.step
@@ -216,7 +213,7 @@ def _parse_lines(lines) -> RunRecord:
     record = None
     events: list[OperatorEvent] = []
     snapshots: list[SnapshotEvent] = []
-    tails: dict[str, tuple] = {}  # op-line tail -> the 11 fields after step it decodes to
+    tails: dict[str, tuple] = {}  # op-line tail -> its _EVENT_FIELDS values
     start = len(_OP_PREFIX)
     for lineno, raw in enumerate(lines, start=1):
         tail = None
@@ -253,34 +250,27 @@ def _parse_lines(lines) -> RunRecord:
                 raise TraceFormatError(
                     f"line {lineno}: {kind} field {key!r} has type {type(value).__name__}"
                 )
-        try:
-            if kind == "op":
-                step = obj["step"]
-                fields = (obj["op"], obj["lhs_clean"], obj["lhs_poisoned"], obj["deviated"],
-                          obj["clean_result"], obj["emitted_result"], obj["suppressed"],
-                          obj.get("rhs_clean"), obj.get("rhs_poisoned"),
-                          obj.get("origin_id"), obj.get("lifetime_after"))
-                events.append(OperatorEvent(step, *fields))
-                # An int step's text holds no comma, so the tail is all that follows it;
-                # with no escape and no "step" key there, any step can precede it.
-                if tail is not None and "\\" not in tail and '"step"' not in tail:
-                    tails[tail] = fields
-            elif kind == "snapshot":
-                snap = SnapshotEvent(obj["round"], obj["firing_node"], obj["line"])
-                if not _LINE_RE.fullmatch(snap.line):
-                    raise TraceFormatError(f"line {lineno}: malformed snapshot line {snap.line!r}")
-                snapshots.append(snap)
-            else:  # "run"
-                digest, seed, statuses = obj["scenario_digest"], obj["seed"], obj["final_statuses"]
-                if not all(type(status) is int for status in statuses):
-                    raise TraceFormatError(
-                        f"line {lineno}: run field 'final_statuses' holds a non-integer"
-                    )
-                if record is not None:
-                    raise TraceFormatError(f"line {lineno}: second run header")
-                record = RunRecord(digest, seed, final_statuses=statuses)
-        except KeyError as exc:
-            raise TraceFormatError(f"line {lineno}: {kind} record lacks field {exc}") from exc
+        if not _REQUIRED[kind] <= obj.keys():
+            missing = next(key for key in schema if key in _REQUIRED[kind] and key not in obj)
+            raise TraceFormatError(f"line {lineno}: {kind} record lacks field {missing!r}")
+        if kind == "op":
+            fields = tuple(map(obj.get, _EVENT_FIELDS))
+            events.append(OperatorEvent(obj["step"], *fields))
+            # An int step's text holds no comma, so the tail is all that follows it;
+            # with no escape and no "step" key there, any step can precede it.
+            if tail is not None and "\\" not in tail and '"step"' not in tail:
+                tails[tail] = fields
+        elif kind == "snapshot":
+            snap = SnapshotEvent(**obj)
+            if not _LINE_RE.fullmatch(snap.line):
+                raise TraceFormatError(f"line {lineno}: malformed snapshot line {snap.line!r}")
+            snapshots.append(snap)
+        else:  # "run"
+            if not all(type(status) is int for status in obj["final_statuses"]):
+                raise TraceFormatError(f"line {lineno}: run field 'final_statuses' holds a non-integer")
+            if record is not None:
+                raise TraceFormatError(f"line {lineno}: second run header")
+            record = RunRecord(**obj)
     if record is None:
         raise TraceFormatError("trace has no run header")
     record.events = events

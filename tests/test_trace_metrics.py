@@ -253,33 +253,51 @@ class TestJsonlRoundTrip:
             loads_record(text)
 
     @pytest.mark.parametrize(
-        "bad_line",
+        "bad_line,message",
         [
-            '{"type":"run","seed":0,"final_statuses":[]}',
-            '{"type":"op","bogus":1}',
-            "[1,2]",
-            '{"type":"snapshot"}',
-            '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}',
-            '{"type":"run","scenario_digest":7,"seed":0,"final_statuses":[]}',
-            '{"type":"run","scenario_digest":"d","seed":"x","final_statuses":[]}',
-            '{"type":"run","scenario_digest":"d","seed":true,"final_statuses":[]}',
-            '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":"abc"}',
-            '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[0,1.5]}',
-            _op_line(step="0"),
-            _op_line(step=False),
-            _op_line(op=3),
-            _op_line(deviated=0),
-            _op_line(lhs_clean=1.0),
-            _op_line(origin_id="0"),
-            '{"type":"snapshot","round":"r","firing_node":0,"line":"1"}',
-            '{"type":"snapshot","round":0,"firing_node":null,"line":"1"}',
-            '{"type":"snapshot","round":0,"firing_node":0,"line":7}',
-            '{"type":"snapshot","round":0,"firing_node":0,"line":"1,2"}',
-            '{"type":"snapshot","round":0,"firing_node":0,"line":"1\\n"}',
-            '{"type":[1]}',
-            '{"type":{}}',
-            '{"type":"snapshot","round":0,"firing_node":0,"line":"1","bogus":0}',
-            '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[0,true]}',
+            ('{"type":"run","seed":0,"final_statuses":[]}',
+             "run record lacks field 'scenario_digest'"),
+            ('{"type":"op","bogus":1}', "unknown op field 'bogus'"),
+            ("[1,2]", "expected an object, got list"),
+            ('{"type":"snapshot"}', "snapshot record lacks field 'round'"),
+            ('{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}',
+             "second run header"),
+            ('{"type":"run","scenario_digest":7,"seed":0,"final_statuses":[]}',
+             "run field 'scenario_digest' has type int"),
+            ('{"type":"run","scenario_digest":"d","seed":"x","final_statuses":[]}',
+             "run field 'seed' has type str"),
+            ('{"type":"run","scenario_digest":"d","seed":true,"final_statuses":[]}',
+             "run field 'seed' has type bool"),
+            ('{"type":"run","scenario_digest":"d","seed":0,"final_statuses":"abc"}',
+             "run field 'final_statuses' has type str"),
+            ('{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[0,1.5]}',
+             "run field 'final_statuses' holds a non-integer"),
+            (_op_line(step="0"), "op field 'step' has type str"),
+            (_op_line(step=False), "op field 'step' has type bool"),
+            (_op_line(op=3), "op field 'op' has type int"),
+            (_op_line(deviated=0), "op field 'deviated' has type int"),
+            (_op_line(lhs_clean=1.0), "op field 'lhs_clean' has type float"),
+            (_op_line(origin_id="0"), "op field 'origin_id' has type str"),
+            ('{"type":"snapshot","round":"r","firing_node":0,"line":"1"}',
+             "snapshot field 'round' has type str"),
+            ('{"type":"snapshot","round":0,"firing_node":null,"line":"1"}',
+             "snapshot field 'firing_node' has type NoneType"),
+            ('{"type":"snapshot","round":0,"firing_node":0,"line":7}',
+             "snapshot field 'line' has type int"),
+            ('{"type":"snapshot","round":0,"firing_node":0,"line":"1,2"}',
+             "malformed snapshot line '1,2'"),
+            ('{"type":"snapshot","round":0,"firing_node":0,"line":"1\\n"}',
+             "malformed snapshot line '1\\n'"),
+            ('{"type":[1]}', "unknown record type [1]"),
+            ('{"type":{}}', "unknown record type {}"),
+            ('{"type":"snapshot","round":0,"firing_node":0,"line":"1","bogus":0}',
+             "unknown snapshot field 'bogus'"),
+            ('{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[0,true]}',
+             "run field 'final_statuses' holds a non-integer"),
+            # Two required keys missing: the first in schema order is named.
+            ('{"type":"op","step":0,"lhs_clean":1,"lhs_poisoned":false,"deviated":false,'
+             '"clean_result":2,"emitted_result":2}', "op record lacks field 'op'"),
+            ('{"type":"snapshot","round":0,"firing_node":0}', "snapshot record lacks field 'line'"),
         ],
         ids=["header_without_digest", "op_unknown_key", "json_list", "snapshot_without_fields",
              "second_header", "header_int_digest", "header_str_seed", "header_bool_seed",
@@ -287,12 +305,14 @@ class TestJsonlRoundTrip:
              "op_int_op", "op_int_deviated", "op_float_operand", "op_str_origin",
              "snapshot_str_round", "snapshot_null_node", "snapshot_int_line",
              "snapshot_bad_line", "snapshot_line_newline", "list_type", "object_type",
-             "snapshot_unknown_key", "header_bool_status"],
+             "snapshot_unknown_key", "header_bool_status", "op_without_op_and_suppressed",
+             "snapshot_without_line"],
     )
-    def test_malformed_record_is_a_trace_format_error(self, bad_line):
+    def test_malformed_record_is_a_trace_format_error(self, bad_line, message):
         header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}'
-        with pytest.raises(TraceFormatError, match=r"^line 2: "):
+        with pytest.raises(TraceFormatError) as info:
             loads_record(f"{header}\n{bad_line}\n")
+        assert str(info.value) == f"line 2: {message}"
 
     @pytest.mark.parametrize(
         "data,message",
