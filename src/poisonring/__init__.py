@@ -1,11 +1,12 @@
 """Data-poisoning fault injection for integer programs.
 
-Wrap values with make_poisoned() and route operators through binop()/unop();
-every application records an OperatorEvent when the sink keeps events, and may
-emit a deviated result per the value's PoisonPolicy (deterministic/intermittent
-effect, always/transient lifetime, infectious propagation). Includes Dijkstra's
-K-state self-stabilizing token ring as the reference workload plus trace
-analytics and a CLI.
+Wrap values with make_poisoned() and route operators through binop(), with
+negation as binop("sub", 0, x, ctx); every application records an
+OperatorEvent when the sink keeps events, and may emit a deviated result per
+the value's PoisonPolicy (deterministic/intermittent effect, always/transient
+lifetime, infectious propagation). Includes Dijkstra's K-state
+self-stabilizing token ring as the reference workload plus trace analytics
+and a CLI.
 """
 
 from .poison_core import (
@@ -20,7 +21,6 @@ from .poison_core import (
     is_poisoned,
     kernel_backend,
     make_poisoned,
-    unop,
 )
 from .ring_sim import (
     Injection,
@@ -91,7 +91,6 @@ __all__ = [
     "read_record",
     "run",
     "token_count",
-    "unop",
     "update",
     "validate_injections",
     "write_record",

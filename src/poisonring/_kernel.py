@@ -2,7 +2,7 @@
 
 The hot primitives behind every intercepted operation: checked 64-bit signed
 arithmetic, deviation application, and the SplitMix64 draw stream.
-clean_binop is the one operator entry: the binary operators and "neg".
+clean_binop is the one operator entry, for the names in BINARY_OPS.
 
 All value arguments are Python ints already verified to lie in the signed
 64-bit range. Results outside that range raise OverflowError.
@@ -35,7 +35,7 @@ def _checked(value):
 
 
 def clean_binop(op, a, b):
-    """Exact operation on int64 operands; comparisons return a bool, "neg" ignores b."""
+    """Exact operation on int64 operands; comparisons return a bool."""
     # Comparisons first: guards and monitoring make up most of a ring's ops.
     if op == "neq":
         return a != b
@@ -53,8 +53,6 @@ def clean_binop(op, a, b):
         if b == 0:
             raise ZeroDivisionError("modulo by zero")
         return a % b  # floor-mod; |result| < |b| so always in range
-    if op == "neg":
-        return _checked(-a)
     raise ValueError(f"unknown operator {op!r}")
 
 

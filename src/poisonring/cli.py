@@ -237,6 +237,7 @@ def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None) -> int:
     if not quiet:
         for snap in record.snapshots:
             print(snap.line)
+        sys.stdout.flush()  # a stdout that cannot be written fails before the summary
         if trace_path:
             print(f"trace written: {trace_path}", file=sys.stderr)
         _print_summary(record)

@@ -1,10 +1,10 @@
 """Poisoned integer values and operator-interception semantics.
 
 A PoisonedScalar wraps a signed 64-bit integer together with a poison policy
-and a private draw stream. Programs apply operators through binop()/unop()
-instead of native operators; each application records one OperatorEvent if the sink
+and a private draw stream. Programs apply operators through binop() instead
+of native operators; each application records one OperatorEvent if the sink
 keeps events and, when an unsuppressed operand is poisoned, may emit a deviated result. There is
-one interception path: unop is binop's path with no right operand.
+one interception path and one operator shape: negation is binop("sub", 0, x, ctx).
 
 Deviation is an emission phenomenon: arithmetic results handed back to the
 program always carry the exact clean value (the shadow computation), while
@@ -262,10 +262,6 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
     return PoisonedScalar(value, policy, origin_id, state)
 
 
-# The right operand of a unary op: unop("neg", x, ctx) is binop("neg", x, _NO_OPERAND, ctx).
-_NO_OPERAND = object()
-
-
 def binop(op: str, lhs, rhs, ctx: EvalContext):
     """Apply one intercepted binary operator; the one interception path.
 
@@ -273,9 +269,9 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     poisoned scalar when the governing operand's policy is infectious.
     Comparison ops (eq/neq/lt) return the emitted boolean. Exactly one
     OperatorEvent is recorded either way, or none built if ctx's sink keeps
-    none; unop's event has rhs fields None.
+    none. Negation is binop("sub", 0, x, ctx).
     """
-    if op not in kernel.BINARY_OPS and (op != "neg" or rhs is not _NO_OPERAND):
+    if op not in kernel.BINARY_OPS:
         raise ValueError(f"unknown operator {op!r}")
     # Exact in-range ints and exact PoisonedScalars are read in place; others take the full checks.
     if type(lhs) is int and INT64_MIN <= lhs <= INT64_MAX:
@@ -288,8 +284,6 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         b, rhs_poisoned = rhs, False
     elif type(rhs) is PoisonedScalar:
         b, rhs_poisoned = rhs.clean_value, rhs.policy is not None
-    elif rhs is _NO_OPERAND:
-        b = rhs_poisoned = None
     else:
         b, rhs_poisoned = clean_value_of(rhs), is_poisoned(rhs)
     step = ctx.step_counter
@@ -345,10 +339,3 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
             )
         )
     return result
-
-
-def unop(op: str, operand, ctx: EvalContext):
-    """Apply one intercepted unary operator (neg): binop's path with no right operand."""
-    if op != "neg":
-        raise ValueError(f"unknown operator {op!r}")
-    return binop(op, operand, _NO_OPERAND, ctx)

@@ -16,10 +16,15 @@ def pytest_runtest_logreport(report):
 
 
 def subprocess_env() -> dict:
-    """Environment for a `python -m poisonring` child that imports the package under test."""
+    """Environment for a `python -m poisonring` child that imports the package under test.
+
+    PYTHONUNBUFFERED is dropped, so the child buffers stdout as it does under
+    a user's shell or CI.
+    """
     package_root = str(Path(poisonring.__file__).resolve().parent.parent)
     paths = [package_root, os.environ.get("PYTHONPATH", "")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def make_policy(kind="offset", magnitude=1, rate=None, uses=None, infectious=False):

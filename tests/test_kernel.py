@@ -3,7 +3,7 @@ rounding ties, and the draw stream.
 
 Each fixture-driven test runs twice: on the kernel module itself (id "py")
 and on the same primitives reached through the core's public operators
-(id "c", _CorePath). The second run shows that binop, unop and
+(id "c", _CorePath). The second run shows that binop and
 make_poisoned hand the kernel's clean results, deviations and draw streams
 through unchanged. Both are called by operator and deviation-kind name.
 """
@@ -24,7 +24,6 @@ from poisonring import (
     _kernel,
     binop,
     make_poisoned,
-    unop,
 )
 
 I64_MIN = _kernel.INT64_MIN
@@ -39,7 +38,7 @@ def _one_event(ctx):
 
 
 class _CorePath:
-    """The kernel's primitives computed through binop/unop/make_poisoned.
+    """The kernel's primitives computed through binop/make_poisoned.
 
     Each call uses a fresh EvalContext and reads its answer off the returned
     value, the scalar's stream state or the one recorded OperatorEvent. An
@@ -51,7 +50,7 @@ class _CorePath:
     def clean_binop(op, a, b):
         ctx = EvalContext()
         try:
-            result = unop(op, a, ctx) if op == "neg" else binop(op, a, b, ctx)
+            result = binop(op, a, b, ctx)
         except ArithmeticFault as fault:
             raise fault.__cause__
         event = _one_event(ctx)
@@ -139,30 +138,29 @@ class TestCleanBinop:
         with pytest.raises(OverflowError):
             k.clean_binop(op, a, b)
 
-    def test_neg(self, k):
-        assert k.clean_binop("neg", 5, 0) == -5
-        assert k.clean_binop("neg", I64_MAX, 0) == I64_MIN + 1
+    def test_sub_from_zero(self, k):
+        """Negation is subtraction from zero; only INT64_MIN has no negative."""
+        assert k.clean_binop("sub", 0, 5) == -5
+        assert k.clean_binop("sub", 0, I64_MAX) == I64_MIN + 1
         with pytest.raises(OverflowError):
-            k.clean_binop("neg", I64_MIN, 0)
+            k.clean_binop("sub", 0, I64_MIN)
 
 
 def test_unknown_names_are_rejected(ctx):
     """A name outside the kernel's sets is a ValueError; binop then moves no counter and records nothing.
 
-    "neg" is a name only for unop: binop rejects it with any right operand,
-    and unop rejects every binary operator.
+    "neg" is no operator: negation is binop("sub", 0, x, ctx).
     """
+    unknown = ("div", "ADD", "offset", "", "neg")
     poisoned = make_poisoned(1, make_policy(uses=3), origin_id=0, seed=0)
     other = make_poisoned(2, make_policy(uses=3), origin_id=1, seed=0)
-    rejected = [lambda op=op: binop(op, poisoned, None, ctx) for op in ("div", "ADD", "offset", "")]
-    rejected += [lambda rhs=rhs: binop("neg", poisoned, rhs, ctx) for rhs in (0, other, None)]
-    rejected += [lambda op=op: unop(op, poisoned, ctx) for op in sorted(_kernel.BINARY_OPS)]
-    for call in rejected:
-        with pytest.raises(ValueError, match="unknown operator"):
-            call()  # the name is checked before any operand
-        assert ctx.step_counter == 0 and ctx.event_sink == []
-        assert poisoned.uses_remaining == other.uses_remaining == 3
-    for op in ("div", "ADD", "offset", ""):
+    for op in unknown:
+        for rhs in (None, 0, other):
+            with pytest.raises(ValueError, match="unknown operator"):
+                binop(op, poisoned, rhs, ctx)  # the name is checked before any operand
+            assert ctx.step_counter == 0 and ctx.event_sink == []
+            assert poisoned.uses_remaining == other.uses_remaining == 3
+    for op in unknown:
         with pytest.raises(ValueError, match="unknown operator"):
             _kernel.clean_binop(op, 1, 2)
     for kind in ("div", "OFFSET", "add", ""):

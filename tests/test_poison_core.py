@@ -1,6 +1,7 @@
 """Operator-interception semantics: effect, lifetime, infection, suppression."""
 
 from contextlib import nullcontext as _null_scope
+from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
 
@@ -18,15 +19,15 @@ from poisonring import (
     PoisonedScalar,
     PolicyError,
     RingState,
+    RunRecord,
     binop,
+    deviation_stats,
     has_privilege,
     is_poisoned,
     make_poisoned,
     out,
-    unop,
 )
 from poisonring._kernel import BINARY_OPS, INT64_MAX, INT64_MIN, bernoulli, stream_seed
-from poisonring.poison_core import _NO_OPERAND
 
 
 class TestDeviationModel:
@@ -297,16 +298,19 @@ def binop_deviated(p, ctx):
     return ctx.event_sink[-1].deviated
 
 
-class TestUnop:
+class TestNegation:
+    """Negation is subtraction from zero: binop("sub", 0, x, ctx)."""
+
     def test_clean(self, ctx):
-        assert unop("neg", 3, ctx) == -3
+        assert binop("sub", 0, 3, ctx) == -3
         event = ctx.event_sink[-1]
         assert event.deviated is False
-        assert event.rhs_clean is None
+        assert (event.op, event.lhs_clean, event.lhs_poisoned) == ("sub", 0, False)
+        assert (event.rhs_clean, event.rhs_poisoned) == (3, False)
 
     def test_poisoned_non_infectious(self, ctx):
         p = make_poisoned(2, make_policy(), 0, seed=1)
-        result = unop("neg", p, ctx)
+        result = binop("sub", 0, p, ctx)
         event = ctx.event_sink[-1]
         assert event.clean_result == -2
         assert event.emitted_result == -1  # clean -2, then offset +1
@@ -316,7 +320,7 @@ class TestUnop:
     def test_suppressed_leaves_lifetime(self, ctx):
         p = make_poisoned(2, make_policy(uses=2), 0, seed=1)
         with ctx.suppression():
-            result = unop("neg", p, ctx)
+            result = binop("sub", 0, p, ctx)
         event = ctx.event_sink[-1]
         assert result == -2
         assert event.deviated is False
@@ -326,14 +330,14 @@ class TestUnop:
 
     def test_infectious_wraps_result(self, ctx):
         p = make_poisoned(2, make_policy(infectious=True), 5, seed=1)
-        result = unop("neg", p, ctx)
+        result = binop("sub", 0, p, ctx)
         assert is_poisoned(result)
         assert result.clean_value == -2
         assert result.origin_id == 5
 
     def test_overflow(self, ctx):
-        with pytest.raises(ArithmeticFault):
-            unop("neg", INT64_MIN, ctx)
+        with pytest.raises(ArithmeticFault, match="^sub: "):
+            binop("sub", 0, INT64_MIN, ctx)
 
 
 class _Edge(IntEnum):
@@ -388,33 +392,54 @@ def _outcome(apply, *args):
         return "raised", (type(exc), str(exc), getattr(exc, "step", None), type(exc.__cause__))
 
 
+def _neg_outcome_as_sub(outcome):
+    """A reference neg outcome as subtraction from zero gives it: a fault says "sub", not "neg"."""
+    kind, result = outcome
+    if kind == "raised" and result[0] is ArithmeticFault:
+        error, message, step, cause = result
+        assert message.startswith(("neg: ", "neg deviation: "))
+        result = (error, "sub" + message[3:], step, cause)
+    return kind, result
+
+
+def _neg_event_as_sub(event):
+    """A reference neg event as subtraction from zero records it: the operand in the rhs fields."""
+    return replace(event, op="sub", lhs_clean=0, lhs_poisoned=False,
+                   rhs_clean=event.lhs_clean, rhs_poisoned=event.lhs_poisoned)
+
+
 @settings(max_examples=300)
 @given(_operand_recipes,
        st.lists(st.tuples(st.booleans(), st.booleans()), min_size=1, max_size=6))
-def test_unop_matches_the_reference_path(recipe, calls):
-    """unop through binop's path is the old separate unop: results, events, counter, poison state.
+def test_negation_matches_the_reference_unop(recipe, calls):
+    """binop("sub", 0, x) is the old separate unop("neg", x): results, counter, poison state,
+    deviation_stats, and events once neg's lhs fields are read as sub's rhs fields.
 
     Each call runs suppressed or not, on the original operand or on the last
     result (an infected child, when the policy is infectious).
     """
     runs = []
-    for apply in (unop, reference_unop):
+    for negate in (lambda x, ctx: binop("sub", 0, x, ctx),
+                   lambda x, ctx: reference_unop("neg", x, ctx)):
         ctx = EvalContext()
         operand = _fresh_operand(recipe)
         last = operand
         seen = []
         for suppressed, on_last in calls:
             with ctx.suppression() if suppressed else _null_scope():
-                kind, result = _outcome(apply, "neg", last if on_last else operand, ctx)
+                kind, result = _outcome(negate, last if on_last else operand, ctx)
             if kind == "ok":
                 last = result
                 result = _observed(result)
-            seen.append((kind, result, ctx.step_counter, _observed(operand)))
+            seen.append(((kind, result), ctx.step_counter, _observed(operand)))
         runs.append((seen, ctx.event_sink))
     (seen, events), (reference_seen, reference_events) = runs
-    assert seen == reference_seen
-    assert events == reference_events
-    assert all(e.rhs_clean is None and e.rhs_poisoned is None for e in events)
+    assert seen == [(_neg_outcome_as_sub(outcome), step, state)
+                    for outcome, step, state in reference_seen]
+    assert events == [_neg_event_as_sub(event) for event in reference_events]
+    assert deviation_stats(RunRecord("", 0, events=events)) == deviation_stats(
+        RunRecord("", 0, events=reference_events)
+    )
 
 
 @settings(max_examples=300)
@@ -462,22 +487,22 @@ class TestOperandFastPath:
     def test_int64_bounds_accepted(self, ctx):
         assert binop("lt", INT64_MIN, INT64_MAX, ctx) is True
         assert binop("add", INT64_MAX, INT64_MIN, ctx) == -1
-        assert unop("neg", INT64_MAX, ctx) == -INT64_MAX
-        assert unop("neg", INT64_MIN + 1, ctx) == INT64_MAX
+        assert binop("sub", 0, INT64_MAX, ctx) == -INT64_MAX
+        assert binop("sub", 0, INT64_MIN + 1, ctx) == INT64_MAX
         first = ctx.event_sink[0]
         assert (first.lhs_clean, first.rhs_clean) == (INT64_MIN, INT64_MAX)
         assert not (first.lhs_poisoned or first.rhs_poisoned)
-        assert ctx.event_sink[2].lhs_clean == INT64_MAX
+        assert ctx.event_sink[2].rhs_clean == INT64_MAX
 
     @pytest.mark.parametrize(
         "call,error",
         [
             (lambda ctx: binop("add", INT64_MAX + 1, 0, ctx), ValueError),
             (lambda ctx: binop("add", 0, INT64_MIN - 1, ctx), ValueError),
-            (lambda ctx: unop("neg", INT64_MAX + 1, ctx), ValueError),
+            (lambda ctx: binop("sub", 0, INT64_MAX + 1, ctx), ValueError),
             (lambda ctx: binop("add", True, 0, ctx), TypeError),
             (lambda ctx: binop("eq", 0, False, ctx), TypeError),
-            (lambda ctx: unop("neg", True, ctx), TypeError),
+            (lambda ctx: binop("sub", 0, True, ctx), TypeError),
         ],
         ids=["lhs_above", "rhs_below", "neg_above", "lhs_bool", "rhs_bool", "neg_bool"],
     )
@@ -494,7 +519,7 @@ class TestOperandFastPath:
         with_enum, with_int = EvalContext(), EvalContext()
         assert binop(op, _Small.THREE, 2, with_enum) == binop(op, 3, 2, with_int)
         assert binop(op, 5, _Small.THREE, with_enum) == binop(op, 5, 3, with_int)
-        assert unop("neg", _Small.THREE, with_enum) == unop("neg", 3, with_int)
+        assert binop("sub", 0, _Small.THREE, with_enum) == binop("sub", 0, 3, with_int)
         assert with_enum.event_sink == with_int.event_sink
 
     @pytest.mark.parametrize("suppressed", [False, True], ids=["live", "suppressed"])
@@ -509,9 +534,9 @@ class TestOperandFastPath:
             lhs = _scalar_operand(left, seed=3)
             rhs = lhs if right == "same" else _scalar_operand(right, seed=4)
             seen = []
-            for op in [*sorted(BINARY_OPS), "neg"]:
+            for op in sorted(BINARY_OPS):
                 with ctx.suppression() if suppressed else _null_scope():
-                    kind, result = _outcome(apply, op, lhs, _NO_OPERAND if op == "neg" else rhs, ctx)
+                    kind, result = _outcome(apply, op, lhs, rhs, ctx)
                 if kind == "ok":
                     result = _observed(result)
                 seen.append((kind, result, ctx.step_counter, _observed(lhs), _observed(rhs)))

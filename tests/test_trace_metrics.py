@@ -28,7 +28,6 @@ from poisonring import (
     read_record,
     run,
     token_count,
-    unop,
     write_record,
 )
 from poisonring._kernel import INT64_MAX, INT64_MIN
@@ -157,7 +156,7 @@ def _rich_record():
     ctx = EvalContext()
     p = make_poisoned(5, make_policy(rate=0.5, uses=3, infectious=True), 2, seed=8)
     x = binop("add", p, 1, ctx)
-    unop("neg", x, ctx)
+    binop("sub", 0, x, ctx)
     with ctx.suppression():
         binop("eq", p, 5, ctx)
     binop("lt", 1, 2, ctx)
@@ -221,17 +220,18 @@ class TestJsonlRoundTrip:
         text = dumps_record(_rich_record())
         assert "null" not in text
 
-    def test_unary_events_have_no_rhs(self):
-        import json
-
-        for line in dumps_record(_rich_record()).splitlines():
-            obj = json.loads(line)
-            if obj["type"] == "op" and obj["op"] == "neg":
-                assert "rhs_clean" not in obj
-                assert "rhs_poisoned" not in obj
-                break
-        else:
-            pytest.fail("no unary event found")
+    def test_event_without_rhs_round_trips(self):
+        """An op event whose rhs fields are None, as earlier versions wrote for
+        negation, is written without the rhs keys and read back equal."""
+        event = OperatorEvent(0, "neg", 5, True, True, -5, -4, False, origin_id=2, lifetime_after=1)
+        record = RunRecord("ab" * 32, 8, [event], [], [])
+        text = dumps_record(record)
+        assert text.splitlines()[1] == (
+            '{"type":"op","step":0,"op":"neg","lhs_clean":5,"lhs_poisoned":true,'
+            '"deviated":true,"clean_result":-5,"emitted_result":-4,"suppressed":false,'
+            '"origin_id":2,"lifetime_after":1}'
+        )
+        assert loads_record(text) == record
 
     def test_missing_header_rejected(self):
         with pytest.raises(TraceFormatError, match="header"):

@@ -10,13 +10,14 @@ Verbatim copies, so that the oracle shares no policy code with the package:
   and _consume_use is PoisonedScalar._consume_use as it was then, called as
   a function here (`_consume_use(value)` for `value._consume_use()`).
 
-Used as the oracles that the package's unop and binop must match in result,
-events, step counter and the operands' poison state.
+Used as the oracles that the package's binop must match in result, events,
+step counter and the operands' poison state: reference_binop for every
+operator, and reference_unop("neg", x) for binop("sub", 0, x), with neg's
+lhs fields read as sub's rhs fields.
 """
 
 from poisonring import _kernel as kernel
 from poisonring.poison_core import (
-    _NO_OPERAND,
     INT64_MAX,
     INT64_MIN,
     ArithmeticFault,
@@ -123,9 +124,9 @@ def reference_binop(op: str, lhs, rhs, ctx: EvalContext):
     poisoned scalar when the governing operand's policy is infectious.
     Comparison ops (eq/neq/lt) return the emitted boolean. Exactly one
     OperatorEvent is recorded either way, or none built if ctx's sink keeps
-    none; unop's event has rhs fields None.
+    none.
     """
-    if op not in kernel.BINARY_OPS and (op != "neg" or rhs is not _NO_OPERAND):
+    if op not in kernel.BINARY_OPS:
         raise ValueError(f"unknown operator {op!r}")
     # Exact in-range ints are clean operands; anything else takes the full checks.
     if type(lhs) is int and INT64_MIN <= lhs <= INT64_MAX:
@@ -134,8 +135,6 @@ def reference_binop(op: str, lhs, rhs, ctx: EvalContext):
         a, lhs_poisoned = clean_value_of(lhs), is_poisoned(lhs)
     if type(rhs) is int and INT64_MIN <= rhs <= INT64_MAX:
         b, rhs_poisoned = rhs, False
-    elif rhs is _NO_OPERAND:
-        b = rhs_poisoned = None
     else:
         b, rhs_poisoned = clean_value_of(rhs), is_poisoned(rhs)
     step = ctx.step_counter
