@@ -229,7 +229,7 @@ def _print_summary(record: RunRecord) -> None:
 def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None) -> int:
     """Execute one scenario: snapshot lines to stdout, summary to stderr, the trace to trace_path."""
     record = execute_scenario(scenario)
-    if trace_path:
+    if trace_path is not None:
         try:
             write_record(record, trace_path)
         except OSError as exc:
@@ -238,7 +238,7 @@ def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None) -> int:
         for snap in record.snapshots:
             print(snap.line)
         sys.stdout.flush()  # a stdout that cannot be written fails before the summary
-        if trace_path:
+        if trace_path is not None:
             print(f"trace written: {trace_path}", file=sys.stderr)
         _print_summary(record)
     return EXIT_OK

@@ -3,8 +3,8 @@
 A PoisonedScalar wraps a signed 64-bit integer together with a poison policy
 and a private draw stream. Programs apply operators through binop() instead
 of native operators; each application records one OperatorEvent if the sink
-keeps events and, when an unsuppressed operand is poisoned, may emit a deviated result. There is
-one interception path and one operator shape: negation is binop("sub", 0, x, ctx).
+keeps events and may emit a deviated result when an unsuppressed operand is
+poisoned. One interception path, one shape: negation is binop("sub", 0, x, ctx).
 
 Deviation is an emission phenomenon: arithmetic results handed back to the
 program always carry the exact clean value (the shadow computation), while
@@ -334,8 +334,8 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     if ctx._keeps_events:
         ctx.event_sink.append(
             OperatorEvent(
-                step, op, a, lhs_poisoned, deviated, clean_result, emitted, suppressed,
-                b, rhs_poisoned, origin, lifetime_after,
+                step, op, a, b, lhs_poisoned, rhs_poisoned, deviated, clean_result, emitted,
+                suppressed, origin, lifetime_after,
             )
         )
     return result

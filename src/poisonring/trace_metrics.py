@@ -4,15 +4,15 @@ One run produces an ordered stream of OperatorEvents (one per intercepted operat
 when the sink keeps events) and SnapshotEvents (one per firing node). RunRecord bundles
 both with the scenario digest and seed; the JSONL codec round-trips records exactly, one
 self-describing object per line. One table, _RECORD_TYPES, states each line's keys, their
-order and JSON types; the writer and the reader both follow it. Each distinct op-line tail
-is encoded once and decoded once; only snapshot lines are written directly, as f-strings.
+order and JSON types; the writer, the reader and OperatorEvent's field order follow it.
+Each distinct op-line tail is encoded once and decoded once; snapshot lines are f-strings.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import dataclass, field
 from operator import attrgetter
 
 
@@ -33,7 +33,7 @@ _EVENT_TYPES = {
     "origin_id": _INT, "lifetime_after": _INT,
 }
 # The op keys left out of a line when None, never written as null; all others are required.
-_OPTIONAL = frozenset(("rhs_clean", "rhs_poisoned", "origin_id", "lifetime_after"))
+_OPTIONAL = frozenset(("origin_id", "lifetime_after"))
 # Every record's keys and their JSON types, by the record's "type".
 _RECORD_TYPES = {
     "op": _EVENT_TYPES,
@@ -50,29 +50,25 @@ _PLAIN_TYPES = frozenset((int, bool, str, type(None)))
 
 @dataclass(slots=True)
 class OperatorEvent:
-    """One intercepted operator application.
+    """One intercepted operator application, its fields in an op line's key order.
 
-    lhs_poisoned/rhs_poisoned record the operands' poison state on entry
-    (whether this operation "used" a poisoned value); deviated records
-    whether the emitted result differs from the clean one.
+    lhs_poisoned/rhs_poisoned record the two operands' poison state on entry; deviated
+    records whether the emitted result differs from the clean one. origin_id and
+    lifetime_after, the governing operand's, are None when neither operand is poisoned.
     """
 
     step: int
     op: str
     lhs_clean: int
+    rhs_clean: int
     lhs_poisoned: bool
+    rhs_poisoned: bool
     deviated: bool
     clean_result: int | bool
     emitted_result: int | bool
     suppressed: bool
-    rhs_clean: int | None = None
-    rhs_poisoned: bool | None = None
     origin_id: int | None = None
     lifetime_after: int | None = None
-
-
-# OperatorEvent's fields after step, in its positional order: what an op tail decodes to.
-_EVENT_FIELDS = tuple(f.name for f in dataclass_fields(OperatorEvent))[1:]
 
 
 @dataclass(slots=True)
@@ -213,7 +209,7 @@ def _parse_lines(lines) -> RunRecord:
     record = None
     events: list[OperatorEvent] = []
     snapshots: list[SnapshotEvent] = []
-    tails: dict[str, tuple] = {}  # op-line tail -> its _EVENT_FIELDS values
+    tails: dict[str, tuple] = {}  # op-line tail -> its _TAIL_KEYS values
     start = len(_OP_PREFIX)
     for lineno, raw in enumerate(lines, start=1):
         tail = None
@@ -254,7 +250,7 @@ def _parse_lines(lines) -> RunRecord:
             missing = next(key for key in schema if key in _REQUIRED[kind] and key not in obj)
             raise TraceFormatError(f"line {lineno}: {kind} record lacks field {missing!r}")
         if kind == "op":
-            fields = tuple(map(obj.get, _EVENT_FIELDS))
+            fields = tuple(map(obj.get, _TAIL_KEYS))
             events.append(OperatorEvent(obj["step"], *fields))
             # An int step's text holds no comma, so the tail is all that follows it;
             # with no escape and no "step" key there, any step can precede it.

@@ -425,15 +425,17 @@ class TestRunCommand:
         assert "--seed: seed must be an unsigned 64-bit integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["loud", "quiet"])
-    def test_unwritable_trace_path_exits_1(self, scenario_file, tmp_path, capsys, quiet):
-        trace = tmp_path / "missing_dir" / "x.jsonl"
+    @pytest.mark.parametrize("name", ["missing_dir/x.jsonl", ""], ids=["missing-dir", "empty"])
+    def test_unwritable_trace_path_exits_1(self, scenario_file, tmp_path, capsys, quiet, name):
+        trace = str(tmp_path / name) if name else ""
         path = scenario_file(base_scenario_obj())
-        assert main(["run", "--config", path, "--trace", str(trace), *quiet]) == EXIT_CONFIG
+        assert main(["run", "--config", path, "--trace", trace, *quiet]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: --trace: cannot write {trace}: ")
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
-        assert not trace.parent.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == EXIT_CONFIG

@@ -31,14 +31,15 @@ from poisonring import (
     write_record,
 )
 from poisonring._kernel import INT64_MAX, INT64_MIN
-from poisonring.trace_metrics import _OP_PREFIX
+from poisonring.trace_metrics import _EVENT_TYPES, _OP_PREFIX
 from trace_reference import EVENT_KEYS, reference_dumps_record, reference_loads_record
 
 
 def _op_line(**changes):
     """One op record line: a well-typed record without optional fields, with the given changes."""
-    fields = {"step": 0, "op": "add", "lhs_clean": 1, "lhs_poisoned": False, "deviated": False,
-              "clean_result": 2, "emitted_result": 2, "suppressed": False}
+    fields = {"step": 0, "op": "add", "lhs_clean": 1, "rhs_clean": 1, "lhs_poisoned": False,
+              "rhs_poisoned": False, "deviated": False, "clean_result": 2, "emitted_result": 2,
+              "suppressed": False}
     return json.dumps({"type": "op", **fields, **changes})
 
 
@@ -184,9 +185,10 @@ class TestJsonlRoundTrip:
     def test_file_codec_holds_one_line_at_a_time(self, tmp_path):
         """Neither write_record nor read_record holds the trace's text: each peaks at
         under a quarter of the file's size, besides the record that read_record returns."""
-        events = [OperatorEvent(step, "add", step % 5, True, step % 3 == 0, step % 5 + 1,
-                                step % 5 + 2, step % 2 == 0, rhs_clean=1, rhs_poisoned=False,
-                                origin_id=3, lifetime_after=step % 7)
+        events = [OperatorEvent(step=step, op="add", lhs_clean=step % 5, rhs_clean=1,
+                                lhs_poisoned=True, rhs_poisoned=False, deviated=step % 3 == 0,
+                                clean_result=step % 5 + 1, emitted_result=step % 5 + 2,
+                                suppressed=step % 2 == 0, origin_id=3, lifetime_after=step % 7)
                   for step in range(20_000)]
         record = RunRecord("ab" * 32, 42, events, [SnapshotEvent(0, 1, "1,0")], [0, 1])
         path = tmp_path / "trace.jsonl"
@@ -220,18 +222,20 @@ class TestJsonlRoundTrip:
         text = dumps_record(_rich_record())
         assert "null" not in text
 
-    def test_event_without_rhs_round_trips(self):
-        """An op event whose rhs fields are None, as earlier versions wrote for
-        negation, is written without the rhs keys and read back equal."""
-        event = OperatorEvent(0, "neg", 5, True, True, -5, -4, False, origin_id=2, lifetime_after=1)
-        record = RunRecord("ab" * 32, 8, [event], [], [])
-        text = dumps_record(record)
-        assert text.splitlines()[1] == (
-            '{"type":"op","step":0,"op":"neg","lhs_clean":5,"lhs_poisoned":true,'
-            '"deviated":true,"clean_result":-5,"emitted_result":-4,"suppressed":false,'
-            '"origin_id":2,"lifetime_after":1}'
-        )
-        assert loads_record(text) == record
+    def test_event_fields_are_the_line_keys_in_order(self):
+        assert tuple(f.name for f in dataclasses.fields(OperatorEvent)) == tuple(_EVENT_TYPES)
+
+    @pytest.mark.parametrize("key", ["rhs_clean", "rhs_poisoned"])
+    def test_op_line_without_an_rhs_key_is_rejected(self, tmp_path, key):
+        """Every op line carries both operands' keys; one without either is a
+        TraceFormatError naming it, from loads_record and read_record alike."""
+        header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}'
+        op = json.loads(_op_line(origin_id=2, lifetime_after=1))
+        del op[key]
+        text = f"{header}\n{json.dumps(op)}\n"
+        message = f"line 2: op record lacks field '{key}'"
+        assert _outcome(loads_record, text) == message
+        assert _read_back(tmp_path / "trace.jsonl", text) == message
 
     def test_missing_header_rejected(self):
         with pytest.raises(TraceFormatError, match="header"):
@@ -364,7 +368,7 @@ class TestJsonlRoundTrip:
 # left out.
 _VALID_LINES = (
     {"type": "run", "scenario_digest": "d", "seed": 0, "final_statuses": [1, 0]},
-    json.loads(_op_line(rhs_clean=1, rhs_poisoned=True, origin_id=0, lifetime_after=2)),
+    json.loads(_op_line(rhs_poisoned=True, origin_id=0, lifetime_after=2)),
     {"type": "snapshot", "round": 0, "firing_node": 1, "line": "1,0"},
 )
 # (line, key) pairs: every key of each line, plus a key the line lacks.
@@ -445,8 +449,8 @@ def _generated_events(draw, op_names=_OP_NAMES):
         step=draw(_INT64S), op=draw(op_names), lhs_clean=draw(_INT64S),
         lhs_poisoned=draw(st.booleans()), deviated=draw(st.booleans()),
         clean_result=draw(_RESULTS), emitted_result=draw(_RESULTS),
-        suppressed=draw(st.booleans()), rhs_clean=draw(st.none() | _INT64S),
-        rhs_poisoned=draw(st.none() | st.booleans()), origin_id=draw(st.none() | _INT64S),
+        suppressed=draw(st.booleans()), rhs_clean=draw(_INT64S),
+        rhs_poisoned=draw(st.booleans()), origin_id=draw(st.none() | _INT64S),
         lifetime_after=draw(st.none() | _INT64S),
     )
     if draw(st.integers(0, 3)) == 0:
@@ -496,8 +500,9 @@ _LOOKALIKES = (
 @pytest.mark.parametrize("key", EVENT_KEYS[1:])
 def test_tail_cache_tells_lookalike_values_apart(key, order):
     """Events differing only in one field's type each get their own tail, cached or not."""
-    base = OperatorEvent(0, "add", 1, True, False, 2, 2, False, rhs_clean=1,
-                         rhs_poisoned=False, origin_id=0, lifetime_after=1)
+    base = OperatorEvent(step=0, op="add", lhs_clean=1, rhs_clean=1, lhs_poisoned=True,
+                         rhs_poisoned=False, deviated=False, clean_result=2, emitted_result=2,
+                         suppressed=False, origin_id=0, lifetime_after=1)
     values = [value for group in _LOOKALIKES for value in group]
     if order == "reversed":
         values.reverse()
@@ -543,7 +548,9 @@ def _shared_tail_traces(draw):
     return dumps_record(record).split("\n"), {i for i, pick in enumerate(picks, 1) if pick[2]}
 
 
-_EVENT = OperatorEvent(0, "add", 1, True, True, 2, 3, False, 1, False, 0, 2)
+_EVENT = OperatorEvent(step=0, op="add", lhs_clean=1, rhs_clean=1, lhs_poisoned=True,
+                       rhs_poisoned=False, deviated=True, clean_result=2, emitted_result=3,
+                       suppressed=False, origin_id=0, lifetime_after=2)
 
 
 @settings(max_examples=300, deadline=None)

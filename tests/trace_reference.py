@@ -12,12 +12,12 @@ import re
 
 from poisonring import OperatorEvent, RunRecord, SnapshotEvent, TraceFormatError
 
-# JSON key order of an op line; the last four keys are left out when None.
+# JSON key order of an op line; the last two keys are left out when None.
 EVENT_KEYS = (
     "step", "op", "lhs_clean", "rhs_clean", "lhs_poisoned", "rhs_poisoned", "deviated",
     "clean_result", "emitted_result", "suppressed", "origin_id", "lifetime_after",
 )
-OPTIONAL_EVENT_KEYS = ("rhs_clean", "rhs_poisoned", "origin_id", "lifetime_after")
+OPTIONAL_EVENT_KEYS = ("origin_id", "lifetime_after")
 
 
 def _event_to_obj(event) -> dict:
@@ -95,10 +95,12 @@ def reference_loads_record(text: str) -> RunRecord:
                             f"line {lineno}: op field {key!r} has type {type(value).__name__}"
                         )
                 events.append(OperatorEvent(
-                    obj["step"], obj["op"], obj["lhs_clean"], obj["lhs_poisoned"],
-                    obj["deviated"], obj["clean_result"], obj["emitted_result"],
-                    obj["suppressed"], obj.get("rhs_clean"), obj.get("rhs_poisoned"),
-                    obj.get("origin_id"), obj.get("lifetime_after"),
+                    step=obj["step"], op=obj["op"], lhs_clean=obj["lhs_clean"],
+                    rhs_clean=obj["rhs_clean"], lhs_poisoned=obj["lhs_poisoned"],
+                    rhs_poisoned=obj["rhs_poisoned"], deviated=obj["deviated"],
+                    clean_result=obj["clean_result"], emitted_result=obj["emitted_result"],
+                    suppressed=obj["suppressed"], origin_id=obj.get("origin_id"),
+                    lifetime_after=obj.get("lifetime_after"),
                 ))
             elif kind == "snapshot":
                 snap = SnapshotEvent(**obj)

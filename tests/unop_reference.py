@@ -1,6 +1,7 @@
 """Reference operators: the interception path as it was before binop applied the policy itself.
 
-Verbatim copies, so that the oracle shares no policy code with the package:
+Verbatim copies, so that the oracle shares no policy code with the package,
+except that each OperatorEvent is built by keyword:
 
 - reference_unop is the separate unop body from before unop became binop's
   path, with the kernel's checked_neg inlined as `kernel._checked(-a)`;
@@ -110,8 +111,10 @@ def reference_unop(op: str, operand, ctx: EvalContext):
 
     ctx.event_sink.append(
         OperatorEvent(
-            step, op, a, poisoned, deviated, clean_result, emitted, suppressed,
-            None, None, origin, lifetime_after,
+            step=step, op=op, lhs_clean=a, rhs_clean=None, lhs_poisoned=poisoned,
+            rhs_poisoned=None, deviated=deviated, clean_result=clean_result,
+            emitted_result=emitted, suppressed=suppressed, origin_id=origin,
+            lifetime_after=lifetime_after,
         )
     )
     return result
@@ -163,8 +166,10 @@ def reference_binop(op: str, lhs, rhs, ctx: EvalContext):
     if ctx._keeps_events:
         ctx.event_sink.append(
             OperatorEvent(
-                step, op, a, lhs_poisoned, deviated, clean_result, emitted, suppressed,
-                b, rhs_poisoned, origin, lifetime_after,
+                step=step, op=op, lhs_clean=a, rhs_clean=b, lhs_poisoned=lhs_poisoned,
+                rhs_poisoned=rhs_poisoned, deviated=deviated, clean_result=clean_result,
+                emitted_result=emitted, suppressed=suppressed, origin_id=origin,
+                lifetime_after=lifetime_after,
             )
         )
     return result
