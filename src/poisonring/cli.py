@@ -233,7 +233,7 @@ def cmd_run(scenario: Scenario, quiet: bool = False, trace_path=None) -> int:
         try:
             write_record(record, trace_path)
         except OSError as exc:
-            raise ScenarioError(f"--trace: cannot write {trace_path}: {exc.strerror or exc}") from exc
+            raise ScenarioError(f"--trace: cannot write {trace_path!r}: {exc.strerror or exc}") from exc
     if not quiet:
         for snap in record.snapshots:
             print(snap.line)

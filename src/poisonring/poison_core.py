@@ -201,7 +201,8 @@ class EvalContext:
     default. An event is built only if the sink can hold one, so a sink whose
     maxlen is 0, such as deque(maxlen=0), keeps none; with it an op with no
     poisoned operand returns right after the kernel, its step counted and
-    any ArithmeticFault raised. The sink is fixed when the context is built.
+    any ArithmeticFault raised, and ring_sim.out makes no monitoring op but
+    counts its steps. The sink is fixed when the context is built.
 
     The context is its own suppression scope: `with ctx.suppression():` runs
     its body with poisoning disabled; scopes nest and survive errors.

@@ -8,8 +8,9 @@ node_count) runs the two guarded rules:
 
 Guards are evaluated with unsuppressed operator semantics — this is where
 injected poisoning perturbs the protocol. Privilege monitoring (out,
-has_privilege) runs under suppression and never alters poison state. A node
-that fires emits its snapshot line BEFORE applying the transition.
+has_privilege) runs under suppression and never alters poison state; with a
+discarding sink, out reads clean statuses and counts the skipped ops' steps.
+A node that fires emits its snapshot line BEFORE applying the transition.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 from .poison_core import (
     INT64_MAX,
+    INT64_MIN,
     U64_MAX,
     ArithmeticFault,
     EvalContext,
@@ -126,6 +128,11 @@ class RingState:
         return [clean_value_of(s) for s in self.statuses]
 
 
+def _check_node(state: RingState, node, what: str) -> None:
+    if type(node) is not int or not 0 <= node < len(state.statuses):
+        raise ScenarioError(f"{what} node {node!r} out of range (node_count {len(state.statuses)})")
+
+
 def _guard(statuses: list, node: int, ctx: EvalContext) -> bool:
     """Dijkstra's guard: node 0 holds it when its left neighbour equals it,
     any other node when they differ. Node 0's left neighbour is the last node."""
@@ -134,21 +141,40 @@ def _guard(statuses: list, node: int, ctx: EvalContext) -> bool:
 
 def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
     """Monitoring predicate; evaluated with poisoning disabled."""
+    _check_node(state, node, "has_privilege")
     with ctx.suppression():
         return _guard(state.statuses, node, ctx)
 
 
 def out(state: RingState, ctx: EvalContext) -> str:
-    """Snapshot line: comma-separated privilege flags in node order."""
-    return ",".join(
-        ["1" if has_privilege(state, node, ctx) else "0" for node in range(len(state.statuses))]
-    )
+    """Snapshot line: comma-separated privilege flags in node order.
+
+    Each flag is its node's guard, run as one suppressed op. With a sink that
+    keeps no events the flags come from the clean statuses and the N steps are
+    counted in one add, since a suppressed comparison spends no use, draws
+    nothing and cannot fault. Statuses are read as binop reads them, so a bad
+    one raises binop's error, before any step is counted.
+    """
+    statuses = state.statuses
+    if ctx._keeps_events:
+        flags = []
+        for node in range(len(statuses)):
+            with ctx.suppression():
+                flags.append("1" if _guard(statuses, node, ctx) else "0")
+        return ",".join(flags)
+    clean = [
+        s if type(s) is int and INT64_MIN <= s <= INT64_MAX else clean_value_of(s)
+        for s in statuses
+    ]
+    ctx.step_counter += len(clean)
+    flags = ["1" if clean[-1] == clean[0] else "0"]
+    flags += ["1" if left != own else "0" for left, own in zip(clean, clean[1:])]
+    return ",".join(flags)
 
 
 def perturb(state: RingState, node: int, new_status: int) -> RingState:
     """Overwrite a node's status with a clean value, clearing any poison."""
-    if type(node) is not int or not 0 <= node < state.node_count:
-        raise ScenarioError(f"perturb node {node!r} out of range (node_count {state.node_count})")
+    _check_node(state, node, "perturb")
     if type(new_status) is not int:
         raise ScenarioError(f"perturb status must be an integer, got {new_status!r}")
     if not 0 <= new_status < state.k_states:
@@ -159,6 +185,7 @@ def perturb(state: RingState, node: int, new_status: int) -> RingState:
 
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
     """Run one node's guarded rule; emits a snapshot only when the guard fires."""
+    _check_node(state, node, "update")
     statuses = state.statuses
     try:
         if not _guard(statuses, node, ctx):

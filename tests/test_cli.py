@@ -432,7 +432,7 @@ class TestRunCommand:
         assert main(["run", "--config", path, "--trace", trace, *quiet]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: --trace: cannot write {trace}: ")
+        assert captured.err.startswith(f"error: --trace: cannot write {trace!r}: ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]

@@ -1,5 +1,7 @@
 """Ring protocol behavior: golden trace, guards, perturbation, convergence."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from poisonring import (
     ArithmeticFault,
     EvalContext,
     Injection,
+    PoisonedScalar,
     RingConfig,
     RingState,
     RunRecord,
@@ -27,6 +30,7 @@ from poisonring import (
     update,
     validate_injections,
 )
+from poisonring import ring_sim
 from poisonring._kernel import INT64_MAX, INT64_MIN, stream_seed
 from poisonring.ring_sim import MAX_NODES
 
@@ -68,6 +72,50 @@ class TestRingConfig:
             RingConfig(node_count=5, k_states=5, rounds=-1)
 
 
+_POLICIES = st.builds(
+    make_policy,
+    kind=st.sampled_from(["offset", "scale", "stuck_at", "bitflip"]),
+    magnitude=st.just(2),
+    rate=st.one_of(st.none(), st.floats(0.01, 0.99)),
+    uses=st.one_of(st.none(), st.integers(1, 4)),
+    infectious=st.booleans(),
+)
+
+
+@st.composite
+def _statuses(draw):
+    """A plain int, or a scalar that is poisoned or whose poison has expired."""
+    value = draw(st.one_of(st.integers(0, 2), st.integers(INT64_MIN, INT64_MAX)))
+    form = draw(st.sampled_from(["int", "poisoned", "expired"]))
+    if form == "int":
+        return value
+    scalar = make_poisoned(value, draw(_POLICIES), 0, seed=draw(st.integers(0, 2**64 - 1)))
+    if form == "expired":
+        scalar.policy = scalar.uses_remaining = None
+    return scalar
+
+
+def _scalar_states(statuses):
+    return [(s.clean_value, s.policy, s.uses_remaining, s.rng_state)
+            if isinstance(s, PoisonedScalar) else s for s in statuses]
+
+
+@pytest.mark.parametrize("node", [-1, 5, "2", True], ids=["minus-1", "N", "str", "bool"])
+@pytest.mark.parametrize("name", ["update", "has_privilege"])
+def test_node_out_of_range_is_a_scenario_error(ctx, name, node):
+    state = RingState(5, 5)
+    state.statuses[:] = [0, 1, 2, 3, 4]
+    snapshots = []
+    call = {"update": lambda: update(state, node, ctx, snapshots),
+            "has_privilege": lambda: has_privilege(state, node, ctx)}[name]
+    with pytest.raises(ScenarioError) as excinfo:
+        call()
+    assert str(excinfo.value) == f"{name} node {node!r} out of range (node_count 5)"
+    assert state.statuses == [0, 1, 2, 3, 4]
+    assert snapshots == [] and ctx.event_sink == []
+    assert ctx.step_counter == 0 and ctx.suppression_depth == 0
+
+
 class TestHasPrivilege:
     def test_all_zero_ring(self, ctx):
         state = RingState(5, 5)
@@ -98,6 +146,55 @@ class TestOut:
         state = RingState(5, 5)
         state.statuses[0] = 1
         assert out(state, ctx) == "0,1,0,0,0"
+
+    def test_discarding_sink_makes_no_monitoring_op(self, monkeypatch):
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(ring_sim, "binop", counted("binop", ring_sim.binop))
+        monkeypatch.setattr(EvalContext, "suppression", counted("scope", EvalContext.suppression))
+        ctx = EvalContext(event_sink=deque(maxlen=0))
+        ctx.step_counter = 7
+        state = RingState(5, 5)
+        state.statuses[:] = [3, 1, 4, 1, 1]
+        assert out(state, ctx) == "0,1,1,1,0"
+        assert calls == []
+        assert ctx.step_counter == 7 + 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(statuses=st.lists(_statuses(), min_size=1, max_size=8), start=st.integers(0, 10**6))
+    def test_both_sinks_give_the_same_line_and_steps(self, statuses, start):
+        state = RingState(len(statuses), len(statuses))
+        state.statuses[:] = statuses
+        before = _scalar_states(statuses)
+        seen = []
+        for sink in ([], deque(maxlen=0)):
+            ctx = EvalContext(event_sink=sink)
+            ctx.step_counter = start
+            line = out(state, ctx)
+            seen.append((line, ctx.step_counter - start, ctx.suppression_depth))
+            assert _scalar_states(statuses) == before
+        assert seen[0] == seen[1]
+        assert seen[0][1] == len(statuses)
+
+    @pytest.mark.parametrize("bad", [True, 2**63, INT64_MIN - 1], ids=["bool", "2**63", "below"])
+    @pytest.mark.parametrize("node", [0, 2, 4])
+    def test_bad_status_raises_the_same_error_on_both_sinks(self, bad, node):
+        errors = []
+        for sink in ([], deque(maxlen=0)):
+            state = RingState(5, 5)
+            state.statuses[node] = bad
+            ctx = EvalContext(event_sink=sink)
+            with pytest.raises((TypeError, ValueError)) as excinfo:
+                out(state, ctx)
+            assert ctx.suppression_depth == 0
+            errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors[0] == errors[1]
 
 
 class TestUpdate:
