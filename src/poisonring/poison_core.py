@@ -12,12 +12,15 @@ the deviated number is visible in the event trace. Comparison results are
 plain booleans and DO return the deviated (negated) truth value — they are
 the channel through which poisoning perturbs control flow.
 
-Monitoring code runs inside a suppression scope, written one way:
-`with ctx.suppression():`. The scope forces clean semantics and leaves poison
-lifetimes untouched, so observation never alters a non-infectious experiment.
-Under an infectious policy it can: monitoring ops still advance the step that
-keys an infected result's draw stream (ROADMAP A; pinned by a strict xfail in
-tests/test_ring_sim.py::TestMonitoringNeutrality).
+Monitoring code that calls binop runs inside a suppression scope, written
+one way: `with ctx.suppression():`. The scope forces clean semantics and
+leaves poison lifetimes untouched, so observation never alters a
+non-infectious experiment.
+suppressed_event states the one event a suppressed op records; ring_sim.out
+records its guards through it in bulk, with no binop call and no scope.
+Under an infectious policy observation can alter a run: monitoring ops still
+advance the step that keys an infected result's draw stream (ROADMAP A;
+pinned by a strict xfail in tests/test_ring_sim.py::TestMonitoringNeutrality).
 """
 
 from __future__ import annotations
@@ -201,8 +204,9 @@ class EvalContext:
     default. An event is built only if the sink can hold one, so a sink whose
     maxlen is 0, such as deque(maxlen=0), keeps none; with it an op with no
     poisoned operand returns right after the kernel, its step counted and
-    any ArithmeticFault raised, and ring_sim.out makes no monitoring op but
-    counts its steps. The sink is fixed when the context is built.
+    any ArithmeticFault raised. ring_sim.out calls no binop with any sink;
+    whether it records its guards' suppressed events is all that the sink
+    decides there. The sink is fixed when the context is built.
 
     The context is its own suppression scope: `with ctx.suppression():` runs
     its body with poisoning disabled; scopes nest and survive errors.
@@ -295,48 +299,68 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
     if not (lhs_poisoned or rhs_poisoned or ctx._keeps_events):
         return clean_result
+    if ctx.suppression_depth > 0:
+        if ctx._keeps_events:
+            ctx.event_sink.append(
+                suppressed_event(step, op, lhs, rhs, a, b, lhs_poisoned, rhs_poisoned, clean_result)
+            )
+        return clean_result
 
-    suppressed = ctx.suppression_depth > 0
     deviated = False
     emitted = result = clean_result
     origin = lifetime_after = None
     if lhs_poisoned or rhs_poisoned:
+        # Draw, spend a use of each poisoned operand object, deviate, infect.
         # The left operand governs when both are poisoned.
         governing = lhs if lhs_poisoned else rhs
         origin = governing.origin_id
-        if suppressed:
-            lifetime_after = governing.uses_remaining
+        policy = governing.policy
+        if policy.rate is None:
+            deviated = True
         else:
-            # Draw, spend a use of each poisoned operand object, deviate, infect.
-            policy = governing.policy
-            if policy.rate is None:
-                deviated = True
-            else:
-                governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
-            lifetime_after = governing._consume_use()
-            if lhs_poisoned and rhs_poisoned and rhs is not lhs:
-                rhs._consume_use()
-            if op in kernel.COMPARISONS:
-                if deviated:
-                    emitted = result = not clean_result
-            else:
-                if deviated:
-                    model = policy.deviation
-                    try:
-                        emitted = kernel.apply_deviation(
-                            model.kind, clean_result, model._num, model._den
-                        )
-                    except OverflowError as exc:
-                        raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
-                if policy.infectious:
-                    child_state = kernel.stream_child(governing.rng_state, step)
-                    result = PoisonedScalar(clean_result, policy, origin, child_state)
+            governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
+        lifetime_after = governing._consume_use()
+        if lhs_poisoned and rhs_poisoned and rhs is not lhs:
+            rhs._consume_use()
+        if op in kernel.COMPARISONS:
+            if deviated:
+                emitted = result = not clean_result
+        else:
+            if deviated:
+                model = policy.deviation
+                try:
+                    emitted = kernel.apply_deviation(
+                        model.kind, clean_result, model._num, model._den
+                    )
+                except OverflowError as exc:
+                    raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
+            if policy.infectious:
+                child_state = kernel.stream_child(governing.rng_state, step)
+                result = PoisonedScalar(clean_result, policy, origin, child_state)
 
     if ctx._keeps_events:
         ctx.event_sink.append(
             OperatorEvent(
                 step, op, a, b, lhs_poisoned, rhs_poisoned, deviated, clean_result, emitted,
-                suppressed, origin, lifetime_after,
+                False, origin, lifetime_after,
             )
         )
     return result
+
+
+def suppressed_event(step, op, lhs, rhs, a, b, lhs_poisoned, rhs_poisoned, clean_result):
+    """The event of a suppressed op on lhs and rhs, read as a and b.
+
+    Nothing is drawn, spent, deviated or infected, so the clean result is both
+    results; origin_id and lifetime_after are the governing operand's (the
+    left one when both are poisoned), or None. ring_sim.out records its guards
+    through this rule as binop does under suppression.
+    """
+    origin = lifetime_after = None
+    if lhs_poisoned or rhs_poisoned:
+        governing = lhs if lhs_poisoned else rhs
+        origin, lifetime_after = governing.origin_id, governing.uses_remaining
+    return OperatorEvent(
+        step, op, a, b, lhs_poisoned, rhs_poisoned, False, clean_result, clean_result,
+        True, origin, lifetime_after,
+    )

@@ -7,9 +7,11 @@ node_count) runs the two guarded rules:
     node i>0: left != own  ->  own = left
 
 Guards are evaluated with unsuppressed operator semantics — this is where
-injected poisoning perturbs the protocol. Privilege monitoring (out,
-has_privilege) runs under suppression and never alters poison state; with a
-discarding sink, out reads clean statuses and counts the skipped ops' steps.
+injected poisoning perturbs the protocol. Privilege monitoring never alters
+poison state. has_privilege runs one guard as a suppressed binop. out calls
+no binop on any sink: it reads the N flags from the clean statuses and counts
+the N guards' steps in one add; only the recording of their suppressed
+events depends on the sink.
 A node that fires emits its snapshot line BEFORE applying the transition.
 """
 
@@ -23,10 +25,12 @@ from .poison_core import (
     U64_MAX,
     ArithmeticFault,
     EvalContext,
+    PoisonedScalar,
     PoisonPolicy,
     binop,
     clean_value_of,
     make_poisoned,
+    suppressed_event,
 )
 from .trace_metrics import SnapshotEvent
 
@@ -39,6 +43,13 @@ class ScenarioError(ValueError):
     """Invalid ring configuration, injection, or scenario file."""
 
 
+def _check_node_count(node_count) -> None:
+    if type(node_count) is not int or node_count < 1:
+        raise ScenarioError(f"node_count must be an integer >= 1, got {node_count!r}")
+    if node_count > MAX_NODES:
+        raise ScenarioError(f"node_count must be at most {MAX_NODES}, got {node_count}")
+
+
 @dataclass(frozen=True)
 class RingConfig:
     """Ring size, state modulus, round budget, and scenario seed."""
@@ -49,10 +60,7 @@ class RingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if type(self.node_count) is not int or self.node_count < 1:
-            raise ScenarioError(f"node_count must be an integer >= 1, got {self.node_count!r}")
-        if self.node_count > MAX_NODES:
-            raise ScenarioError(f"node_count must be at most {MAX_NODES}, got {self.node_count}")
+        _check_node_count(self.node_count)
         if type(self.k_states) is not int:
             raise ScenarioError(f"k_states must be an integer, got {self.k_states!r}")
         if self.k_states <= self.node_count - 1:
@@ -111,11 +119,12 @@ class Scenario:
 
 
 class RingState:
-    """Mutable ring state: one status per node."""
+    """Mutable ring state: one status per node, for 1..MAX_NODES nodes."""
 
     __slots__ = ("statuses", "k_states", "round_index")
 
     def __init__(self, node_count: int, k_states: int):
+        _check_node_count(node_count)
         self.statuses = [0] * node_count
         self.k_states = k_states
         self.round_index = 0
@@ -149,26 +158,33 @@ def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
 def out(state: RingState, ctx: EvalContext) -> str:
     """Snapshot line: comma-separated privilege flags in node order.
 
-    Each flag is its node's guard, run as one suppressed op. With a sink that
-    keeps no events the flags come from the clean statuses and the N steps are
-    counted in one add, since a suppressed comparison spends no use, draws
-    nothing and cannot fault. Statuses are read as binop reads them, so a bad
-    one raises binop's error, before any step is counted.
+    Each flag is its node's guard on the clean statuses, as a suppressed
+    comparison reads it. out calls no binop and opens no scope: it counts the
+    N guards' steps in one add and, if the sink keeps events, records each
+    guard's event as binop does under suppression (suppressed_event).
+    Statuses are read as binop reads them, in node order, so a bad one raises
+    binop's error before any step is counted or any event recorded.
     """
     statuses = state.statuses
-    if ctx._keeps_events:
-        flags = []
-        for node in range(len(statuses)):
-            with ctx.suppression():
-                flags.append("1" if _guard(statuses, node, ctx) else "0")
-        return ",".join(flags)
     clean = [
-        s if type(s) is int and INT64_MIN <= s <= INT64_MAX else clean_value_of(s)
+        s if type(s) is int and INT64_MIN <= s <= INT64_MAX
+        else s.clean_value if type(s) is PoisonedScalar
+        else clean_value_of(s)
         for s in statuses
     ]
-    ctx.step_counter += len(clean)
     flags = ["1" if clean[-1] == clean[0] else "0"]
     flags += ["1" if left != own else "0" for left, own in zip(clean, clean[1:])]
+    step = ctx.step_counter
+    ctx.step_counter = step + len(flags)
+    if ctx._keeps_events:
+        poisoned = [isinstance(s, PoisonedScalar) and s.policy is not None for s in statuses]
+        append = ctx.event_sink.append
+        for node, flag in enumerate(flags):
+            left = node - 1
+            append(suppressed_event(
+                step + node, "neq" if node else "eq", statuses[left], statuses[node],
+                clean[left], clean[node], poisoned[left], poisoned[node], flag == "1",
+            ))
     return ",".join(flags)
 
 

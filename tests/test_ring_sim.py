@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_policy
+from monitor_reference import reference_out
 from ring_oracle import reference_convergence_point, reference_run
 
 from poisonring import (
@@ -30,7 +31,7 @@ from poisonring import (
     update,
     validate_injections,
 )
-from poisonring import ring_sim
+from poisonring import _kernel, ring_sim
 from poisonring._kernel import INT64_MAX, INT64_MIN, stream_seed
 from poisonring.ring_sim import MAX_NODES
 
@@ -72,6 +73,17 @@ class TestRingConfig:
             RingConfig(node_count=5, k_states=5, rounds=-1)
 
 
+class TestRingState:
+    @pytest.mark.parametrize("node_count", [0, -1, True, 2.0, MAX_NODES + 1])
+    def test_rejects_what_ring_config_rejects(self, node_count):
+        # An empty ring has no node 0 whose left neighbour out could read.
+        with pytest.raises(ScenarioError) as from_state:
+            RingState(node_count, 5)
+        with pytest.raises(ScenarioError) as from_config:
+            RingConfig(node_count, MAX_NODES + 2, 0)
+        assert str(from_state.value) == str(from_config.value)
+
+
 _POLICIES = st.builds(
     make_policy,
     kind=st.sampled_from(["offset", "scale", "stuck_at", "bitflip"]),
@@ -93,6 +105,18 @@ def _statuses(draw):
     if form == "expired":
         scalar.policy = scalar.uses_remaining = None
     return scalar
+
+
+@st.composite
+def _aliased_statuses(draw):
+    """1..8 statuses from _statuses(), one scalar of them placed at several nodes."""
+    statuses = draw(st.lists(_statuses(), min_size=1, max_size=8))
+    shared = draw(_statuses().filter(lambda s: isinstance(s, PoisonedScalar)))
+    nodes = draw(st.lists(st.integers(0, len(statuses) - 1),
+                          min_size=min(2, len(statuses)), unique=True))
+    for node in nodes:
+        statuses[node] = shared
+    return statuses
 
 
 def _scalar_states(statuses):
@@ -147,7 +171,9 @@ class TestOut:
         state.statuses[0] = 1
         assert out(state, ctx) == "0,1,0,0,0"
 
-    def test_discarding_sink_makes_no_monitoring_op(self, monkeypatch):
+    @pytest.fixture
+    def monitor_calls(self, monkeypatch):
+        """Names of the binop, clean_binop and suppression() calls made after setup."""
         calls = []
 
         def counted(name, original):
@@ -157,14 +183,52 @@ class TestOut:
             return wrapper
 
         monkeypatch.setattr(ring_sim, "binop", counted("binop", ring_sim.binop))
+        monkeypatch.setattr(_kernel, "clean_binop", counted("clean_binop", _kernel.clean_binop))
         monkeypatch.setattr(EvalContext, "suppression", counted("scope", EvalContext.suppression))
+        return calls
+
+    def test_discarding_sink_makes_no_monitoring_op(self, monitor_calls):
         ctx = EvalContext(event_sink=deque(maxlen=0))
         ctx.step_counter = 7
         state = RingState(5, 5)
         state.statuses[:] = [3, 1, 4, 1, 1]
         assert out(state, ctx) == "0,1,1,1,0"
-        assert calls == []
+        assert monitor_calls == []
         assert ctx.step_counter == 7 + 5
+
+    def test_list_sink_makes_no_monitoring_op(self, monitor_calls):
+        ctx = EvalContext()
+        ctx.step_counter = 7
+        state = RingState(5, 5)
+        state.statuses[:] = [3, 1, make_poisoned(4, make_policy(), 2, seed=1), 1, 1]
+        assert out(state, ctx) == "0,1,1,1,0"
+        assert monitor_calls == []
+        assert ctx.step_counter == 7 + 5
+        events = ctx.event_sink
+        assert [(e.step, e.op, e.clean_result) for e in events] == [
+            (7, "eq", False), (8, "neq", True), (9, "neq", True), (10, "neq", True),
+            (11, "neq", False)]
+        assert all(e.suppressed and not e.deviated for e in events)
+        # Nodes 2 and 3 read the poisoned status, as rhs and as lhs.
+        assert [e.origin_id for e in events] == [None, None, 2, 2, None]
+
+    @settings(max_examples=300, deadline=None)
+    @given(statuses=_aliased_statuses(), start=st.integers(min_value=0))
+    def test_records_the_events_of_the_per_node_path(self, statuses, start):
+        state = RingState(len(statuses), len(statuses))
+        state.statuses[:] = statuses
+        before = _scalar_states(statuses)
+        seen = []
+        for monitor in (out, reference_out):
+            ctx = EvalContext()
+            ctx.step_counter = start
+            line = monitor(state, ctx)
+            # repr tells True from 1, which a trace line does too.
+            events = [repr(event) for event in ctx.event_sink]
+            seen.append((line, ctx.step_counter, ctx.suppression_depth, events))
+            assert _scalar_states(statuses) == before
+        assert seen[0] == seen[1]
+        assert len(seen[0][3]) == len(statuses)
 
     @settings(max_examples=300, deadline=None)
     @given(statuses=st.lists(_statuses(), min_size=1, max_size=8), start=st.integers(0, 10**6))
@@ -192,9 +256,15 @@ class TestOut:
             ctx = EvalContext(event_sink=sink)
             with pytest.raises((TypeError, ValueError)) as excinfo:
                 out(state, ctx)
+            # Raised before any step is counted or any event recorded.
+            assert ctx.step_counter == 0 and list(sink) == []
             assert ctx.suppression_depth == 0
             errors.append((type(excinfo.value), str(excinfo.value)))
         assert errors[0] == errors[1]
+        # The error binop raises on the bad status, as the per-node path does.
+        with pytest.raises((TypeError, ValueError)) as excinfo:
+            reference_out(state, EvalContext())
+        assert errors[0] == (type(excinfo.value), str(excinfo.value))
 
 
 class TestUpdate:
