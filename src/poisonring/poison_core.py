@@ -108,13 +108,13 @@ class DeviationModel:
                 raise PolicyError("scale magnitude must not be 1")
             self._freeze(mag, mag.numerator, mag.denominator)
         elif self.kind == "stuck_at":
-            if not isinstance(self.magnitude, int) or isinstance(self.magnitude, bool):
+            if type(self.magnitude) is not int:
                 raise PolicyError("stuck_at magnitude must be an integer")
             if not INT64_MIN <= self.magnitude <= INT64_MAX:
                 raise PolicyError("stuck_at magnitude outside signed 64-bit range")
             self._freeze(self.magnitude, self.magnitude, 1)
         else:  # bitflip
-            if not isinstance(self.magnitude, int) or isinstance(self.magnitude, bool):
+            if type(self.magnitude) is not int:
                 raise PolicyError("bitflip magnitude must be a bit index")
             if not 0 <= self.magnitude <= 63:
                 raise PolicyError("bitflip bit index must lie in [0, 63]")
@@ -156,7 +156,7 @@ class PoisonPolicy:
                 )
             object.__setattr__(self, "rate", float(self.rate))
         if self.uses is not None:
-            if not isinstance(self.uses, int) or isinstance(self.uses, bool):
+            if type(self.uses) is not int:
                 raise PolicyError(f"uses must be an integer, got {self.uses!r}")
             if self.uses < 1:
                 raise PolicyError("uses must be at least 1")
@@ -247,11 +247,12 @@ def clean_value_of(value) -> int:
 
 
 def _check_operand(value) -> int:
+    """The operand as an exact int: an int subclass such as an IntEnum reads as its int."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"operand must be an integer scalar, got {type(value).__name__}")
     if not INT64_MIN <= value <= INT64_MAX:
         raise ValueError("operand exceeds signed 64-bit range")
-    return value
+    return int(value)
 
 
 def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -> PoisonedScalar:
@@ -259,9 +260,9 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
     value = _check_operand(value)
     if not isinstance(policy, PoisonPolicy):
         raise PolicyError("policy must be a PoisonPolicy")
-    if not isinstance(origin_id, int) or isinstance(origin_id, bool):
+    if type(origin_id) is not int:
         raise PolicyError("origin_id must be an integer")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed <= U64_MAX:
+    if type(seed) is not int or not 0 <= seed <= U64_MAX:
         raise PolicyError("seed must be an unsigned 64-bit integer")
     state = kernel.stream_seed(seed, origin_id)
     return PoisonedScalar(value, policy, origin_id, state)

@@ -43,11 +43,21 @@ class ScenarioError(ValueError):
     """Invalid ring configuration, injection, or scenario file."""
 
 
-def _check_node_count(node_count) -> None:
+def _check_ring(node_count, k_states) -> None:
+    """The ring checks RingConfig and RingState share: sizes first, then K > N - 1."""
     if type(node_count) is not int or node_count < 1:
         raise ScenarioError(f"node_count must be an integer >= 1, got {node_count!r}")
     if node_count > MAX_NODES:
         raise ScenarioError(f"node_count must be at most {MAX_NODES}, got {node_count}")
+    if type(k_states) is not int:
+        raise ScenarioError(f"k_states must be an integer, got {k_states!r}")
+    if k_states <= node_count - 1:
+        raise ScenarioError(
+            f"K must exceed N: k_states must be > {node_count - 1} "
+            f"for {node_count} nodes, got {k_states}"
+        )
+    if k_states > INT64_MAX:
+        raise ScenarioError(f"k_states must be at most {INT64_MAX}, got {k_states}")
 
 
 @dataclass(frozen=True)
@@ -60,16 +70,7 @@ class RingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_node_count(self.node_count)
-        if type(self.k_states) is not int:
-            raise ScenarioError(f"k_states must be an integer, got {self.k_states!r}")
-        if self.k_states <= self.node_count - 1:
-            raise ScenarioError(
-                f"K must exceed N: k_states must be > {self.node_count - 1} "
-                f"for {self.node_count} nodes, got {self.k_states}"
-            )
-        if self.k_states > INT64_MAX:
-            raise ScenarioError(f"k_states must be at most {INT64_MAX}, got {self.k_states}")
+        _check_ring(self.node_count, self.k_states)
         if type(self.rounds) is not int or self.rounds < 0:
             raise ScenarioError(f"rounds must be a non-negative integer, got {self.rounds!r}")
         if type(self.seed) is not int or not 0 <= self.seed <= U64_MAX:
@@ -119,19 +120,15 @@ class Scenario:
 
 
 class RingState:
-    """Mutable ring state: one status per node, for 1..MAX_NODES nodes."""
+    """Mutable ring state: one status per node, for 1..MAX_NODES nodes and K > N - 1."""
 
     __slots__ = ("statuses", "k_states", "round_index")
 
     def __init__(self, node_count: int, k_states: int):
-        _check_node_count(node_count)
+        _check_ring(node_count, k_states)
         self.statuses = [0] * node_count
         self.k_states = k_states
         self.round_index = 0
-
-    @property
-    def node_count(self) -> int:
-        return len(self.statuses)
 
     def clean_statuses(self) -> list[int]:
         return [clean_value_of(s) for s in self.statuses]

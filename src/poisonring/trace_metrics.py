@@ -4,8 +4,8 @@ One run produces an ordered stream of OperatorEvents (one per intercepted operat
 when the sink keeps events) and SnapshotEvents (one per firing node). RunRecord bundles
 both with the scenario digest and seed; the JSONL codec round-trips records exactly, one
 self-describing object per line. One table, _RECORD_TYPES, states each line's keys, their
-order and JSON types; the writer, the reader and OperatorEvent's field order follow it.
-Each distinct op-line tail is encoded once and decoded once; snapshot lines are f-strings.
+order and JSON types; one function, _check_record, checks each record against it, on read
+and before it is written. Each distinct op-line tail is checked, encoded and decoded once.
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ _RECORD_TYPES = {
 }
 _REQUIRED = {kind: frozenset(schema.keys() - _OPTIONAL) for kind, schema in _RECORD_TYPES.items()}
 # An op line's keys after step, in JSON key order: the line's tail is their text.
-# Only plain-typed tails are cached: equal floats or tuples may encode apart (-0.0, 0.0).
 _TAIL_KEYS = tuple(_EVENT_TYPES)[1:]
 _TAIL_FIELDS = attrgetter(*_TAIL_KEYS)
-_PLAIN_TYPES = frozenset((int, bool, str, type(None)))
 
 
 @dataclass(slots=True)
@@ -145,49 +143,68 @@ def deviation_stats(record: RunRecord) -> DeviationStats:
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _json_value(value) -> str:
-    """JSON text of one field value: ints and bools inline, any other value encoded."""
-    if type(value) is int:
-        return str(value)
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return _ENCODE(value)
+def _check_record(kind, obj: dict, lineno: int) -> None:
+    """Raise line lineno's TraceFormatError unless obj, a record's keys but "type", is a
+    kind record: known keys of their _RECORD_TYPES types (by identity: a bool or an IntEnum
+    is no int), every required key, a 0/1 snapshot line and integer final_statuses."""
+    schema = _RECORD_TYPES.get(kind) if type(kind) is str else None
+    if schema is None:
+        raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
+    for key, value in obj.items():
+        types = schema.get(key)
+        if types is None:
+            raise TraceFormatError(f"line {lineno}: unknown {kind} field {key!r}")
+        if type(value) not in types:
+            raise TraceFormatError(
+                f"line {lineno}: {kind} field {key!r} has type {type(value).__name__}"
+            )
+    if not _REQUIRED[kind] <= obj.keys():
+        missing = next(key for key in schema if key in _REQUIRED[kind] and key not in obj)
+        raise TraceFormatError(f"line {lineno}: {kind} record lacks field {missing!r}")
+    if kind == "snapshot" and not _LINE_RE.fullmatch(obj["line"]):
+        raise TraceFormatError(f"line {lineno}: malformed snapshot line {obj['line']!r}")
+    if kind == "run" and not all(type(status) is int for status in obj["final_statuses"]):
+        raise TraceFormatError(f"line {lineno}: run field 'final_statuses' holds a non-integer")
 
 
 def _record_lines(record: RunRecord):
     """Yield the record's JSONL lines, each ending in "\\n": header, events, snapshots.
 
-    The header and each op-line tail, the text after the step, are _ENCODE's text of
-    their keys in _RECORD_TYPES order, optional keys left out when None. Each distinct
-    tail is encoded once, keyed by its field values and types. Snapshot lines are
-    written directly, as _ENCODE would write their dicts.
+    Each record is first checked by _check_record under its line's number, so one the
+    reader would reject raises the reader's TraceFormatError. The header and each op-line
+    tail, the text after the step, are _ENCODE's text of their keys in _RECORD_TYPES
+    order, optional keys left out when None; each distinct tail is checked and encoded
+    once, keyed by its field values and their types (a cached 1 never vouches for a True).
+    Checked steps and snapshots need no escaping and are written as f-strings.
     """
-    j = _json_value
-    header = {"type": "run", "scenario_digest": record.scenario_digest, "seed": record.seed,
+    header = {"scenario_digest": record.scenario_digest, "seed": record.seed,
               "final_statuses": record.final_statuses}
-    yield _ENCODE(header) + "\n"
+    _check_record("run", header, 1)
+    yield '{"type":"run",' + _ENCODE(header)[1:] + "\n"
     tails: dict[tuple, str] = {}  # (fields, *their types) -> tail, "\n" included
-    for event in record.events:
+    for lineno, event in enumerate(record.events, start=2):
         fields = _TAIL_FIELDS(event)
         key = (fields, *map(type, fields))
+        step = event.step
         try:
             tail = tails[key]
-        except (KeyError, TypeError):  # a new tail, or an unhashable field (never plain)
-            tail = "," + _ENCODE({name: value for name, value in zip(_TAIL_KEYS, fields)
-                                  if value is not None or name not in _OPTIONAL})[1:] + "\n"
-            if _PLAIN_TYPES.issuperset(key[1:]):
-                tails[key] = tail
-        step = event.step
-        yield f"{_OP_PREFIX}{step if type(step) is int else j(step)}{tail}"
-    for snap in record.snapshots:
-        yield (f'{{"type":"snapshot","round":{j(snap.round)},"firing_node":{j(snap.firing_node)}'
-               f',"line":{j(snap.line)}}}\n')
+        except (KeyError, TypeError):  # a new tail, or an unhashable field (never well typed)
+            tail = None
+        if tail is None or type(step) is not int:
+            obj = {name: value for name, value in zip(_TAIL_KEYS, fields)
+                   if value is not None or name not in _OPTIONAL}
+            _check_record("op", {"step": step, **obj}, lineno)
+            tail = tails[key] = "," + _ENCODE(obj)[1:] + "\n"
+        yield f"{_OP_PREFIX}{step}{tail}"
+    for lineno, snap in enumerate(record.snapshots, start=len(record.events) + 2):
+        _check_record("snapshot", {"round": snap.round, "firing_node": snap.firing_node,
+                                   "line": snap.line}, lineno)
+        yield (f'{{"type":"snapshot","round":{snap.round},"firing_node":{snap.firing_node}'
+               f',"line":"{snap.line}"}}\n')
 
 
 def dumps_record(record: RunRecord) -> str:
-    """Serialize to JSONL (header, events, snapshots) in one string; write_record streams it."""
+    """JSONL text: header, events, snapshots; a record the reader rejects raises its error."""
     return "".join(_record_lines(record))
 
 
@@ -235,20 +252,7 @@ def _parse_lines(lines) -> RunRecord:
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: expected an object, got {type(obj).__name__}")
         kind = obj.pop("type", None)
-        schema = _RECORD_TYPES.get(kind) if type(kind) is str else None
-        if schema is None:
-            raise TraceFormatError(f"line {lineno}: unknown record type {kind!r}")
-        for key, value in obj.items():
-            types = schema.get(key)
-            if types is None:
-                raise TraceFormatError(f"line {lineno}: unknown {kind} field {key!r}")
-            if type(value) not in types:
-                raise TraceFormatError(
-                    f"line {lineno}: {kind} field {key!r} has type {type(value).__name__}"
-                )
-        if not _REQUIRED[kind] <= obj.keys():
-            missing = next(key for key in schema if key in _REQUIRED[kind] and key not in obj)
-            raise TraceFormatError(f"line {lineno}: {kind} record lacks field {missing!r}")
+        _check_record(kind, obj, lineno)
         if kind == "op":
             fields = tuple(map(obj.get, _TAIL_KEYS))
             events.append(OperatorEvent(obj["step"], *fields))
@@ -257,13 +261,8 @@ def _parse_lines(lines) -> RunRecord:
             if tail is not None and "\\" not in tail and '"step"' not in tail:
                 tails[tail] = fields
         elif kind == "snapshot":
-            snap = SnapshotEvent(**obj)
-            if not _LINE_RE.fullmatch(snap.line):
-                raise TraceFormatError(f"line {lineno}: malformed snapshot line {snap.line!r}")
-            snapshots.append(snap)
+            snapshots.append(SnapshotEvent(**obj))
         else:  # "run"
-            if not all(type(status) is int for status in obj["final_statuses"]):
-                raise TraceFormatError(f"line {lineno}: run field 'final_statuses' holds a non-integer")
             if record is not None:
                 raise TraceFormatError(f"line {lineno}: second run header")
             record = RunRecord(**obj)
@@ -275,7 +274,8 @@ def _parse_lines(lines) -> RunRecord:
 
 
 def write_record(record: RunRecord, path) -> None:
-    """Write dumps_record's text to path one line at a time, never the whole trace at once."""
+    """Write dumps_record's text to path one line at a time, never the whole trace at once;
+    a record the reader rejects raises its TraceFormatError, the lines before it written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(_record_lines(record))
 

@@ -38,6 +38,12 @@ def ctx():
     return EvalContext()
 
 
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    """One file path that each hypothesis example of a test overwrites."""
+    return tmp_path_factory.mktemp("traces") / "trace.jsonl"
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     """Write a scenario dict to a temp JSON file and return its path."""

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
+from trace_reference import reference_dumps_record
 from poisonring import (
     GOLDEN_PREFIX,
     ArithmeticFault,
@@ -32,9 +33,13 @@ from poisonring import (
     ScenarioError,
     convergence_point,
     deviation_stats,
+    dumps_record,
     execute_scenario,
     load_scenario,
+    loads_record,
+    read_record,
     run,
+    write_record,
 )
 from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.cli import (
@@ -251,6 +256,22 @@ def test_discarding_sink_changes_nothing(scenario):
     """With a deque(maxlen=0) sink, clean ops return right after the kernel; the run is
     still the list-sink run, clean, perturbed, poisoned or faulting."""
     assert _sink_outcome(scenario, deque(maxlen=0)) == _sink_outcome(scenario, [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios())
+def test_every_run_record_is_written_and_read_back(trace_path, scenario):
+    """The writer's check never fires on a record a run builds: written as the reference
+    writes it, it loads back equal from the text and from the file."""
+    try:
+        record = execute_scenario(scenario)
+    except ArithmeticFault:
+        return
+    text = dumps_record(record)
+    assert text == reference_dumps_record(record)
+    assert loads_record(text) == record
+    write_record(record, trace_path)
+    assert read_record(trace_path) == record
 
 
 class TestScenarioCodec:

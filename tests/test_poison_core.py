@@ -30,6 +30,10 @@ from poisonring import (
 from poisonring._kernel import BINARY_OPS, INT64_MAX, INT64_MIN, bernoulli, stream_seed
 
 
+class _Small(IntEnum):
+    THREE = 3
+
+
 class TestDeviationModel:
     def test_float_magnitude_reads_as_decimal(self):
         assert DeviationModel("scale", 1.01).magnitude == Fraction(101, 100)
@@ -42,7 +46,7 @@ class TestDeviationModel:
         with pytest.raises(PolicyError, match="scale magnitude"):
             DeviationModel("scale", 1)
 
-    @pytest.mark.parametrize("bit", [-1, 64, 1000, 1.5])
+    @pytest.mark.parametrize("bit", [-1, 64, 1000, 1.5, _Small.THREE])
     def test_bitflip_index_bounds(self, bit):
         with pytest.raises(PolicyError, match="bit index"):
             DeviationModel("bitflip", bit)
@@ -51,6 +55,11 @@ class TestDeviationModel:
         DeviationModel("stuck_at", INT64_MIN)
         with pytest.raises(PolicyError, match="stuck_at"):
             DeviationModel("stuck_at", INT64_MAX + 1)
+
+    @pytest.mark.parametrize("magnitude", [True, 3.0, _Small.THREE])
+    def test_stuck_at_magnitude_is_an_exact_int(self, magnitude):
+        with pytest.raises(PolicyError, match="stuck_at magnitude must be an integer"):
+            DeviationModel("stuck_at", magnitude)
 
     @pytest.mark.parametrize("kind,magnitude", [("offset", 2**70), ("scale", 1e-30)])
     def test_magnitude_beyond_64_bits(self, kind, magnitude):
@@ -82,7 +91,7 @@ class TestPoisonPolicy:
         with pytest.raises(PolicyError, match="uses"):
             make_policy(uses=0)
 
-    @pytest.mark.parametrize("uses", [True, 2.0, "2"])
+    @pytest.mark.parametrize("uses", [True, 2.0, "2", _Small.THREE])
     def test_uses_must_be_a_plain_int(self, uses):
         with pytest.raises(PolicyError, match="uses must be an integer"):
             make_policy(uses=uses)
@@ -132,9 +141,13 @@ class TestMakePoisoned:
          (PoisonPolicy(DeviationModel("offset", 1)), 1.0, 0, "origin_id must be an integer"),
          (PoisonPolicy(DeviationModel("offset", 1)), 0, -1, "seed must be an unsigned 64-bit"),
          (PoisonPolicy(DeviationModel("offset", 1)), 0, 2**64, "seed must be an unsigned 64-bit"),
-         (PoisonPolicy(DeviationModel("offset", 1)), 0, True, "seed must be an unsigned 64-bit")],
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, True, "seed must be an unsigned 64-bit"),
+         (PoisonPolicy(DeviationModel("offset", 1)), _Small.THREE, 0,
+          "origin_id must be an integer"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, _Small.THREE,
+          "seed must be an unsigned 64-bit")],
         ids=["model", "none", "origin_bool", "origin_float", "seed_negative", "seed_2_64",
-             "seed_bool"],
+             "seed_bool", "origin_int_enum", "seed_int_enum"],
     )
     def test_rejects_bad_arguments(self, policy, origin_id, seed, named):
         with pytest.raises(PolicyError, match=named):
@@ -476,10 +489,6 @@ def test_binop_matches_the_reference_path(left_recipe, right_recipe, calls):
     assert events == reference_events
 
 
-class _Small(IntEnum):
-    THREE = 3
-
-
 class TestOperandFastPath:
     """Exact in-range ints and exact PoisonedScalars skip the operand checks; every other
     operand, PoisonedScalar subclasses included, still takes them."""
@@ -521,6 +530,12 @@ class TestOperandFastPath:
         assert binop(op, 5, _Small.THREE, with_enum) == binop(op, 5, 3, with_int)
         assert binop("sub", 0, _Small.THREE, with_enum) == binop("sub", 0, 3, with_int)
         assert with_enum.event_sink == with_int.event_sink
+        # An int-subclass operand is recorded as the int that binop computes with.
+        assert all(type(event.lhs_clean) is int and type(event.rhs_clean) is int
+                   for event in with_enum.event_sink)
+
+    def test_int_enum_value_is_poisoned_as_its_int(self):
+        assert type(make_poisoned(_Small.THREE, make_policy(), 0, 0).clean_value) is int
 
     @pytest.mark.parametrize("suppressed", [False, True], ids=["live", "suppressed"])
     @pytest.mark.parametrize("right", ["active", "expired", "subclass", "int", "same"])

@@ -74,13 +74,19 @@ class TestRingConfig:
 
 
 class TestRingState:
-    @pytest.mark.parametrize("node_count", [0, -1, True, 2.0, MAX_NODES + 1])
-    def test_rejects_what_ring_config_rejects(self, node_count):
-        # An empty ring has no node 0 whose left neighbour out could read.
+    @pytest.mark.parametrize(
+        "node_count,k_states",
+        [*(pytest.param(n, MAX_NODES + 2, id=str(n)) for n in [0, -1, True, 2.0, MAX_NODES + 1]),
+         *(pytest.param(5, k, id=f"k_states={k!r}") for k in [0, -3, True, "5", 2**64, 4, 3]),
+         pytest.param(1, 0, id="one_node_k_states=0")],
+    )
+    def test_rejects_what_ring_config_rejects(self, node_count, k_states):
+        # An empty ring has no node 0 whose left neighbour out could read, and
+        # K <= N - 1 (K = 0 included) breaks the protocol before its first mod.
         with pytest.raises(ScenarioError) as from_state:
-            RingState(node_count, 5)
+            RingState(node_count, k_states)
         with pytest.raises(ScenarioError) as from_config:
-            RingConfig(node_count, MAX_NODES + 2, 0)
+            RingConfig(node_count, k_states, 0)
         assert str(from_state.value) == str(from_config.value)
 
 

@@ -32,7 +32,12 @@ from poisonring import (
 )
 from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.trace_metrics import _EVENT_TYPES, _OP_PREFIX
-from trace_reference import EVENT_KEYS, reference_dumps_record, reference_loads_record
+from trace_reference import (
+    EVENT_KEYS,
+    reference_dumps_record,
+    reference_first_bad_line,
+    reference_loads_record,
+)
 
 
 def _op_line(**changes):
@@ -43,10 +48,11 @@ def _op_line(**changes):
     return json.dumps({"type": "op", **fields, **changes})
 
 
-def _outcome(loads, text):
-    """The record loads gives, or the message of the TraceFormatError it raises."""
+def _outcome(call, *args):
+    """What call(*args) gives, such as a loaded record or a written trace's text, or the
+    message of the TraceFormatError it raises."""
     try:
-        return loads(text)
+        return call(*args)
     except TraceFormatError as exc:
         return str(exc)
 
@@ -55,12 +61,6 @@ def _read_back(path, text):
     """What read_record gives, or the message it raises, for text written to path as UTF-8."""
     path.write_bytes(text.encode("utf-8"))
     return _outcome(read_record, path)
-
-
-@pytest.fixture(scope="module")
-def trace_path(tmp_path_factory):
-    """One file path that each hypothesis example of a test overwrites."""
-    return tmp_path_factory.mktemp("traces") / "trace.jsonl"
 
 
 class TestTokenCount:
@@ -422,7 +422,8 @@ def test_any_text_loads_or_is_a_trace_format_error(trace_path, text):
 
 # Generated records for the encoder: int64 edges, bools against the ints 0
 # and 1, optional fields present and absent, op strings that need escaping,
-# and now and then one field holding a value of another JSON type.
+# now and then one field holding a value of another JSON type, and snapshot
+# lines of any text, well-formed ones included.
 class _Level(IntEnum):
     HIGH = 7
 
@@ -465,7 +466,7 @@ _GENERATED_RECORDS = st.builds(
     events=st.lists(_generated_events(), max_size=4),
     snapshots=st.lists(
         st.builds(SnapshotEvent, round=_INT64S | _OTHER_VALUES, firing_node=_INT64S,
-                  line=st.text(max_size=6)),
+                  line=st.text(max_size=6) | st.from_regex(r"[01](,[01]){0,3}", fullmatch=True)),
         max_size=2,
     ),
     final_statuses=st.lists(_INT64S, max_size=3),
@@ -475,14 +476,49 @@ _GENERATED_RECORDS = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_GENERATED_RECORDS)
 def test_encoder_matches_reference_bytes(trace_path, record):
-    assert dumps_record(record) == reference_dumps_record(record)
-    write_record(record, trace_path)
-    assert trace_path.read_bytes() == dumps_record(record).encode()
+    """A well-formed record is written as the reference writes it and loads back equal;
+    any other record is refused by dumps_record and write_record alike, at its first
+    line that holds a value outside its field's type or a malformed snapshot line."""
+    dumped = _outcome(dumps_record, record)
+    written = _outcome(write_record, record, trace_path)
+    bad = reference_first_bad_line(record)
+    if bad is None:
+        text = reference_dumps_record(record)
+        assert dumped == text
+        assert written is None and trace_path.read_bytes() == text.encode()
+        assert loads_record(text) == record
+    else:
+        assert dumped.startswith(f"line {bad}: ")
+        assert written == dumped
 
 
 def test_encoder_matches_reference_on_a_run():
     record = _rich_record()
     assert dumps_record(record) == reference_dumps_record(record)
+
+
+def test_int_enum_operands_under_every_deviation_kind_are_written(tmp_path):
+    """A record the library builds from IntEnum operands, under each deviation kind,
+    passes the writer's check: written as the reference writes it, it loads back equal."""
+    ctx = EvalContext()
+    for origin_id, (kind, magnitude) in enumerate(
+        [("offset", 2), ("scale", 2), ("stuck_at", 7), ("bitflip", 3)]
+    ):
+        policy = make_policy(kind, magnitude, uses=2, infectious=origin_id % 2 == 0)
+        p = make_poisoned(_Level.HIGH, policy, origin_id, seed=9)
+        x = binop("add", p, _Level.HIGH, ctx)
+        binop("lt", _Level.HIGH, x, ctx)
+        with ctx.suppression():
+            binop("eq", p, _Level.HIGH, ctx)
+        binop("sub", 0, p, ctx)
+    record = RunRecord("lib", 9, events=ctx.event_sink, final_statuses=[7])
+    assert {event.deviated for event in record.events} == {True, False}
+    text = dumps_record(record)
+    assert text == reference_dumps_record(record)
+    assert loads_record(text) == record
+    path = tmp_path / "trace.jsonl"
+    write_record(record, path)
+    assert read_record(path) == record
 
 
 # Values that compare equal, and so hash alike, yet may encode apart; and two
@@ -499,17 +535,62 @@ _LOOKALIKES = (
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 @pytest.mark.parametrize("key", EVENT_KEYS[1:])
 def test_tail_cache_tells_lookalike_values_apart(key, order):
-    """Events differing only in one field's type each get their own tail, cached or not."""
+    """Events differing only in one field's type each get their own tail, cached or not:
+    each value, after the written events before it, its lookalikes among them, is
+    written as its own type or refused with its own field's message."""
     base = OperatorEvent(step=0, op="add", lhs_clean=1, rhs_clean=1, lhs_poisoned=True,
                          rhs_poisoned=False, deviated=False, clean_result=2, emitted_result=2,
                          suppressed=False, origin_id=0, lifetime_after=1)
     values = [value for group in _LOOKALIKES for value in group]
     if order == "reversed":
         values.reverse()
-    events = [dataclasses.replace(base, step=step, **{key: value})
-              for step, value in enumerate(values * 2)]  # the second pass reads the cache
-    record = RunRecord("digest", 1, events=events)
-    assert dumps_record(record) == reference_dumps_record(record)
+    written = []
+    for value in values * 2:  # the second pass reads the cache
+        event = dataclasses.replace(base, step=len(written), **{key: value})
+        record = RunRecord("digest", 1, events=[*written, event])
+        if reference_first_bad_line(record) is None:
+            assert dumps_record(record) == reference_dumps_record(record)
+            written.append(event)
+        else:
+            assert _outcome(dumps_record, record) == (
+                f"line {len(written) + 2}: op field {key!r} has type {type(value).__name__}"
+            )
+
+
+_HEADER = {"scenario_digest": "d", "seed": 0, "final_statuses": [1, 0]}
+_SNAPSHOT = SnapshotEvent(0, 1, "1,0")
+
+
+@pytest.mark.parametrize(
+    "header,events,snapshot,message",
+    [
+        ({"scenario_digest": 7}, [], _SNAPSHOT, "line 1: run field 'scenario_digest' has type int"),
+        ({"seed": True}, [], _SNAPSHOT, "line 1: run field 'seed' has type bool"),
+        ({"final_statuses": [0, 1.5]}, [], _SNAPSHOT,
+         "line 1: run field 'final_statuses' holds a non-integer"),
+        ({}, [{"lhs_clean": 1.5}], _SNAPSHOT, "line 2: op field 'lhs_clean' has type float"),
+        ({}, [{}, {"step": "1"}], _SNAPSHOT, "line 3: op field 'step' has type str"),
+        ({}, [{"op": 3}], _SNAPSHOT, "line 2: op field 'op' has type int"),
+        ({}, [{"rhs_clean": [1]}], _SNAPSHOT, "line 2: op field 'rhs_clean' has type list"),
+        # An equal event with 1 is written and its tail cached first.
+        ({}, [{"lhs_clean": 1}, {"step": 1, "lhs_clean": True}], _SNAPSHOT,
+         "line 3: op field 'lhs_clean' has type bool"),
+        ({}, [{}], SnapshotEvent(0, 1, "1,2"), "line 3: malformed snapshot line '1,2'"),
+    ],
+    ids=["header_int_digest", "header_bool_seed", "header_float_status", "op_float_operand",
+         "op_str_step", "op_int_op", "op_list_operand", "op_bool_after_cached_int",
+         "snapshot_bad_line"],
+)
+def test_writer_refuses_what_the_reader_rejects(tmp_path, header, events, snapshot, message):
+    """dumps_record and write_record raise the reader's TraceFormatError for a record
+    outside the format, naming the line that record would have."""
+    record = RunRecord(**{**_HEADER, **header},
+                       events=[dataclasses.replace(_EVENT, **changes) for changes in events],
+                       snapshots=[snapshot])
+    assert _outcome(dumps_record, record) == message
+    path = tmp_path / "trace.jsonl"
+    assert _outcome(write_record, record, path) == message
+    assert _read_back(path, reference_dumps_record(record)) == message
 
 
 # Edits of an op line's step token and tail, the text after the token. Each
@@ -545,7 +626,8 @@ def _shared_tail_traces(draw):
                           min_size=2, max_size=8))
     events = [dataclasses.replace(event, step=step) for event, step, _ in picks]
     record = RunRecord("d", 0, events, [SnapshotEvent(0, 1, "1,0")], [1, 0])
-    return dumps_record(record).split("\n"), {i for i, pick in enumerate(picks, 1) if pick[2]}
+    return (reference_dumps_record(record).split("\n"),
+            {i for i, pick in enumerate(picks, 1) if pick[2]})
 
 
 _EVENT = OperatorEvent(step=0, op="add", lhs_clean=1, rhs_clean=1, lhs_poisoned=True,

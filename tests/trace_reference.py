@@ -4,7 +4,8 @@ Independent of the package's codec: each line is a dict serialized by
 json.dumps with compact separators, the way dumps_record first wrote traces,
 and read back by json.loads line by line, the way loads_record first read
 them. Used as the oracles that the direct encoder must match byte for byte
-and the tail-caching decoder must match record for record and error for error.
+and the tail-caching decoder must match record for record and error for error;
+reference_first_bad_line names the line at which the encoder must refuse a record.
 """
 
 import json
@@ -67,6 +68,28 @@ _EVENT_TYPES = {
     "clean_result": (int, bool), "emitted_result": (int, bool), "suppressed": _BOOL,
     "origin_id": _INT, "lifetime_after": _INT,
 }
+
+
+def reference_first_bad_line(record) -> int | None:
+    """Number of the first line of reference_dumps_record(record) whose record holds a
+    value outside its field's JSON type (by identity: a bool or an IntEnum is not an int),
+    a malformed snapshot line or a non-integer final status; None if there is none."""
+    if not (type(record.scenario_digest) is str and type(record.seed) is int
+            and type(record.final_statuses) is list
+            and all(type(status) is int for status in record.final_statuses)):
+        return 1
+    for lineno, event in enumerate(record.events, start=2):
+        for key in EVENT_KEYS:
+            value = getattr(event, key)
+            if type(value) not in _EVENT_TYPES[key] and not (
+                value is None and key in OPTIONAL_EVENT_KEYS
+            ):
+                return lineno
+    for lineno, snap in enumerate(record.snapshots, start=len(record.events) + 2):
+        if not (type(snap.round) is int and type(snap.firing_node) is int
+                and type(snap.line) is str and _LINE_RE.fullmatch(snap.line)):
+            return lineno
+    return None
 
 
 def reference_loads_record(text: str) -> RunRecord:
