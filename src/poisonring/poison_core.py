@@ -15,9 +15,9 @@ the channel through which poisoning perturbs control flow.
 Monitoring code that calls binop runs inside a suppression scope, written
 one way: `with ctx.suppression():`. The scope forces clean semantics and
 leaves poison lifetimes untouched, so observation never alters a
-non-infectious experiment.
-suppressed_event states the one event a suppressed op records; ring_sim.out
-records its guards through it in bulk, with no binop call and no scope.
+non-infectious experiment; a suppressed op records its event as any other
+op does, marked suppressed. ring_sim.out calls no binop and records no
+event, but counts its N guards' steps.
 Under an infectious policy observation can alter a run: monitoring ops still
 advance the step that keys an infected result's draw stream (ROADMAP A;
 pinned by a strict xfail in tests/test_ring_sim.py::TestMonitoringNeutrality).
@@ -35,6 +35,9 @@ INT64_MIN = kernel.INT64_MIN
 INT64_MAX = kernel.INT64_MAX
 
 U64_MAX = (1 << 64) - 1
+
+# Each operator name to itself, so an equal str such as a StrEnum member records as the name.
+_OP_NAMES = {name: name for name in kernel.BINARY_OPS}
 
 
 class PolicyError(ValueError):
@@ -135,8 +138,8 @@ class PoisonPolicy:
     rate None means deterministic effect (deviate on every use); otherwise
     deviate per use with probability rate, drawn from the value's stream.
     uses None means the poison never expires; otherwise it clears after that
-    many unsuppressed uses. infectious controls whether arithmetic results
-    derived from the value are poisoned themselves.
+    many unsuppressed uses, at most INT64_MAX. infectious controls whether
+    arithmetic results derived from the value are poisoned themselves.
     """
 
     deviation: DeviationModel
@@ -158,8 +161,8 @@ class PoisonPolicy:
         if self.uses is not None:
             if type(self.uses) is not int:
                 raise PolicyError(f"uses must be an integer, got {self.uses!r}")
-            if self.uses < 1:
-                raise PolicyError("uses must be at least 1")
+            if not 1 <= self.uses <= INT64_MAX:
+                raise PolicyError(f"uses must lie in [1, {INT64_MAX}]")
         if not isinstance(self.infectious, bool):
             raise PolicyError(f"infectious must be a boolean, got {self.infectious!r}")
 
@@ -204,9 +207,9 @@ class EvalContext:
     default. An event is built only if the sink can hold one, so a sink whose
     maxlen is 0, such as deque(maxlen=0), keeps none; with it an op with no
     poisoned operand returns right after the kernel, its step counted and
-    any ArithmeticFault raised. ring_sim.out calls no binop with any sink;
-    whether it records its guards' suppressed events is all that the sink
-    decides there. The sink is fixed when the context is built.
+    any ArithmeticFault raised. Only binop appends to the sink; ring_sim.out
+    counts steps and records nothing. The sink is fixed when the context is
+    built.
 
     The context is its own suppression scope: `with ctx.suppression():` runs
     its body with poisoning disabled; scopes nest and survive errors.
@@ -262,6 +265,8 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
         raise PolicyError("policy must be a PoisonPolicy")
     if type(origin_id) is not int:
         raise PolicyError("origin_id must be an integer")
+    if not INT64_MIN <= origin_id <= INT64_MAX:
+        raise PolicyError("origin_id must be a signed 64-bit integer")
     if type(seed) is not int or not 0 <= seed <= U64_MAX:
         raise PolicyError("seed must be an unsigned 64-bit integer")
     state = kernel.stream_seed(seed, origin_id)
@@ -275,10 +280,13 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     poisoned scalar when the governing operand's policy is infectious.
     Comparison ops (eq/neq/lt) return the emitted boolean. Exactly one
     OperatorEvent is recorded either way, or none built if ctx's sink keeps
-    none. Negation is binop("sub", 0, x, ctx).
+    none; it names op by its str in kernel.BINARY_OPS, so an equal str such as
+    a StrEnum member records as that name. Negation is binop("sub", 0, x, ctx).
     """
-    if op not in kernel.BINARY_OPS:
-        raise ValueError(f"unknown operator {op!r}")
+    try:
+        op = _OP_NAMES[op]
+    except KeyError:
+        raise ValueError(f"unknown operator {op!r}") from None
     # Exact in-range ints and exact PoisonedScalars are read in place; others take the full checks.
     if type(lhs) is int and INT64_MIN <= lhs <= INT64_MAX:
         a, lhs_poisoned = lhs, False
@@ -300,68 +308,50 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
     if not (lhs_poisoned or rhs_poisoned or ctx._keeps_events):
         return clean_result
-    if ctx.suppression_depth > 0:
-        if ctx._keeps_events:
-            ctx.event_sink.append(
-                suppressed_event(step, op, lhs, rhs, a, b, lhs_poisoned, rhs_poisoned, clean_result)
-            )
-        return clean_result
 
+    suppressed = ctx.suppression_depth > 0
     deviated = False
     emitted = result = clean_result
     origin = lifetime_after = None
     if lhs_poisoned or rhs_poisoned:
-        # Draw, spend a use of each poisoned operand object, deviate, infect.
         # The left operand governs when both are poisoned.
         governing = lhs if lhs_poisoned else rhs
         origin = governing.origin_id
-        policy = governing.policy
-        if policy.rate is None:
-            deviated = True
+        if suppressed:
+            # Nothing is drawn, spent, deviated or infected.
+            lifetime_after = governing.uses_remaining
         else:
-            governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
-        lifetime_after = governing._consume_use()
-        if lhs_poisoned and rhs_poisoned and rhs is not lhs:
-            rhs._consume_use()
-        if op in kernel.COMPARISONS:
-            if deviated:
-                emitted = result = not clean_result
-        else:
-            if deviated:
-                model = policy.deviation
-                try:
-                    emitted = kernel.apply_deviation(
-                        model.kind, clean_result, model._num, model._den
-                    )
-                except OverflowError as exc:
-                    raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
-            if policy.infectious:
-                child_state = kernel.stream_child(governing.rng_state, step)
-                result = PoisonedScalar(clean_result, policy, origin, child_state)
+            # Draw, spend a use of each poisoned operand object, deviate, infect.
+            policy = governing.policy
+            if policy.rate is None:
+                deviated = True
+            else:
+                governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
+            lifetime_after = governing._consume_use()
+            if lhs_poisoned and rhs_poisoned and rhs is not lhs:
+                rhs._consume_use()
+            if op in kernel.COMPARISONS:
+                if deviated:
+                    emitted = result = not clean_result
+            else:
+                if deviated:
+                    model = policy.deviation
+                    try:
+                        emitted = kernel.apply_deviation(
+                            model.kind, clean_result, model._num, model._den
+                        )
+                    except OverflowError as exc:
+                        raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
+                if policy.infectious:
+                    child_state = kernel.stream_child(governing.rng_state, step)
+                    result = PoisonedScalar(clean_result, policy, origin, child_state)
 
     if ctx._keeps_events:
         ctx.event_sink.append(
             OperatorEvent(
                 step, op, a, b, lhs_poisoned, rhs_poisoned, deviated, clean_result, emitted,
-                False, origin, lifetime_after,
+                suppressed, origin, lifetime_after,
             )
         )
     return result
 
-
-def suppressed_event(step, op, lhs, rhs, a, b, lhs_poisoned, rhs_poisoned, clean_result):
-    """The event of a suppressed op on lhs and rhs, read as a and b.
-
-    Nothing is drawn, spent, deviated or infected, so the clean result is both
-    results; origin_id and lifetime_after are the governing operand's (the
-    left one when both are poisoned), or None. ring_sim.out records its guards
-    through this rule as binop does under suppression.
-    """
-    origin = lifetime_after = None
-    if lhs_poisoned or rhs_poisoned:
-        governing = lhs if lhs_poisoned else rhs
-        origin, lifetime_after = governing.origin_id, governing.uses_remaining
-    return OperatorEvent(
-        step, op, a, b, lhs_poisoned, rhs_poisoned, False, clean_result, clean_result,
-        True, origin, lifetime_after,
-    )

@@ -9,9 +9,8 @@ node_count) runs the two guarded rules:
 Guards are evaluated with unsuppressed operator semantics — this is where
 injected poisoning perturbs the protocol. Privilege monitoring never alters
 poison state. has_privilege runs one guard as a suppressed binop. out calls
-no binop on any sink: it reads the N flags from the clean statuses and counts
-the N guards' steps in one add; only the recording of their suppressed
-events depends on the sink.
+no binop and records no event: it reads the N flags from the clean statuses,
+counts the N guards' steps in one add, and its snapshot line is the record.
 A node that fires emits its snapshot line BEFORE applying the transition.
 """
 
@@ -30,7 +29,6 @@ from .poison_core import (
     binop,
     clean_value_of,
     make_poisoned,
-    suppressed_event,
 )
 from .trace_metrics import SnapshotEvent
 
@@ -156,32 +154,21 @@ def out(state: RingState, ctx: EvalContext) -> str:
     """Snapshot line: comma-separated privilege flags in node order.
 
     Each flag is its node's guard on the clean statuses, as a suppressed
-    comparison reads it. out calls no binop and opens no scope: it counts the
-    N guards' steps in one add and, if the sink keeps events, records each
-    guard's event as binop does under suppression (suppressed_event).
-    Statuses are read as binop reads them, in node order, so a bad one raises
-    binop's error before any step is counted or any event recorded.
+    comparison reads it. The line is the monitor's whole record: out calls no
+    binop, opens no scope and records no event, whatever the sink. It counts
+    the N guards' steps in one add. Statuses are read as binop reads them, in
+    node order, so a bad one raises binop's error before any step is counted.
     """
-    statuses = state.statuses
     clean = [
         s if type(s) is int and INT64_MIN <= s <= INT64_MAX
         else s.clean_value if type(s) is PoisonedScalar
         else clean_value_of(s)
-        for s in statuses
+        for s in state.statuses
     ]
     flags = ["1" if clean[-1] == clean[0] else "0"]
     flags += ["1" if left != own else "0" for left, own in zip(clean, clean[1:])]
-    step = ctx.step_counter
-    ctx.step_counter = step + len(flags)
-    if ctx._keeps_events:
-        poisoned = [isinstance(s, PoisonedScalar) and s.policy is not None for s in statuses]
-        append = ctx.event_sink.append
-        for node, flag in enumerate(flags):
-            left = node - 1
-            append(suppressed_event(
-                step + node, "neq" if node else "eq", statuses[left], statuses[node],
-                clean[left], clean[node], poisoned[left], poisoned[node], flag == "1",
-            ))
+    # Counted only because stream_child is keyed by step until ROADMAP A.
+    ctx.step_counter += len(flags)
     return ",".join(flags)
 
 

@@ -51,7 +51,8 @@ class OperatorEvent:
     """One intercepted operator application, its fields in an op line's key order.
 
     lhs_poisoned/rhs_poisoned record the two operands' poison state on entry; deviated
-    records whether the emitted result differs from the clean one. origin_id and
+    records that the governing operand's draw fired, even where the emitted result equals
+    the clean one (stuck_at 4 on a clean 4); a suppressed op never deviates. origin_id and
     lifetime_after, the governing operand's, are None when neither operand is poisoned.
     """
 

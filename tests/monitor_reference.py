@@ -1,9 +1,9 @@
 """Reference privilege monitor: one suppressed binop per node.
 
 Each flag is its node's guard, ring_sim._guard, run inside its own
-suppression scope, so every event comes from binop's suppressed branch. This
-is the path that ring_sim.out reads in bulk; out must return the same line,
-count the same steps, record the same events and raise the same errors.
+suppression scope, so it records N suppressed events. This is the path that
+ring_sim.out reads in bulk; out must return the same line, count the same
+steps and raise the same errors, and records none of those events.
 """
 
 from poisonring.ring_sim import _guard

@@ -229,13 +229,13 @@ def test_criterion_9_byte_identical_trace_files(tmp_path):
 # Frozen sha256 of the `run --trace` bytes. A change that keeps behaviour
 # keeps every digest; a deliberate contract change re-freezes them and says so.
 FROZEN_TRACE_SHA256 = {
-    "perturbed.json": "a464ae155c7b70bb88a9b9735e76d8127a691f0aa603b45305e1bbf0bae5aece",
-    "poison_node0.json": "e7b0d14c24f609125019868923825d1db585765a2af9a37e7a634e8b47b13f94",
-    "reference.json": "657d1315599eb5ff53fa7577db248d31938bdf70f75e46c67de3fdc3d93ecdc8",
-    "intermittent_always_infectious_scale": "5ce3f767d85a4e92a794743f9c2d573af3b216d47b9275881c2a313aab1f0031",
-    "intermittent_transient_stuck_at": "1b95819e4d16194851a28cab0bd766a95cee70a1d035a880e1967b227c0587b2",
-    "intermittent_always_bitflip_perturb": "480459690e5a502ea1d23c0fd6260a63bde6e240102b6e91bf1ab42dcc21e0aa",
-    "deterministic_transient_infectious_offset": "b6de3cc0e23011911d556d8dba785a762f7c2ea3025607ddf3ffe92775773b16",
+    "perturbed.json": "da56fbc6d960cb897e50cb41242425743fa01ee99840cf98b7ea11e7a4fc5cfe",
+    "poison_node0.json": "644782757cf5322ea0eee84d8330fe1846b907385bcb4819b832d2cf4a07a160",
+    "reference.json": "52f8f999a01ee35fd4b871d793dd346fb5f6b5d6c0b75c90019f3cd61ee661aa",
+    "intermittent_always_infectious_scale": "6e61e00e43e380477f69a2027571277d0c305e04144549b4c77f5863a274dbe2",
+    "intermittent_transient_stuck_at": "8e0ee49378695e059e1ba4f419560865524bce62de6fc8042b92627766bb1dd0",
+    "intermittent_always_bitflip_perturb": "07cd0912bc186db0370a805dd1aedb10259d5909d329434eba4882241c0abeb2",
+    "deterministic_transient_infectious_offset": "0b83888816d305ee8d5053a3d06e923edf5d2f55ef79bdc8ce502732042f37be",
 }
 
 INLINE_POISONED_SCENARIOS = {

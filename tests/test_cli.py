@@ -13,12 +13,14 @@ import sys
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
+from monitor_reference import reference_out
 from trace_reference import reference_dumps_record
 from poisonring import (
     GOLDEN_PREFIX,
@@ -41,6 +43,7 @@ from poisonring import (
     run,
     write_record,
 )
+from poisonring import ring_sim
 from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.cli import (
     EXIT_BROKEN_PIPE,
@@ -171,13 +174,15 @@ class TestLoadScenario:
              r"injections\[0\]\.policy: infectious"),
             (base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": True})]),
              r"injections\[0\]\.policy: uses"),
+            (base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": 2**63})]),
+             r"injections\[0\]\.policy: uses must lie in"),
             (base_scenario_obj(injections=[poison_injection_obj(effect={"intermittent": None})]),
              r"injections\[0\]\.policy\.effect: missing or null keys \['intermittent'\]"),
             (base_scenario_obj(injections=[poison_injection_obj(kind=["offset"])]),
              r"injections\[0\]\.policy\.deviation: deviation kind"),
         ],
         ids=["bool_rounds", "bool_seed", "seed_2_64", "bool_node", "int_infectious",
-             "bool_uses", "null_rate", "list_kind"],
+             "bool_uses", "uses_2_63", "null_rate", "list_kind"],
     )
     def test_domain_errors_name_their_field(self, scenario_file, obj, field):
         path = scenario_file(obj)
@@ -212,7 +217,7 @@ _POLICIES = st.builds(
     PoisonPolicy,
     _DEVIATIONS,
     rate=st.none() | st.floats(0, 1, exclude_min=True, exclude_max=True),
-    uses=st.none() | st.integers(1, 2**63),
+    uses=st.none() | st.integers(1, INT64_MAX),
     infectious=st.booleans(),
 )
 
@@ -256,6 +261,31 @@ def test_discarding_sink_changes_nothing(scenario):
     """With a deque(maxlen=0) sink, clean ops return right after the kernel; the run is
     still the list-sink run, clean, perturbed, poisoned or faulting."""
     assert _sink_outcome(scenario, deque(maxlen=0)) == _sink_outcome(scenario, [])
+
+
+def _run_outcome(scenario):
+    ctx = EvalContext()
+    state, snapshots = run(scenario.ring, scenario.injections, ctx)
+    return ctx.event_sink, snapshots, state.clean_statuses(), ctx.step_counter
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scenarios())
+@example(Scenario(_SMALL_RING, (Injection(1, 1, policy=PoisonPolicy(
+    DeviationModel("offset", 1), rate=0.5, uses=3, infectious=True)),)))
+def test_out_records_the_per_node_path_less_its_suppressed_events(scenario):
+    """A run's events are those of the same run monitored by one suppressed binop per
+    node, less that monitor's suppressed events; snapshots, statuses and steps are equal."""
+    try:
+        events, snapshots, statuses, steps = _run_outcome(scenario)
+    except ArithmeticFault:
+        return
+    with mock.patch.object(ring_sim, "out", reference_out):
+        per_node = _run_outcome(scenario)
+    # repr tells True from 1, which a trace line does too.
+    assert [repr(e) for e in events] == [repr(e) for e in per_node[0] if not e.suppressed]
+    assert sum(e.suppressed for e in per_node[0]) == len(snapshots) * scenario.ring.node_count
+    assert (snapshots, statuses, steps) == per_node[1:]
 
 
 @settings(max_examples=200, deadline=None)

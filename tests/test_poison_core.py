@@ -2,7 +2,7 @@
 
 from contextlib import nullcontext as _null_scope
 from dataclasses import replace
-from enum import IntEnum
+from enum import Enum, IntEnum
 from fractions import Fraction
 
 import pytest
@@ -22,8 +22,10 @@ from poisonring import (
     RunRecord,
     binop,
     deviation_stats,
+    dumps_record,
     has_privilege,
     is_poisoned,
+    loads_record,
     make_poisoned,
     out,
 )
@@ -91,6 +93,11 @@ class TestPoisonPolicy:
         with pytest.raises(PolicyError, match="uses"):
             make_policy(uses=0)
 
+    @pytest.mark.parametrize("uses", [-1, INT64_MAX + 1, 10**5000], ids=["minus_1", "2_63", "huge"])
+    def test_uses_within_int64(self, uses):
+        with pytest.raises(PolicyError, match=r"uses must lie in \[1, 9223372036854775807\]$"):
+            make_policy(uses=uses)
+
     @pytest.mark.parametrize("uses", [True, 2.0, "2", _Small.THREE])
     def test_uses_must_be_a_plain_int(self, uses):
         with pytest.raises(PolicyError, match="uses must be an integer"):
@@ -109,6 +116,7 @@ class TestPoisonPolicy:
     def test_valid_combinations(self):
         assert make_policy().rate is None
         assert make_policy(rate=0.25, uses=3).uses == 3
+        assert make_policy(uses=INT64_MAX).uses == INT64_MAX
 
 
 class TestMakePoisoned:
@@ -145,9 +153,16 @@ class TestMakePoisoned:
          (PoisonPolicy(DeviationModel("offset", 1)), _Small.THREE, 0,
           "origin_id must be an integer"),
          (PoisonPolicy(DeviationModel("offset", 1)), 0, _Small.THREE,
-          "seed must be an unsigned 64-bit")],
+          "seed must be an unsigned 64-bit"),
+         (PoisonPolicy(DeviationModel("offset", 1)), INT64_MAX + 1, 0,
+          "origin_id must be a signed 64-bit"),
+         (PoisonPolicy(DeviationModel("offset", 1)), INT64_MIN - 1, 0,
+          "origin_id must be a signed 64-bit"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 10**5000, 0,
+          "origin_id must be a signed 64-bit")],
         ids=["model", "none", "origin_bool", "origin_float", "seed_negative", "seed_2_64",
-             "seed_bool", "origin_int_enum", "seed_int_enum"],
+             "seed_bool", "origin_int_enum", "seed_int_enum", "origin_2_63", "origin_below",
+             "origin_huge"],
     )
     def test_rejects_bad_arguments(self, policy, origin_id, seed, named):
         with pytest.raises(PolicyError, match=named):
@@ -283,6 +298,23 @@ class TestBinop:
     def test_unknown_operator(self, ctx):
         with pytest.raises(ValueError, match="unknown operator"):
             binop("xor", 1, 2, ctx)
+
+    def test_unhashable_operator_is_a_type_error(self, ctx):
+        with pytest.raises(TypeError, match="unhashable"):
+            binop(["add"], 1, 2, ctx)
+
+    def test_str_enum_operator_records_its_name(self, ctx):
+        class Op(str, Enum):
+            ADD = "add"
+            XOR = "xor"
+
+        assert binop(Op.ADD, 1, 2, ctx) == 3
+        [event] = ctx.event_sink
+        assert event.op == "add" and type(event.op) is str
+        record = RunRecord("0" * 64, 0, events=[event])
+        assert loads_record(dumps_record(record)) == record
+        with pytest.raises(ValueError, match="unknown operator"):
+            binop(Op.XOR, 1, 2, ctx)
 
     def test_rejects_non_integer_operand(self, ctx):
         with pytest.raises(TypeError):

@@ -209,32 +209,29 @@ class TestOut:
         state.statuses[:] = [3, 1, make_poisoned(4, make_policy(), 2, seed=1), 1, 1]
         assert out(state, ctx) == "0,1,1,1,0"
         assert monitor_calls == []
+        # The line is the monitor's record: the sink gets no event, the five guards' steps count.
+        assert ctx.event_sink == []
         assert ctx.step_counter == 7 + 5
-        events = ctx.event_sink
-        assert [(e.step, e.op, e.clean_result) for e in events] == [
-            (7, "eq", False), (8, "neq", True), (9, "neq", True), (10, "neq", True),
-            (11, "neq", False)]
-        assert all(e.suppressed and not e.deviated for e in events)
-        # Nodes 2 and 3 read the poisoned status, as rhs and as lhs.
-        assert [e.origin_id for e in events] == [None, None, 2, 2, None]
 
     @settings(max_examples=300, deadline=None)
     @given(statuses=_aliased_statuses(), start=st.integers(min_value=0))
     def test_records_the_events_of_the_per_node_path(self, statuses, start):
+        """out's line, steps and scalar state are the per-node path's; of its N
+        suppressed events out records none."""
         state = RingState(len(statuses), len(statuses))
         state.statuses[:] = statuses
         before = _scalar_states(statuses)
-        seen = []
+        seen, sinks = [], []
         for monitor in (out, reference_out):
             ctx = EvalContext()
             ctx.step_counter = start
             line = monitor(state, ctx)
-            # repr tells True from 1, which a trace line does too.
-            events = [repr(event) for event in ctx.event_sink]
-            seen.append((line, ctx.step_counter, ctx.suppression_depth, events))
-            assert _scalar_states(statuses) == before
+            seen.append((line, ctx.step_counter, ctx.suppression_depth, _scalar_states(statuses)))
+            sinks.append(ctx.event_sink)
         assert seen[0] == seen[1]
-        assert len(seen[0][3]) == len(statuses)
+        assert seen[0][3] == before
+        assert sinks[0] == []
+        assert len(sinks[1]) == len(statuses) and all(e.suppressed for e in sinks[1])
 
     @settings(max_examples=300, deadline=None)
     @given(statuses=st.lists(_statuses(), min_size=1, max_size=8), start=st.integers(0, 10**6))
@@ -470,10 +467,16 @@ class TestRun:
             run(RingConfig(5, 5, 10), [Injection(node=1, at_round=0, new_status=7)])
 
     def test_event_steps_strictly_increase(self):
+        config = RingConfig(5, 5, 5)
         ctx = EvalContext()
-        run(RingConfig(5, 5, 5), [], ctx)
-        steps = [e.step for e in ctx.event_sink]
-        assert steps == list(range(len(steps)))
+        run(config, [], ctx)
+        # Each guard that returns True is followed by out's N counted, unrecorded steps.
+        steps = []
+        for event in ctx.event_sink:
+            steps.append(event.step)
+            if event.op in _kernel.COMPARISONS and event.emitted_result is True:
+                steps += range(event.step + 1, event.step + 1 + config.node_count)
+        assert steps == list(range(ctx.step_counter))
 
     def test_determinism_same_seed(self):
         def once():
@@ -502,11 +505,19 @@ class TestRun:
 
     def test_monitoring_emits_no_deviation_in_poisoned_run(self):
         ctx = EvalContext()
-        injections = [Injection(node=0, at_round=0, policy=make_policy(rate=0.7, infectious=True))]
-        run(RingConfig(5, 5, 10, seed=5), injections, ctx)
-        suppressed = [e for e in ctx.event_sink if e.suppressed]
-        assert suppressed
-        assert not any(e.deviated for e in suppressed)
+        policy = make_policy(rate=0.7, uses=1000, infectious=True)
+        state, _ = run(RingConfig(5, 5, 10, seed=5), [Injection(0, 0, policy=policy)], ctx)
+        assert ctx.event_sink and not any(e.suppressed for e in ctx.event_sink)
+        # has_privilege on the poisoned ring: a suppressed, undeviated event; no draw, no use.
+        before = _scalar_states(state.statuses)
+        recorded = len(ctx.event_sink)
+        for node in range(5):
+            has_privilege(state, node, ctx)
+        monitored = ctx.event_sink[recorded:]
+        assert len(monitored) == 5
+        assert any(e.lhs_poisoned or e.rhs_poisoned for e in monitored)
+        assert all(e.suppressed and not e.deviated for e in monitored)
+        assert _scalar_states(state.statuses) == before
 
 
 class TestMonitoringNeutrality:
