@@ -299,7 +299,7 @@ def cmd_sweep(scenario: Scenario, param: str, values: list, reps: int) -> int:
     `runs` is reps; `converged` counts reps whose snapshot tail is legitimate; `mean_cp`
     and `max_cp` are snapshot indices over the converged reps only (`-` if none);
     `mean_dev_rate` is the mean over reps of deviations/uses, a mean of ratios and not
-    the pooled rate (ROADMAP H), `-` if no rep made an unsuppressed poisoned use.
+    the pooled rate (ROADMAP H), `-` if no rep made a poisoned use.
     """
     if not values:
         raise ScenarioError("no values: --values must list at least one value")

@@ -2,9 +2,9 @@
 
 A PoisonedScalar wraps a signed 64-bit integer together with a poison policy
 and a private draw stream. Programs apply operators through binop() instead
-of native operators; each application records one OperatorEvent if the sink
-keeps events and may emit a deviated result when an unsuppressed operand is
-poisoned. One interception path, one shape: negation is binop("sub", 0, x, ctx).
+of native operators; each application outside a suppression scope records one
+OperatorEvent if the sink keeps events and may emit a deviated result when an
+operand is poisoned. One interception path, one shape: negation is binop("sub", 0, x, ctx).
 
 Deviation is an emission phenomenon: arithmetic results handed back to the
 program always carry the exact clean value (the shadow computation), while
@@ -13,10 +13,10 @@ plain booleans and DO return the deviated (negated) truth value — they are
 the channel through which poisoning perturbs control flow.
 
 Monitoring code that calls binop runs inside a suppression scope, written
-one way: `with ctx.suppression():`. The scope forces clean semantics and
-leaves poison lifetimes untouched, so observation never alters a
-non-infectious experiment; a suppressed op records its event as any other
-op does, marked suppressed. ring_sim.out calls no binop and records no
+one way: `with ctx.suppression():`. An op in the scope counts its step,
+raises any ArithmeticFault and returns the clean result; it draws, spends,
+deviates, infects and records nothing, so observation never alters a
+non-infectious experiment. ring_sim.out calls no binop and records no
 event, but counts its N guards' steps.
 Under an infectious policy observation can alter a run: monitoring ops still
 advance the step that keys an infected result's draw stream (ROADMAP A;
@@ -212,7 +212,7 @@ class EvalContext:
     built.
 
     The context is its own suppression scope: `with ctx.suppression():` runs
-    its body with poisoning disabled; scopes nest and survive errors.
+    its body clean and unrecorded; scopes nest and survive errors.
     Confined to one logical thread; run concurrent experiments on separate
     contexts with separate sinks.
     """
@@ -279,9 +279,9 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     Arithmetic ops (add/sub/mul/mod) return the clean result, wrapped as a
     poisoned scalar when the governing operand's policy is infectious.
     Comparison ops (eq/neq/lt) return the emitted boolean. Exactly one
-    OperatorEvent is recorded either way, or none built if ctx's sink keeps
-    none; it names op by its str in kernel.BINARY_OPS, so an equal str such as
-    a StrEnum member records as that name. Negation is binop("sub", 0, x, ctx).
+    OperatorEvent is recorded either way, none if ctx's sink keeps none or ctx is
+    suppressed (its result then clean); op is named by its str in kernel.BINARY_OPS,
+    so a StrEnum member records as that name. Negation is binop("sub", 0, x, ctx).
     """
     try:
         op = _OP_NAMES[op]
@@ -306,51 +306,47 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         clean_result = kernel.clean_binop(op, a, b)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
-    if not (lhs_poisoned or rhs_poisoned or ctx._keeps_events):
+    # Any op in a suppression scope ends here too; tested last, so a clean op reads no depth.
+    if not (lhs_poisoned or rhs_poisoned or ctx._keeps_events) or ctx.suppression_depth > 0:
         return clean_result
 
-    suppressed = ctx.suppression_depth > 0
     deviated = False
     emitted = result = clean_result
     origin = lifetime_after = None
     if lhs_poisoned or rhs_poisoned:
         # The left operand governs when both are poisoned.
+        # Draw, spend a use of each poisoned operand object, deviate, infect.
         governing = lhs if lhs_poisoned else rhs
         origin = governing.origin_id
-        if suppressed:
-            # Nothing is drawn, spent, deviated or infected.
-            lifetime_after = governing.uses_remaining
+        policy = governing.policy
+        if policy.rate is None:
+            deviated = True
         else:
-            # Draw, spend a use of each poisoned operand object, deviate, infect.
-            policy = governing.policy
-            if policy.rate is None:
-                deviated = True
-            else:
-                governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
-            lifetime_after = governing._consume_use()
-            if lhs_poisoned and rhs_poisoned and rhs is not lhs:
-                rhs._consume_use()
-            if op in kernel.COMPARISONS:
-                if deviated:
-                    emitted = result = not clean_result
-            else:
-                if deviated:
-                    model = policy.deviation
-                    try:
-                        emitted = kernel.apply_deviation(
-                            model.kind, clean_result, model._num, model._den
-                        )
-                    except OverflowError as exc:
-                        raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
-                if policy.infectious:
-                    child_state = kernel.stream_child(governing.rng_state, step)
-                    result = PoisonedScalar(clean_result, policy, origin, child_state)
+            governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
+        lifetime_after = governing._consume_use()
+        if lhs_poisoned and rhs_poisoned and rhs is not lhs:
+            rhs._consume_use()
+        if op in kernel.COMPARISONS:
+            if deviated:
+                emitted = result = not clean_result
+        else:
+            if deviated:
+                model = policy.deviation
+                try:
+                    emitted = kernel.apply_deviation(
+                        model.kind, clean_result, model._num, model._den
+                    )
+                except OverflowError as exc:
+                    raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
+            if policy.infectious:
+                child_state = kernel.stream_child(governing.rng_state, step)
+                result = PoisonedScalar(clean_result, policy, origin, child_state)
 
     if ctx._keeps_events:
         ctx.event_sink.append(
             OperatorEvent(
                 step, op, a, b, lhs_poisoned, rhs_poisoned, deviated, clean_result, emitted,
-                suppressed, origin, lifetime_after,
+                origin, lifetime_after,
             )
         )
     return result

@@ -8,9 +8,9 @@ node_count) runs the two guarded rules:
 
 Guards are evaluated with unsuppressed operator semantics — this is where
 injected poisoning perturbs the protocol. Privilege monitoring never alters
-poison state. has_privilege runs one guard as a suppressed binop. out calls
-no binop and records no event: it reads the N flags from the clean statuses,
-counts the N guards' steps in one add, and its snapshot line is the record.
+poison state and records no event: has_privilege runs one guard as a binop in
+a suppression scope, and out calls no binop, reads the N flags from the clean
+statuses and counts the N guards' steps in one add; its snapshot line is the record.
 A node that fires emits its snapshot line BEFORE applying the transition.
 """
 
@@ -144,7 +144,7 @@ def _guard(statuses: list, node: int, ctx: EvalContext) -> bool:
 
 
 def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
-    """Monitoring predicate; evaluated with poisoning disabled."""
+    """Monitoring predicate: the node's guard in a suppression scope; one step, no event."""
     _check_node(state, node, "has_privilege")
     with ctx.suppression():
         return _guard(state.statuses, node, ctx)
@@ -153,8 +153,8 @@ def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
 def out(state: RingState, ctx: EvalContext) -> str:
     """Snapshot line: comma-separated privilege flags in node order.
 
-    Each flag is its node's guard on the clean statuses, as a suppressed
-    comparison reads it. The line is the monitor's whole record: out calls no
+    Each flag is its node's guard on the clean statuses, as has_privilege
+    reads it. The line is the monitor's whole record: out calls no
     binop, opens no scope and records no event, whatever the sink. It counts
     the N guards' steps in one add. Statuses are read as binop reads them, in
     node order, so a bad one raises binop's error before any step is counted.

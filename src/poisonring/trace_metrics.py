@@ -29,7 +29,7 @@ _INT, _BOOL = (int,), (bool,)
 _EVENT_TYPES = {
     "step": _INT, "op": (str,), "lhs_clean": _INT, "rhs_clean": _INT,
     "lhs_poisoned": _BOOL, "rhs_poisoned": _BOOL, "deviated": _BOOL,
-    "clean_result": (int, bool), "emitted_result": (int, bool), "suppressed": _BOOL,
+    "clean_result": (int, bool), "emitted_result": (int, bool),
     "origin_id": _INT, "lifetime_after": _INT,
 }
 # The op keys left out of a line when None, never written as null; all others are required.
@@ -52,8 +52,8 @@ class OperatorEvent:
 
     lhs_poisoned/rhs_poisoned record the two operands' poison state on entry; deviated
     records that the governing operand's draw fired, even where the emitted result equals
-    the clean one (stuck_at 4 on a clean 4); a suppressed op never deviates. origin_id and
-    lifetime_after, the governing operand's, are None when neither operand is poisoned.
+    the clean one (stuck_at 4 on a clean 4). origin_id and lifetime_after, the governing
+    operand's, are None when neither operand is poisoned. A suppressed op records no event.
     """
 
     step: int
@@ -65,7 +65,6 @@ class OperatorEvent:
     deviated: bool
     clean_result: int | bool
     emitted_result: int | bool
-    suppressed: bool
     origin_id: int | None = None
     lifetime_after: int | None = None
 
@@ -118,7 +117,7 @@ def convergence_point(record: RunRecord) -> int | None:
 
 @dataclass(slots=True, frozen=True)
 class DeviationStats:
-    """Unsuppressed poisoned uses and deviations; rate is 0.0 if uses is 0 (the CLI prints -)."""
+    """Poisoned uses and deviations; rate is 0.0 if uses is 0 (the CLI prints -)."""
 
     uses: int
     deviations: int
@@ -126,12 +125,10 @@ class DeviationStats:
 
 
 def deviation_stats(record: RunRecord) -> DeviationStats:
-    """Counts over unsuppressed events that used a poisoned operand."""
+    """Counts over the events that used a poisoned operand; suppressed ops record none."""
     uses = 0
     deviations = 0
     for event in record.events:
-        if event.suppressed:
-            continue
         if event.lhs_poisoned or event.rhs_poisoned:
             uses += 1
             if event.deviated:

@@ -1,9 +1,9 @@
-"""Reference privilege monitor: one suppressed binop per node.
+"""Reference privilege monitor: one binop per node, each in a suppression scope.
 
 Each flag is its node's guard, ring_sim._guard, run inside its own
-suppression scope, so it records N suppressed events. This is the path that
-ring_sim.out reads in bulk; out must return the same line, count the same
-steps and raise the same errors, and records none of those events.
+suppression scope, so it counts N steps and records nothing. This is the path
+that ring_sim.out reads in bulk; out must return the same line, count the same
+steps, raise the same errors and record nothing either.
 """
 
 from poisonring.ring_sim import _guard

@@ -1,5 +1,6 @@
 """Operator-interception semantics: effect, lifetime, infection, suppression."""
 
+from collections import deque
 from contextlib import nullcontext as _null_scope
 from dataclasses import replace
 from enum import Enum, IntEnum
@@ -21,6 +22,7 @@ from poisonring import (
     RingState,
     RunRecord,
     binop,
+    clean_value_of,
     deviation_stats,
     dumps_record,
     has_privilege,
@@ -29,7 +31,14 @@ from poisonring import (
     make_poisoned,
     out,
 )
-from poisonring._kernel import BINARY_OPS, INT64_MAX, INT64_MIN, bernoulli, stream_seed
+from poisonring._kernel import (
+    BINARY_OPS,
+    INT64_MAX,
+    INT64_MIN,
+    bernoulli,
+    clean_binop,
+    stream_seed,
+)
 
 
 class _Small(IntEnum):
@@ -366,11 +375,8 @@ class TestNegation:
         p = make_poisoned(2, make_policy(uses=2), 0, seed=1)
         with ctx.suppression():
             result = binop("sub", 0, p, ctx)
-        event = ctx.event_sink[-1]
-        assert result == -2
-        assert event.deviated is False
-        assert event.suppressed is True
-        assert event.lifetime_after == 2
+        assert result == -2 and type(result) is int
+        assert ctx.event_sink == [] and ctx.step_counter == 1  # counted, not recorded
         assert p.uses_remaining == 2
 
     def test_infectious_wraps_result(self, ctx):
@@ -629,11 +635,8 @@ class TestSuppression:
         p = make_poisoned(0, make_policy(), 0, seed=42)
         with ctx.suppression():
             assert binop("eq", p, 0, ctx) is True
-        event = ctx.event_sink[-1]
-        assert event.suppressed is True
-        assert event.deviated is False
-        assert event.lhs_poisoned is True  # the use is still visible in the trace
-        assert event.origin_id == 0
+        assert ctx.event_sink == [] and ctx.step_counter == 1  # counted, not recorded
+        assert binop("eq", p, 0, ctx) is False  # outside the scope the poison deviates
 
     def test_nesting_depth(self, ctx):
         with ctx.suppression():
@@ -678,14 +681,79 @@ class TestSuppression:
             for _ in range(5):
                 binop("add", p, 1, ctx)
         assert p.rng_state == before
-        assert all(e.suppressed for e in ctx.event_sink)
+        assert ctx.event_sink == []
 
     def test_step_counter_counts_suppressed_ops(self, ctx):
         binop("add", 1, 1, ctx)
         with ctx.suppression():
             binop("add", 1, 1, ctx)
         binop("add", 1, 1, ctx)
-        assert [e.step for e in ctx.event_sink] == [0, 1, 2]
+        assert [e.step for e in ctx.event_sink] == [0, 2]
+        assert ctx.step_counter == 3
+
+
+_SCOPE_SINKS = {"list": list, "deque(maxlen=0)": lambda: deque(maxlen=0),
+                "deque(maxlen=2)": lambda: deque(maxlen=2)}
+
+
+@st.composite
+def _scope_operands(draw):
+    """1..6 operands: ints, and active or expired scalars of any policy, a scalar
+    possibly at several places, so that an op may take one object in both slots."""
+    pool = []
+    for kind in draw(st.lists(st.sampled_from(["int", "active", "expired"]),
+                              min_size=1, max_size=4)):
+        if kind == "int":
+            pool.append(draw(_int64s))
+            continue
+        scalar = make_poisoned(draw(_int64s), draw(_policies), draw(st.integers(0, 7)),
+                               draw(st.integers(0, 99)))
+        if kind == "expired":
+            scalar.policy = scalar.uses_remaining = None
+        pool.append(scalar)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    return [pool[i] for i in picks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands=_scope_operands(),
+       calls=st.lists(st.tuples(st.sampled_from(sorted(BINARY_OPS)), st.integers(0, 5),
+                                st.integers(0, 5)), min_size=1, max_size=8),
+       sink=st.sampled_from(sorted(_SCOPE_SINKS)), start=st.integers(0, 10**6))
+def test_suppression_scope_counts_steps_and_records_nothing(operands, calls, sink, start):
+    """In a suppression scope each binop returns the clean answer, or raises the clean op's
+    ArithmeticFault at its step; it counts exactly one step, appends nothing to any sink
+    and leaves every scalar's policy, uses and draw stream as they were. has_privilege,
+    which opens its own scope, does the same on a ring of the same operands."""
+    ctx = EvalContext(event_sink=_SCOPE_SINKS[sink]())
+    ctx.step_counter = start
+    before = [_observed(x) for x in operands]
+    with ctx.suppression():
+        for op, i, j in calls:
+            lhs, rhs = operands[i % len(operands)], operands[j % len(operands)]
+            step = ctx.step_counter
+            try:
+                expected = clean_binop(op, clean_value_of(lhs), clean_value_of(rhs))
+            except (OverflowError, ZeroDivisionError) as exc:
+                with pytest.raises(ArithmeticFault) as info:
+                    binop(op, lhs, rhs, ctx)
+                assert (info.value.args[0], info.value.step) == (f"{op}: {exc}", step)
+            else:
+                result = binop(op, lhs, rhs, ctx)
+                assert type(result) is type(expected) and result == expected
+            assert ctx.step_counter == step + 1
+            assert list(ctx.event_sink) == []
+            assert [_observed(x) for x in operands] == before
+    state = RingState(len(operands), len(operands))
+    state.statuses[:] = operands
+    clean = [clean_value_of(x) for x in operands]
+    for node in range(len(operands)):
+        step = ctx.step_counter
+        guard = (clean[node - 1] != clean[node]) if node else (clean[-1] == clean[0])
+        assert has_privilege(state, node, ctx) is guard
+        assert ctx.step_counter == step + 1
+        assert list(ctx.event_sink) == []
+        assert [_observed(x) for x in operands] == before
 
 
 class TestInfection:
@@ -752,9 +820,9 @@ def test_deterministic_effect_deviates_on_every_use(ops):
                 binop(op, p, operand, ctx)
         else:
             binop(op, p, operand, ctx)
-    used = [e for e in ctx.event_sink if not e.suppressed]
-    assert all(e.deviated for e in used)
-    assert len(used) == sum(1 for _, _, s in ops if not s)
+    # Only the unsuppressed uses record an event.
+    assert all(e.deviated for e in ctx.event_sink)
+    assert len(ctx.event_sink) == sum(1 for _, _, s in ops if not s)
 
 
 @settings(max_examples=100)
@@ -768,10 +836,10 @@ def test_deviation_implies_use(ops):
         with scope:
             binop(op, p, operand, ctx)
             binop(op, operand, operand + 1, ctx)  # clean noise op
+    assert len(ctx.event_sink) == 2 * sum(1 for _, _, s in ops if not s)
     for event in ctx.event_sink:
         if event.deviated:
             assert event.lhs_poisoned or event.rhs_poisoned
-            assert not event.suppressed
         if not (event.lhs_poisoned or event.rhs_poisoned):
             assert event.emitted_result == event.clean_result
 

@@ -157,12 +157,15 @@ class TestHasPrivilege:
         assert has_privilege(state, 0, ctx) is True
 
     def test_runs_fully_suppressed(self, ctx):
+        """On a poisoned ring each guard reads the clean statuses, counts one step and
+        records nothing; no draw is made and no use spent."""
         state = RingState(5, 5)
-        state.statuses[0] = make_poisoned(0, make_policy(), 0, seed=1)
-        for node in range(5):
-            has_privilege(state, node, ctx)
-        assert all(e.suppressed for e in ctx.event_sink)
-        assert not any(e.deviated for e in ctx.event_sink)
+        state.statuses[0] = make_poisoned(0, make_policy(rate=0.5, uses=3), 0, seed=1)
+        before = _scalar_states(state.statuses)
+        flags = ["1" if has_privilege(state, node, ctx) else "0" for node in range(5)]
+        assert ",".join(flags) == out(state, EvalContext()) == "1,0,0,0,0"
+        assert ctx.event_sink == [] and ctx.step_counter == 5
+        assert _scalar_states(state.statuses) == before
 
 
 class TestOut:
@@ -216,8 +219,8 @@ class TestOut:
     @settings(max_examples=300, deadline=None)
     @given(statuses=_aliased_statuses(), start=st.integers(min_value=0))
     def test_records_the_events_of_the_per_node_path(self, statuses, start):
-        """out's line, steps and scalar state are the per-node path's; of its N
-        suppressed events out records none."""
+        """out's line, steps and scalar state are the per-node path's, and like that
+        path's N suppressed guards out records no event."""
         state = RingState(len(statuses), len(statuses))
         state.statuses[:] = statuses
         before = _scalar_states(statuses)
@@ -230,8 +233,7 @@ class TestOut:
             sinks.append(ctx.event_sink)
         assert seen[0] == seen[1]
         assert seen[0][3] == before
-        assert sinks[0] == []
-        assert len(sinks[1]) == len(statuses) and all(e.suppressed for e in sinks[1])
+        assert sinks[0] == sinks[1] == []
 
     @settings(max_examples=300, deadline=None)
     @given(statuses=st.lists(_statuses(), min_size=1, max_size=8), start=st.integers(0, 10**6))
@@ -497,26 +499,23 @@ class TestRun:
         injections = [Injection(node=0, at_round=0, policy=make_policy(infectious=True))]
         _, snapshots = run(RingConfig(5, 5, 3, seed=0), injections, ctx)
         assert all(s.firing_node != 0 for s in snapshots)
-        poisoned_uses = [
-            e for e in ctx.event_sink
-            if (e.lhs_poisoned or e.rhs_poisoned) and not e.suppressed
-        ]
+        poisoned_uses = [e for e in ctx.event_sink if e.lhs_poisoned or e.rhs_poisoned]
         assert poisoned_uses and all(e.deviated for e in poisoned_uses)
 
     def test_monitoring_emits_no_deviation_in_poisoned_run(self):
         ctx = EvalContext()
         policy = make_policy(rate=0.7, uses=1000, infectious=True)
-        state, _ = run(RingConfig(5, 5, 10, seed=5), [Injection(0, 0, policy=policy)], ctx)
-        assert ctx.event_sink and not any(e.suppressed for e in ctx.event_sink)
-        # has_privilege on the poisoned ring: a suppressed, undeviated event; no draw, no use.
+        state, snapshots = run(RingConfig(5, 5, 10, seed=5), [Injection(0, 0, policy=policy)], ctx)
+        # Each update records its guard, and node 0's move its add and mod; out records none.
+        node0_moves = sum(s.firing_node == 0 for s in snapshots)
+        assert len(ctx.event_sink) == 5 * 10 + 2 * node0_moves
+        # has_privilege on the poisoned ring: the clean guard, one step, no event, no draw, no use.
+        assert any(is_poisoned(s) for s in state.statuses)
         before = _scalar_states(state.statuses)
-        recorded = len(ctx.event_sink)
-        for node in range(5):
-            has_privilege(state, node, ctx)
-        monitored = ctx.event_sink[recorded:]
-        assert len(monitored) == 5
-        assert any(e.lhs_poisoned or e.rhs_poisoned for e in monitored)
-        assert all(e.suppressed and not e.deviated for e in monitored)
+        recorded, steps = list(ctx.event_sink), ctx.step_counter
+        flags = ["1" if has_privilege(state, node, ctx) else "0" for node in range(5)]
+        assert ",".join(flags) == out(state, EvalContext())
+        assert ctx.event_sink == recorded and ctx.step_counter == steps + 5
         assert _scalar_states(state.statuses) == before
 
 
@@ -592,18 +591,9 @@ class TestMonitoringNeutrality:
             is_poisoned(v) for v in noisy_state.statuses
         ]
         assert [s.line for s in plain_snaps] == [s.line for s in noisy_snaps]
-        assert not any(e.deviated for e in noisy_events if e.suppressed)
-        # unsuppressed decisions are identical op for op
-        plain_core = [
-            (e.op, e.lhs_clean, e.rhs_clean, e.deviated)
-            for e in plain_events
-            if not e.suppressed
-        ]
-        noisy_core = [
-            (e.op, e.lhs_clean, e.rhs_clean, e.deviated)
-            for e in noisy_events
-            if not e.suppressed
-        ]
+        # out records no event, so both runs record the same decisions, op for op
+        plain_core = [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in plain_events]
+        noisy_core = [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in noisy_events]
         assert plain_core == noisy_core
 
 

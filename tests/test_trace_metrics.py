@@ -43,8 +43,7 @@ from trace_reference import (
 def _op_line(**changes):
     """One op record line: a well-typed record without optional fields, with the given changes."""
     fields = {"step": 0, "op": "add", "lhs_clean": 1, "rhs_clean": 1, "lhs_poisoned": False,
-              "rhs_poisoned": False, "deviated": False, "clean_result": 2, "emitted_result": 2,
-              "suppressed": False}
+              "rhs_poisoned": False, "deviated": False, "clean_result": 2, "emitted_result": 2}
     return json.dumps({"type": "op", **fields, **changes})
 
 
@@ -140,8 +139,9 @@ class TestDeviationStats:
         binop("add", p, 1, ctx)
         with ctx.suppression():
             binop("add", p, 1, ctx)
+        assert len(ctx.event_sink) == 1  # the suppressed use records no event
         stats = deviation_stats(RunRecord("", 0, events=ctx.event_sink))
-        assert stats.uses == 1
+        assert stats.uses == stats.deviations == 1
 
     def test_deviations_never_exceed_uses(self):
         ctx = EvalContext()
@@ -188,8 +188,8 @@ class TestJsonlRoundTrip:
         events = [OperatorEvent(step=step, op="add", lhs_clean=step % 5, rhs_clean=1,
                                 lhs_poisoned=True, rhs_poisoned=False, deviated=step % 3 == 0,
                                 clean_result=step % 5 + 1, emitted_result=step % 5 + 2,
-                                suppressed=step % 2 == 0, origin_id=3, lifetime_after=step % 7)
-                  for step in range(20_000)]
+                                origin_id=3, lifetime_after=step % 7)
+                  for step in range(21_000)]
         record = RunRecord("ab" * 32, 42, events, [SnapshotEvent(0, 1, "1,0")], [0, 1])
         path = tmp_path / "trace.jsonl"
         tracing = tracemalloc.is_tracing()
@@ -234,6 +234,19 @@ class TestJsonlRoundTrip:
         del op[key]
         text = f"{header}\n{json.dumps(op)}\n"
         message = f"line 2: op record lacks field '{key}'"
+        assert _outcome(loads_record, text) == message
+        assert _read_back(tmp_path / "trace.jsonl", text) == message
+
+    @pytest.mark.parametrize("flag", ["false", "true"])
+    def test_op_line_with_a_suppressed_key_is_rejected(self, tmp_path, flag):
+        """An op line as traces were written when events carried a suppressed flag is
+        a TraceFormatError naming that key, from loads_record and read_record alike."""
+        header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[]}'
+        op = ('{"type":"op","step":0,"op":"add","lhs_clean":1,"rhs_clean":1,'
+              '"lhs_poisoned":false,"rhs_poisoned":false,"deviated":false,"clean_result":2,'
+              f'"emitted_result":2,"suppressed":{flag}}}')
+        text = f"{header}\n{op}\n"
+        message = "line 2: unknown op field 'suppressed'"
         assert _outcome(loads_record, text) == message
         assert _read_back(tmp_path / "trace.jsonl", text) == message
 
@@ -299,8 +312,9 @@ class TestJsonlRoundTrip:
             ('{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[0,true]}',
              "run field 'final_statuses' holds a non-integer"),
             # Two required keys missing: the first in schema order is named.
-            ('{"type":"op","step":0,"lhs_clean":1,"lhs_poisoned":false,"deviated":false,'
-             '"clean_result":2,"emitted_result":2}', "op record lacks field 'op'"),
+            ('{"type":"op","step":0,"lhs_clean":1,"rhs_clean":1,"lhs_poisoned":false,'
+             '"rhs_poisoned":false,"deviated":false,"clean_result":2}',
+             "op record lacks field 'op'"),
             ('{"type":"snapshot","round":0,"firing_node":0}', "snapshot record lacks field 'line'"),
         ],
         ids=["header_without_digest", "op_unknown_key", "json_list", "snapshot_without_fields",
@@ -309,7 +323,7 @@ class TestJsonlRoundTrip:
              "op_int_op", "op_int_deviated", "op_float_operand", "op_str_origin",
              "snapshot_str_round", "snapshot_null_node", "snapshot_int_line",
              "snapshot_bad_line", "snapshot_line_newline", "list_type", "object_type",
-             "snapshot_unknown_key", "header_bool_status", "op_without_op_and_suppressed",
+             "snapshot_unknown_key", "header_bool_status", "op_without_op_and_emitted_result",
              "snapshot_without_line"],
     )
     def test_malformed_record_is_a_trace_format_error(self, bad_line, message):
@@ -449,8 +463,7 @@ def _generated_events(draw, op_names=_OP_NAMES):
     event = OperatorEvent(
         step=draw(_INT64S), op=draw(op_names), lhs_clean=draw(_INT64S),
         lhs_poisoned=draw(st.booleans()), deviated=draw(st.booleans()),
-        clean_result=draw(_RESULTS), emitted_result=draw(_RESULTS),
-        suppressed=draw(st.booleans()), rhs_clean=draw(_INT64S),
+        clean_result=draw(_RESULTS), emitted_result=draw(_RESULTS), rhs_clean=draw(_INT64S),
         rhs_poisoned=draw(st.booleans()), origin_id=draw(st.none() | _INT64S),
         lifetime_after=draw(st.none() | _INT64S),
     )
@@ -540,7 +553,7 @@ def test_tail_cache_tells_lookalike_values_apart(key, order):
     written as its own type or refused with its own field's message."""
     base = OperatorEvent(step=0, op="add", lhs_clean=1, rhs_clean=1, lhs_poisoned=True,
                          rhs_poisoned=False, deviated=False, clean_result=2, emitted_result=2,
-                         suppressed=False, origin_id=0, lifetime_after=1)
+                         origin_id=0, lifetime_after=1)
     values = [value for group in _LOOKALIKES for value in group]
     if order == "reversed":
         values.reverse()
@@ -632,7 +645,7 @@ def _shared_tail_traces(draw):
 
 _EVENT = OperatorEvent(step=0, op="add", lhs_clean=1, rhs_clean=1, lhs_poisoned=True,
                        rhs_poisoned=False, deviated=True, clean_result=2, emitted_result=3,
-                       suppressed=False, origin_id=0, lifetime_after=2)
+                       origin_id=0, lifetime_after=2)
 
 
 @settings(max_examples=300, deadline=None)

@@ -16,7 +16,7 @@ from poisonring import OperatorEvent, RunRecord, SnapshotEvent, TraceFormatError
 # JSON key order of an op line; the last two keys are left out when None.
 EVENT_KEYS = (
     "step", "op", "lhs_clean", "rhs_clean", "lhs_poisoned", "rhs_poisoned", "deviated",
-    "clean_result", "emitted_result", "suppressed", "origin_id", "lifetime_after",
+    "clean_result", "emitted_result", "origin_id", "lifetime_after",
 )
 OPTIONAL_EVENT_KEYS = ("origin_id", "lifetime_after")
 
@@ -65,7 +65,7 @@ _INT, _BOOL = (int,), (bool,)
 _EVENT_TYPES = {
     "step": _INT, "op": (str,), "lhs_clean": _INT, "rhs_clean": _INT,
     "lhs_poisoned": _BOOL, "rhs_poisoned": _BOOL, "deviated": _BOOL,
-    "clean_result": (int, bool), "emitted_result": (int, bool), "suppressed": _BOOL,
+    "clean_result": (int, bool), "emitted_result": (int, bool),
     "origin_id": _INT, "lifetime_after": _INT,
 }
 
@@ -122,8 +122,7 @@ def reference_loads_record(text: str) -> RunRecord:
                     rhs_clean=obj["rhs_clean"], lhs_poisoned=obj["lhs_poisoned"],
                     rhs_poisoned=obj["rhs_poisoned"], deviated=obj["deviated"],
                     clean_result=obj["clean_result"], emitted_result=obj["emitted_result"],
-                    suppressed=obj["suppressed"], origin_id=obj.get("origin_id"),
-                    lifetime_after=obj.get("lifetime_after"),
+                    origin_id=obj.get("origin_id"), lifetime_after=obj.get("lifetime_after"),
                 ))
             elif kind == "snapshot":
                 snap = SnapshotEvent(**obj)

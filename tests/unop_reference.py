@@ -1,7 +1,9 @@
 """Reference operators: the interception path as it was before binop applied the policy itself.
 
 Verbatim copies, so that the oracle shares no policy code with the package,
-except that each OperatorEvent is built by keyword:
+except that each OperatorEvent is built by keyword and that an op in a
+suppression scope returns its clean result right after the kernel, recording
+nothing, as events have no suppressed field:
 
 - reference_unop is the separate unop body from before unop became binop's
   path, with the kernel's checked_neg inlined as `kernel._checked(-a)`;
@@ -95,26 +97,23 @@ def reference_unop(op: str, operand, ctx: EvalContext):
         clean_result = kernel._checked(-a)
     except OverflowError as exc:
         raise ArithmeticFault(f"neg: {exc}", step) from exc
+    if ctx.suppression_depth > 0:
+        return clean_result
 
-    suppressed = ctx.suppression_depth > 0
     deviated = False
     emitted = result = clean_result
     origin = lifetime_after = None
     if poisoned:
         origin = operand.origin_id
-        if suppressed:
-            lifetime_after = operand.uses_remaining
-        else:
-            deviated, emitted, lifetime_after, result = _poisoned_use(
-                op, operand, None, clean_result, step
-            )
+        deviated, emitted, lifetime_after, result = _poisoned_use(
+            op, operand, None, clean_result, step
+        )
 
     ctx.event_sink.append(
         OperatorEvent(
             step=step, op=op, lhs_clean=a, rhs_clean=None, lhs_poisoned=poisoned,
             rhs_poisoned=None, deviated=deviated, clean_result=clean_result,
-            emitted_result=emitted, suppressed=suppressed, origin_id=origin,
-            lifetime_after=lifetime_after,
+            emitted_result=emitted, origin_id=origin, lifetime_after=lifetime_after,
         )
     )
     return result
@@ -127,7 +126,7 @@ def reference_binop(op: str, lhs, rhs, ctx: EvalContext):
     poisoned scalar when the governing operand's policy is infectious.
     Comparison ops (eq/neq/lt) return the emitted boolean. Exactly one
     OperatorEvent is recorded either way, or none built if ctx's sink keeps
-    none.
+    none or ctx is in a suppression scope, where the clean result is returned.
     """
     if op not in kernel.BINARY_OPS:
         raise ValueError(f"unknown operator {op!r}")
@@ -146,8 +145,9 @@ def reference_binop(op: str, lhs, rhs, ctx: EvalContext):
         clean_result = kernel.clean_binop(op, a, b)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
+    if ctx.suppression_depth > 0:
+        return clean_result
 
-    suppressed = ctx.suppression_depth > 0
     deviated = False
     emitted = result = clean_result
     origin = lifetime_after = None
@@ -155,21 +155,17 @@ def reference_binop(op: str, lhs, rhs, ctx: EvalContext):
         # The left operand governs when both are poisoned.
         governing = lhs if lhs_poisoned else rhs
         origin = governing.origin_id
-        if suppressed:
-            lifetime_after = governing.uses_remaining
-        else:
-            other = rhs if lhs_poisoned and rhs_poisoned and rhs is not lhs else None
-            deviated, emitted, lifetime_after, result = _poisoned_use(
-                op, governing, other, clean_result, step
-            )
+        other = rhs if lhs_poisoned and rhs_poisoned and rhs is not lhs else None
+        deviated, emitted, lifetime_after, result = _poisoned_use(
+            op, governing, other, clean_result, step
+        )
 
     if ctx._keeps_events:
         ctx.event_sink.append(
             OperatorEvent(
                 step=step, op=op, lhs_clean=a, rhs_clean=b, lhs_poisoned=lhs_poisoned,
                 rhs_poisoned=rhs_poisoned, deviated=deviated, clean_result=clean_result,
-                emitted_result=emitted, suppressed=suppressed, origin_id=origin,
-                lifetime_after=lifetime_after,
+                emitted_result=emitted, origin_id=origin, lifetime_after=lifetime_after,
             )
         )
     return result
