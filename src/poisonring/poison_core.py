@@ -44,6 +44,18 @@ class PolicyError(ValueError):
     """Invalid deviation model or poison policy."""
 
 
+def check_int(value, name: str, low: int, high: int, error=PolicyError) -> None:
+    """Raise error unless value is an exact int (no bool, no IntEnum) in [low, high], naming
+    the field, both bounds and the value's type, or the value: past 128 bits its bit count."""
+    if type(value) is int and low <= value <= high:
+        return
+    if type(value) is not int:
+        value = type(value).__name__
+    elif value.bit_length() > 128:  # so that no int too long for str() is formatted
+        value = f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+    raise error(f"{name} must be an integer in [{low}, {high}], got {value}")
+
+
 class ArithmeticFault(ArithmeticError):
     """Overflow or division error inside an intercepted operation."""
 
@@ -97,36 +109,25 @@ class DeviationModel:
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in kernel.DEVIATION_KINDS:
-            raise PolicyError(
-                f"deviation kind must be one of {kernel.DEVIATION_KINDS}, got {self.kind!r}"
-            )
+            got = repr(self.kind) if isinstance(self.kind, str) else type(self.kind).__name__
+            raise PolicyError(f"deviation kind must be one of {kernel.DEVIATION_KINDS}, got {got}")
+        mag = self.magnitude
         if self.kind == "offset":
-            mag = _as_rational(self.magnitude, "offset magnitude")
+            mag = _as_rational(mag, "offset magnitude")
             if mag == 0:
                 raise PolicyError("offset magnitude must be nonzero")
-            self._freeze(mag, mag.numerator, mag.denominator)
         elif self.kind == "scale":
-            mag = _as_rational(self.magnitude, "scale magnitude")
+            mag = _as_rational(mag, "scale magnitude")
             if mag == 1:
                 raise PolicyError("scale magnitude must not be 1")
-            self._freeze(mag, mag.numerator, mag.denominator)
         elif self.kind == "stuck_at":
-            if type(self.magnitude) is not int:
-                raise PolicyError("stuck_at magnitude must be an integer")
-            if not INT64_MIN <= self.magnitude <= INT64_MAX:
-                raise PolicyError("stuck_at magnitude outside signed 64-bit range")
-            self._freeze(self.magnitude, self.magnitude, 1)
+            check_int(mag, "stuck_at magnitude", INT64_MIN, INT64_MAX)
         else:  # bitflip
-            if type(self.magnitude) is not int:
-                raise PolicyError("bitflip magnitude must be a bit index")
-            if not 0 <= self.magnitude <= 63:
-                raise PolicyError("bitflip bit index must lie in [0, 63]")
-            self._freeze(self.magnitude, self.magnitude, 1)
-
-    def _freeze(self, magnitude, num, den):
+            check_int(mag, "bitflip magnitude", 0, 63)
+        num, den = mag.numerator, mag.denominator  # an int has both, as a Fraction does
         if not (INT64_MIN <= num <= INT64_MAX and 0 < den <= INT64_MAX):
             raise PolicyError("magnitude numerator/denominator exceed 64 bits")
-        object.__setattr__(self, "magnitude", magnitude)
+        object.__setattr__(self, "magnitude", mag)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
 
@@ -138,7 +139,7 @@ class PoisonPolicy:
     rate None means deterministic effect (deviate on every use); otherwise
     deviate per use with probability rate, drawn from the value's stream.
     uses None means the poison never expires; otherwise it clears after that
-    many unsuppressed uses, at most INT64_MAX. infectious controls whether
+    many unsuppressed uses, an exact int in [1, INT64_MAX]. infectious controls whether
     arithmetic results derived from the value are poisoned themselves.
     """
 
@@ -152,19 +153,16 @@ class PoisonPolicy:
             raise PolicyError("deviation must be a DeviationModel")
         if self.rate is not None:
             if isinstance(self.rate, bool) or not isinstance(self.rate, (int, float)):
-                raise PolicyError(f"rate must be a number, got {self.rate!r}")
+                raise PolicyError(f"rate must be a number, got {type(self.rate).__name__}")
             if not 0.0 < self.rate < 1.0:
                 raise PolicyError(
                     'rate must lie in (0,1); use effect "deterministic" for certain deviation'
                 )
             object.__setattr__(self, "rate", float(self.rate))
         if self.uses is not None:
-            if type(self.uses) is not int:
-                raise PolicyError(f"uses must be an integer, got {self.uses!r}")
-            if not 1 <= self.uses <= INT64_MAX:
-                raise PolicyError(f"uses must lie in [1, {INT64_MAX}]")
+            check_int(self.uses, "uses", 1, INT64_MAX)
         if not isinstance(self.infectious, bool):
-            raise PolicyError(f"infectious must be a boolean, got {self.infectious!r}")
+            raise PolicyError(f"infectious must be a boolean, got {type(self.infectious).__name__}")
 
 
 class PoisonedScalar:
@@ -263,12 +261,8 @@ def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -
     value = _check_operand(value)
     if not isinstance(policy, PoisonPolicy):
         raise PolicyError("policy must be a PoisonPolicy")
-    if type(origin_id) is not int:
-        raise PolicyError("origin_id must be an integer")
-    if not INT64_MIN <= origin_id <= INT64_MAX:
-        raise PolicyError("origin_id must be a signed 64-bit integer")
-    if type(seed) is not int or not 0 <= seed <= U64_MAX:
-        raise PolicyError("seed must be an unsigned 64-bit integer")
+    check_int(origin_id, "origin_id", INT64_MIN, INT64_MAX)
+    check_int(seed, "seed", 0, U64_MAX)
     state = kernel.stream_seed(seed, origin_id)
     return PoisonedScalar(value, policy, origin_id, state)
 

@@ -27,6 +27,7 @@ from .poison_core import (
     PoisonedScalar,
     PoisonPolicy,
     binop,
+    check_int,
     clean_value_of,
     make_poisoned,
 )
@@ -42,25 +43,15 @@ class ScenarioError(ValueError):
 
 
 def _check_ring(node_count, k_states) -> None:
-    """The ring checks RingConfig and RingState share: sizes first, then K > N - 1."""
-    if type(node_count) is not int or node_count < 1:
-        raise ScenarioError(f"node_count must be an integer >= 1, got {node_count!r}")
-    if node_count > MAX_NODES:
-        raise ScenarioError(f"node_count must be at most {MAX_NODES}, got {node_count}")
-    if type(k_states) is not int:
-        raise ScenarioError(f"k_states must be an integer, got {k_states!r}")
-    if k_states <= node_count - 1:
-        raise ScenarioError(
-            f"K must exceed N: k_states must be > {node_count - 1} "
-            f"for {node_count} nodes, got {k_states}"
-        )
-    if k_states > INT64_MAX:
-        raise ScenarioError(f"k_states must be at most {INT64_MAX}, got {k_states}")
+    """The ring checks RingConfig and RingState share: 1 <= N <= MAX_NODES, N <= K <= INT64_MAX."""
+    check_int(node_count, "node_count", 1, MAX_NODES, ScenarioError)
+    check_int(k_states, "k_states", node_count, INT64_MAX, ScenarioError)
 
 
 @dataclass(frozen=True)
 class RingConfig:
-    """Ring size, state modulus, round budget, and scenario seed."""
+    """Ring size, state modulus, round budget, and scenario seed: exact ints with
+    1 <= N <= MAX_NODES, N <= K <= INT64_MAX, rounds <= INT64_MAX and seed <= U64_MAX."""
 
     node_count: int
     k_states: int
@@ -69,10 +60,8 @@ class RingConfig:
 
     def __post_init__(self):
         _check_ring(self.node_count, self.k_states)
-        if type(self.rounds) is not int or self.rounds < 0:
-            raise ScenarioError(f"rounds must be a non-negative integer, got {self.rounds!r}")
-        if type(self.seed) is not int or not 0 <= self.seed <= U64_MAX:
-            raise ScenarioError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        check_int(self.rounds, "rounds", 0, INT64_MAX, ScenarioError)
+        check_int(self.seed, "seed", 0, U64_MAX, ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,8 @@ class Injection:
     """A perturbation applied to one node at the start of one round.
 
     Exactly one of policy (poison the node's status) or new_status (overwrite
-    the status with a clean value) must be given.
+    the status with a clean value) must be given. node < MAX_NODES, at_round <= INT64_MAX
+    and new_status < INT64_MAX (the largest K) are non-negative exact ints.
     """
 
     node: int
@@ -91,14 +81,12 @@ class Injection:
     def __post_init__(self):
         if (self.policy is None) == (self.new_status is None):
             raise ScenarioError("injection needs exactly one of policy or new_status")
-        if type(self.node) is not int or self.node < 0:
-            raise ScenarioError(f"node must be a non-negative integer, got {self.node!r}")
-        if type(self.at_round) is not int or self.at_round < 0:
-            raise ScenarioError(f"at_round must be a non-negative integer, got {self.at_round!r}")
+        check_int(self.node, "node", 0, MAX_NODES - 1, ScenarioError)
+        check_int(self.at_round, "at_round", 0, INT64_MAX, ScenarioError)
         if self.policy is not None and not isinstance(self.policy, PoisonPolicy):
             raise ScenarioError("policy must be a PoisonPolicy")
-        if self.new_status is not None and type(self.new_status) is not int:
-            raise ScenarioError(f"new_status must be an integer, got {self.new_status!r}")
+        if self.new_status is not None:
+            check_int(self.new_status, "new_status", 0, INT64_MAX - 1, ScenarioError)
 
     @property
     def kind(self) -> str:
@@ -134,7 +122,7 @@ class RingState:
 
 def _check_node(state: RingState, node, what: str) -> None:
     if type(node) is not int or not 0 <= node < len(state.statuses):
-        raise ScenarioError(f"{what} node {node!r} out of range (node_count {len(state.statuses)})")
+        check_int(node, f"{what} node", 0, len(state.statuses) - 1, ScenarioError)
 
 
 def _guard(statuses: list, node: int, ctx: EvalContext) -> bool:
@@ -175,10 +163,7 @@ def out(state: RingState, ctx: EvalContext) -> str:
 def perturb(state: RingState, node: int, new_status: int) -> RingState:
     """Overwrite a node's status with a clean value, clearing any poison."""
     _check_node(state, node, "perturb")
-    if type(new_status) is not int:
-        raise ScenarioError(f"perturb status must be an integer, got {new_status!r}")
-    if not 0 <= new_status < state.k_states:
-        raise ScenarioError(f"perturb status must lie in [0, {state.k_states}), got {new_status}")
+    check_int(new_status, "perturb status", 0, state.k_states - 1, ScenarioError)
     state.statuses[node] = new_status
     return state
 
@@ -204,31 +189,21 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
 
 
 def validate_injections(config: RingConfig, injections) -> None:
-    """Check injections against the ring: ranges, and one injection per (node, round).
-
-    Errors name the offending entry as injections[i].field.
-    """
+    """Check injections against a RingConfig: node < N, at_round <= rounds, new_status < K
+    and one per (node, round). Errors name the entry as injections[i] or injections[i].field."""
+    if not isinstance(config, RingConfig):
+        raise ScenarioError(f"config must be a RingConfig, got {type(config).__name__}")
     seen = {}
     for i, injection in enumerate(injections):
         if not isinstance(injection, Injection):
             raise ScenarioError(f"injections[{i}]: expected an Injection")
-        if injection.node >= config.node_count:
-            raise ScenarioError(
-                f"injections[{i}].node: node {injection.node} out of range "
-                f"(node_count {config.node_count})"
-            )
-        if injection.at_round > config.rounds:
-            raise ScenarioError(
-                f"injections[{i}].at_round: round {injection.at_round} "
-                f"exceeds rounds {config.rounds}"
-            )
-        if injection.new_status is not None and not (
-            0 <= injection.new_status < config.k_states
-        ):
-            raise ScenarioError(
-                f"injections[{i}].new_status: status must lie in [0, {config.k_states}), "
-                f"got {injection.new_status}"
-            )
+        try:
+            check_int(injection.node, "node", 0, config.node_count - 1, ScenarioError)
+            check_int(injection.at_round, "at_round", 0, config.rounds, ScenarioError)
+            if injection.new_status is not None:
+                check_int(injection.new_status, "new_status", 0, config.k_states - 1, ScenarioError)
+        except ScenarioError as exc:
+            raise ScenarioError(f"injections[{i}].{exc}") from exc
         key = (injection.node, injection.at_round)
         if key in seen:
             raise ScenarioError(
@@ -245,8 +220,8 @@ def _apply_injections(state, config, scheduled):
             state.statuses[injection.node] = make_poisoned(
                 current, injection.policy, origin_id, config.seed
             )
-        else:
-            perturb(state, injection.node, injection.new_status)
+        else:  # validate_injections has checked node and status against this ring
+            state.statuses[injection.node] = injection.new_status
 
 
 def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):

@@ -173,32 +173,39 @@ def _record_lines(record: RunRecord):
     tail, the text after the step, are _ENCODE's text of their keys in _RECORD_TYPES
     order, optional keys left out when None; each distinct tail is checked and encoded
     once, keyed by its field values and their types (a cached 1 never vouches for a True).
-    Checked steps and snapshots need no escaping and are written as f-strings.
+    Checked steps and snapshots need no escaping and are written as f-strings. An int
+    too long for str(), which the reader could not parse either, raises its line's error.
     """
-    header = {"scenario_digest": record.scenario_digest, "seed": record.seed,
-              "final_statuses": record.final_statuses}
-    _check_record("run", header, 1)
-    yield '{"type":"run",' + _ENCODE(header)[1:] + "\n"
-    tails: dict[tuple, str] = {}  # (fields, *their types) -> tail, "\n" included
-    for lineno, event in enumerate(record.events, start=2):
-        fields = _TAIL_FIELDS(event)
-        key = (fields, *map(type, fields))
-        step = event.step
-        try:
-            tail = tails[key]
-        except (KeyError, TypeError):  # a new tail, or an unhashable field (never well typed)
-            tail = None
-        if tail is None or type(step) is not int:
-            obj = {name: value for name, value in zip(_TAIL_KEYS, fields)
-                   if value is not None or name not in _OPTIONAL}
-            _check_record("op", {"step": step, **obj}, lineno)
-            tail = tails[key] = "," + _ENCODE(obj)[1:] + "\n"
-        yield f"{_OP_PREFIX}{step}{tail}"
-    for lineno, snap in enumerate(record.snapshots, start=len(record.events) + 2):
-        _check_record("snapshot", {"round": snap.round, "firing_node": snap.firing_node,
-                                   "line": snap.line}, lineno)
-        yield (f'{{"type":"snapshot","round":{snap.round},"firing_node":{snap.firing_node}'
-               f',"line":"{snap.line}"}}\n')
+    lineno = 1
+    try:
+        header = {"scenario_digest": record.scenario_digest, "seed": record.seed,
+                  "final_statuses": record.final_statuses}
+        _check_record("run", header, lineno)
+        yield '{"type":"run",' + _ENCODE(header)[1:] + "\n"
+        tails: dict[tuple, str] = {}  # (fields, *their types) -> tail, "\n" included
+        for lineno, event in enumerate(record.events, start=2):
+            fields = _TAIL_FIELDS(event)
+            key = (fields, *map(type, fields))
+            step = event.step
+            try:
+                tail = tails[key]
+            except (KeyError, TypeError):  # a new tail, or an unhashable field (never well typed)
+                tail = None
+            if tail is None or type(step) is not int:
+                obj = {name: value for name, value in zip(_TAIL_KEYS, fields)
+                       if value is not None or name not in _OPTIONAL}
+                _check_record("op", {"step": step, **obj}, lineno)
+                tail = tails[key] = "," + _ENCODE(obj)[1:] + "\n"
+            yield f"{_OP_PREFIX}{step}{tail}"
+        for lineno, snap in enumerate(record.snapshots, start=len(record.events) + 2):
+            _check_record("snapshot", {"round": snap.round, "firing_node": snap.firing_node,
+                                       "line": snap.line}, lineno)
+            yield (f'{{"type":"snapshot","round":{snap.round},"firing_node":{snap.firing_node}'
+                   f',"line":"{snap.line}"}}\n')
+    except TraceFormatError:
+        raise
+    except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
+        raise TraceFormatError(f"line {lineno}: cannot write an integer: {exc}") from exc
 
 
 def dumps_record(record: RunRecord) -> str:

@@ -83,7 +83,8 @@ class TestLoadScenario:
 
     def test_k_not_exceeding_n_rejected(self, scenario_file):
         path = scenario_file({"ring": {"node_count": 5, "k_states": 4, "rounds": 10}})
-        with pytest.raises(ScenarioError, match="K must exceed N"):
+        message = rf"k_states must be an integer in \[5, {INT64_MAX}\], got 4$"
+        with pytest.raises(ScenarioError, match=message):
             load_scenario(path)
 
     def test_rate_one_directs_to_deterministic(self, scenario_file):
@@ -175,7 +176,8 @@ class TestLoadScenario:
             (base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": True})]),
              r"injections\[0\]\.policy: uses"),
             (base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": 2**63})]),
-             r"injections\[0\]\.policy: uses must lie in"),
+             r"injections\[0\]\.policy: uses must be an integer in "
+             r"\[1, 9223372036854775807\], got 9223372036854775808$"),
             (base_scenario_obj(injections=[poison_injection_obj(effect={"intermittent": None})]),
              r"injections\[0\]\.policy\.effect: missing or null keys \['intermittent'\]"),
             (base_scenario_obj(injections=[poison_injection_obj(kind=["offset"])]),
@@ -402,7 +404,8 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "obj,named",
         [
-            ({"ring": {"node_count": 5, "k_states": 4, "rounds": 1}}, "K must exceed N"),
+            ({"ring": {"node_count": 5, "k_states": 4, "rounds": 1}},
+             "k_states must be an integer in [5, "),
             (base_scenario_obj(ring={"node_count": 5, "k_states": 2**63, "rounds": 3}),
              "k_states"),
             # new_status 2**63 fits a K above int64, and that K is what is rejected.
@@ -472,7 +475,8 @@ class TestRunCommand:
     def test_seed_flag_out_of_range_exits_1(self, scenario_file, capsys, seed):
         path = scenario_file(base_scenario_obj())
         assert main(["run", "--config", path, "--seed", seed]) == EXIT_CONFIG
-        assert "--seed: seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+        assert (f"--seed: seed must be an integer in [0, 18446744073709551615], got {seed}\n"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("quiet", [[], ["--quiet"]], ids=["loud", "quiet"])
     @pytest.mark.parametrize("name", ["missing_dir/x.jsonl", ""], ids=["missing-dir", "empty"])

@@ -45,6 +45,12 @@ class _Small(IntEnum):
     THREE = 3
 
 
+# The messages make_poisoned's checks give, up to the value shown.
+_SEED_BOUNDS = r"^seed must be an integer in \[0, 18446744073709551615\], got "
+_ORIGIN_BOUNDS = (r"^origin_id must be an integer in "
+                  r"\[-9223372036854775808, 9223372036854775807\], got ")
+
+
 class TestDeviationModel:
     def test_float_magnitude_reads_as_decimal(self):
         assert DeviationModel("scale", 1.01).magnitude == Fraction(101, 100)
@@ -59,7 +65,8 @@ class TestDeviationModel:
 
     @pytest.mark.parametrize("bit", [-1, 64, 1000, 1.5, _Small.THREE])
     def test_bitflip_index_bounds(self, bit):
-        with pytest.raises(PolicyError, match="bit index"):
+        message = r"^bitflip magnitude must be an integer in \[0, 63\], got "
+        with pytest.raises(PolicyError, match=message):
             DeviationModel("bitflip", bit)
 
     def test_stuck_at_range(self):
@@ -81,10 +88,11 @@ class TestDeviationModel:
         with pytest.raises(PolicyError, match="kind"):
             DeviationModel("gauss", 1)
 
-    @pytest.mark.parametrize("kind", [["offset"], {}, None, 1, b"offset"])
+    @pytest.mark.parametrize("kind", [["offset"], {}, None, 1, b"offset",
+                                      pytest.param(10**5000, id="huge")])
     def test_non_string_kind(self, kind):
-        # An unhashable kind used to escape as a raw TypeError.
-        with pytest.raises(PolicyError, match="deviation kind"):
+        # An unhashable kind used to escape as a raw TypeError, a huge int as a raw ValueError.
+        with pytest.raises(PolicyError, match=rf"deviation kind .*, got {type(kind).__name__}$"):
             DeviationModel(kind, 1)
 
 
@@ -104,7 +112,8 @@ class TestPoisonPolicy:
 
     @pytest.mark.parametrize("uses", [-1, INT64_MAX + 1, 10**5000], ids=["minus_1", "2_63", "huge"])
     def test_uses_within_int64(self, uses):
-        with pytest.raises(PolicyError, match=r"uses must lie in \[1, 9223372036854775807\]$"):
+        message = rf"^uses must be an integer in \[1, {INT64_MAX}\], got "
+        with pytest.raises(PolicyError, match=message):
             make_policy(uses=uses)
 
     @pytest.mark.parametrize("uses", [True, 2.0, "2", _Small.THREE])
@@ -112,9 +121,10 @@ class TestPoisonPolicy:
         with pytest.raises(PolicyError, match="uses must be an integer"):
             make_policy(uses=uses)
 
-    @pytest.mark.parametrize("infectious", [1, 0, "yes", None])
+    @pytest.mark.parametrize("infectious", [1, 0, "yes", None, pytest.param(10**5000, id="huge")])
     def test_infectious_must_be_a_bool(self, infectious):
-        with pytest.raises(PolicyError, match="infectious must be a boolean"):
+        message = rf"^infectious must be a boolean, got {type(infectious).__name__}$"
+        with pytest.raises(PolicyError, match=message):
             make_policy(infectious=infectious)
 
     @pytest.mark.parametrize("deviation", [None, "offset", ("offset", 1)])
@@ -156,19 +166,18 @@ class TestMakePoisoned:
          (None, 0, 0, "policy must be a PoisonPolicy"),
          (PoisonPolicy(DeviationModel("offset", 1)), True, 0, "origin_id must be an integer"),
          (PoisonPolicy(DeviationModel("offset", 1)), 1.0, 0, "origin_id must be an integer"),
-         (PoisonPolicy(DeviationModel("offset", 1)), 0, -1, "seed must be an unsigned 64-bit"),
-         (PoisonPolicy(DeviationModel("offset", 1)), 0, 2**64, "seed must be an unsigned 64-bit"),
-         (PoisonPolicy(DeviationModel("offset", 1)), 0, True, "seed must be an unsigned 64-bit"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, -1, _SEED_BOUNDS + "-1$"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, 2**64, _SEED_BOUNDS + f"{2**64}$"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, True, _SEED_BOUNDS + "bool$"),
          (PoisonPolicy(DeviationModel("offset", 1)), _Small.THREE, 0,
           "origin_id must be an integer"),
-         (PoisonPolicy(DeviationModel("offset", 1)), 0, _Small.THREE,
-          "seed must be an unsigned 64-bit"),
+         (PoisonPolicy(DeviationModel("offset", 1)), 0, _Small.THREE, _SEED_BOUNDS + "_Small$"),
          (PoisonPolicy(DeviationModel("offset", 1)), INT64_MAX + 1, 0,
-          "origin_id must be a signed 64-bit"),
+          _ORIGIN_BOUNDS + f"{INT64_MAX + 1}$"),
          (PoisonPolicy(DeviationModel("offset", 1)), INT64_MIN - 1, 0,
-          "origin_id must be a signed 64-bit"),
+          _ORIGIN_BOUNDS + f"{INT64_MIN - 1}$"),
          (PoisonPolicy(DeviationModel("offset", 1)), 10**5000, 0,
-          "origin_id must be a signed 64-bit")],
+          _ORIGIN_BOUNDS + "an int of 16610 bits$")],
         ids=["model", "none", "origin_bool", "origin_float", "seed_negative", "seed_2_64",
              "seed_bool", "origin_int_enum", "seed_int_enum", "origin_2_63", "origin_below",
              "origin_huge"],

@@ -1,14 +1,36 @@
-"""The package's public surface: `__all__` and the README's code examples."""
+"""The package's public surface: `__all__`, the README's code examples and the integer rule."""
 
 import contextlib
 import io
 import re
 import shlex
 import types
+from enum import IntEnum
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import poisonring
-from poisonring import cli
+from poisonring import (
+    DeviationModel,
+    EvalContext,
+    Injection,
+    PoisonPolicy,
+    PolicyError,
+    RingConfig,
+    RingState,
+    ScenarioError,
+    cli,
+    has_privilege,
+    make_poisoned,
+    perturb,
+    update,
+    validate_injections,
+)
+from poisonring.poison_core import INT64_MAX, INT64_MIN, U64_MAX
+from poisonring.ring_sim import MAX_NODES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,3 +63,62 @@ def test_readme_cli_examples_run(monkeypatch, capsys):
     monkeypatch.chdir(README.parent)
     for command in commands:
         assert cli.main(shlex.split(command)[1:]) == 0, (command, capsys.readouterr().err)
+
+
+class _Small(IntEnum):
+    THREE = 3
+
+
+_HUGE = 10**5000  # past the 4,300 digits str() writes
+_POLICY = PoisonPolicy(DeviationModel("offset", 1))
+_RING = RingConfig(5, 5, 10)
+
+# Every integer field the checker covers: (field, low, high, its error, a call given the value).
+# A field of validate_injections names its entry; the Injection it builds has wider bounds.
+INT_FIELDS = [
+    ("stuck_at magnitude", INT64_MIN, INT64_MAX, PolicyError,
+     lambda v: DeviationModel("stuck_at", v)),
+    ("bitflip magnitude", 0, 63, PolicyError, lambda v: DeviationModel("bitflip", v)),
+    ("uses", 1, INT64_MAX, PolicyError, lambda v: PoisonPolicy(_POLICY.deviation, uses=v)),
+    ("origin_id", INT64_MIN, INT64_MAX, PolicyError, lambda v: make_poisoned(7, _POLICY, v, 0)),
+    ("seed", 0, U64_MAX, PolicyError, lambda v: make_poisoned(7, _POLICY, 0, v)),
+    ("node_count", 1, MAX_NODES, ScenarioError, lambda v: RingConfig(v, MAX_NODES, 1)),
+    ("k_states", 5, INT64_MAX, ScenarioError, lambda v: RingConfig(5, v, 1)),
+    ("k_states", 5, INT64_MAX, ScenarioError, lambda v: RingState(5, v)),
+    ("rounds", 0, INT64_MAX, ScenarioError, lambda v: RingConfig(5, 5, v)),
+    ("seed", 0, U64_MAX, ScenarioError, lambda v: RingConfig(5, 5, 1, seed=v)),
+    ("node", 0, MAX_NODES - 1, ScenarioError, lambda v: Injection(v, 0, new_status=1)),
+    ("at_round", 0, INT64_MAX, ScenarioError, lambda v: Injection(0, v, new_status=1)),
+    ("new_status", 0, INT64_MAX - 1, ScenarioError, lambda v: Injection(0, 0, new_status=v)),
+    ("perturb status", 0, 4, ScenarioError, lambda v: perturb(RingState(5, 5), 0, v)),
+    ("perturb node", 0, 4, ScenarioError, lambda v: perturb(RingState(5, 5), v, 0)),
+    ("update node", 0, 4, ScenarioError, lambda v: update(RingState(5, 5), v, EvalContext(), [])),
+    ("has_privilege node", 0, 4, ScenarioError,
+     lambda v: has_privilege(RingState(5, 5), v, EvalContext())),
+    ("node", 0, 4, ScenarioError,
+     lambda v: validate_injections(_RING, [Injection(v, 0, new_status=1)])),
+    ("at_round", 0, 10, ScenarioError,
+     lambda v: validate_injections(_RING, [Injection(0, v, new_status=1)])),
+    ("new_status", 0, 4, ScenarioError,
+     lambda v: validate_injections(_RING, [Injection(0, 0, new_status=v)])),
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_every_integer_field_takes_exactly_the_ints_in_its_bounds(data):
+    """Each field accepts exactly the exact ints in its bounds. Anything else, a huge int,
+    a bool, an IntEnum, a float or a str, is its module's typed error naming the field,
+    never a raw ValueError, TypeError or OverflowError."""
+    name, low, high, error, call = data.draw(st.sampled_from(INT_FIELDS))
+    value = data.draw(st.one_of(
+        st.integers(),
+        st.sampled_from([low - 1, low, high, high + 1, _HUGE, -_HUGE, True, _Small.THREE,
+                         1.0, "1"]),
+    ))
+    if type(value) is int and low <= value <= high:
+        call(value)
+        return
+    with pytest.raises(error) as excinfo:
+        call(value)
+    assert re.search(rf"(^|\.){name} must be an integer in \[", str(excinfo.value))

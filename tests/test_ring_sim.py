@@ -18,8 +18,10 @@ from poisonring import (
     RingConfig,
     RingState,
     RunRecord,
+    Scenario,
     ScenarioError,
     convergence_point,
+    execute_scenario,
     has_privilege,
     is_legitimate,
     is_poisoned,
@@ -48,7 +50,8 @@ GOLDEN = [
 
 class TestRingConfig:
     def test_k_must_exceed_n(self):
-        with pytest.raises(ScenarioError, match="K must exceed N"):
+        message = rf"^k_states must be an integer in \[5, {INT64_MAX}\], got 4$"
+        with pytest.raises(ScenarioError, match=message):
             RingConfig(node_count=5, k_states=4, rounds=10)
 
     @pytest.mark.parametrize(
@@ -140,7 +143,8 @@ def test_node_out_of_range_is_a_scenario_error(ctx, name, node):
             "has_privilege": lambda: has_privilege(state, node, ctx)}[name]
     with pytest.raises(ScenarioError) as excinfo:
         call()
-    assert str(excinfo.value) == f"{name} node {node!r} out of range (node_count 5)"
+    got = node if type(node) is int else type(node).__name__
+    assert str(excinfo.value) == f"{name} node must be an integer in [0, 4], got {got}"
     assert state.statuses == [0, 1, 2, 3, 4]
     assert snapshots == [] and ctx.event_sink == []
     assert ctx.step_counter == 0 and ctx.suppression_depth == 0
@@ -341,11 +345,11 @@ class TestPerturb:
     def test_range_check(self):
         state = RingState(5, 5)
         for node, status, message in (
-            (2, 5, r"status must lie in \[0, 5\), got 5"),
-            (2, "3", r"status must be an integer, got '3'"),
-            (2, 3.0, r"status must be an integer, got 3\.0"),
-            (-1, 3, r"node -1 out of range \(node_count 5\)"),
-            (5, 3, r"node 5 out of range \(node_count 5\)"),
+            (2, 5, r"^perturb status must be an integer in \[0, 4\], got 5$"),
+            (2, "3", r"^perturb status must be an integer in \[0, 4\], got str$"),
+            (2, 3.0, r"^perturb status must be an integer in \[0, 4\], got float$"),
+            (-1, 3, r"^perturb node must be an integer in \[0, 4\], got -1$"),
+            (5, 3, r"^perturb node must be an integer in \[0, 4\], got 5$"),
         ):
             with pytest.raises(ScenarioError, match=message):
                 perturb(state, node, status)
@@ -450,9 +454,12 @@ class TestRun:
         ok = Injection(node=1, at_round=0, new_status=1)
         validate_injections(config, [ok, Injection(node=2, at_round=0, new_status=1)])
         cases = [
-            (Injection(node=5, at_round=0, new_status=1), r"^injections\[1\]\.node: "),
-            (Injection(node=1, at_round=11, new_status=1), r"^injections\[1\]\.at_round: "),
-            (Injection(node=2, at_round=0, new_status=5), r"^injections\[1\]\.new_status: "),
+            (Injection(node=5, at_round=0, new_status=1),
+             r"^injections\[1\]\.node must be an integer in \[0, 4\], got 5$"),
+            (Injection(node=1, at_round=11, new_status=1),
+             r"^injections\[1\]\.at_round must be an integer in \[0, 10\], got 11$"),
+            (Injection(node=2, at_round=0, new_status=5),
+             r"^injections\[1\]\.new_status must be an integer in \[0, 4\], got 5$"),
             (Injection(node=1, at_round=0, new_status=2), r"^injections\[1\]: conflicting .*injections\[0\]"),
             ("not an injection", r"^injections\[1\]: "),
         ]
@@ -460,10 +467,18 @@ class TestRun:
             with pytest.raises(ScenarioError, match=message):
                 validate_injections(config, [ok, second])
 
+    @pytest.mark.parametrize("config", ["x", None, (5, 5, 10)], ids=["str", "none", "tuple"])
+    def test_config_must_be_a_ring_config(self, config):
+        message = rf"^config must be a RingConfig, got {type(config).__name__}$"
+        for call in (lambda: run(config), lambda: validate_injections(config, []),
+                     lambda: execute_scenario(Scenario(ring=config))):
+            with pytest.raises(ScenarioError, match=message):
+                call()
+
     def test_injection_bounds_checked(self):
-        with pytest.raises(ScenarioError, match="out of range"):
+        with pytest.raises(ScenarioError, match=r"node must be an integer in \[0, 4\], got 9$"):
             run(RingConfig(5, 5, 10), [Injection(node=9, at_round=0, new_status=1)])
-        with pytest.raises(ScenarioError, match="exceeds rounds"):
+        with pytest.raises(ScenarioError, match=r"at_round must be an integer in \[0, 10\], got 11"):
             run(RingConfig(5, 5, 10), [Injection(node=1, at_round=11, new_status=1)])
         with pytest.raises(ScenarioError, match="new_status"):
             run(RingConfig(5, 5, 10), [Injection(node=1, at_round=0, new_status=7)])

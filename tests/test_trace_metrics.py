@@ -606,6 +606,35 @@ def test_writer_refuses_what_the_reader_rejects(tmp_path, header, events, snapsh
     assert _read_back(path, reference_dumps_record(record)) == message
 
 
+_TOO_LONG = 10**5000  # past the 4,300 digits str() writes, so no reader can read it back
+
+
+@pytest.mark.parametrize(
+    "header,events,snapshot,lineno",
+    [
+        ({"seed": _TOO_LONG}, [], _SNAPSHOT, 1),
+        ({"final_statuses": [0, -_TOO_LONG]}, [], _SNAPSHOT, 1),
+        ({}, [{"lhs_clean": _TOO_LONG}], _SNAPSHOT, 2),
+        # The second event's tail is the first's, so only its step is new.
+        ({}, [{}, {"step": _TOO_LONG}], _SNAPSHOT, 3),
+        ({}, [{}], SnapshotEvent(_TOO_LONG, 1, "1,0"), 3),
+    ],
+    ids=["header_seed", "header_status", "op_operand", "op_step_after_cached_tail",
+         "snapshot_round"],
+)
+def test_writer_refuses_an_int_too_long_to_write(tmp_path, header, events, snapshot, lineno):
+    """An int str() cannot write is the TraceFormatError of the line it would be on, from
+    dumps_record and from write_record, which leaves the lines before it written."""
+    record = RunRecord(**{**_HEADER, **header},
+                       events=[dataclasses.replace(_EVENT, **changes) for changes in events],
+                       snapshots=[snapshot])
+    prefix = f"line {lineno}: cannot write an integer: "
+    assert _outcome(dumps_record, record).startswith(prefix)
+    path = tmp_path / "trace.jsonl"
+    assert _outcome(write_record, record, path).startswith(prefix)
+    assert path.read_text(encoding="utf-8").count("\n") == lineno - 1
+
+
 # Edits of an op line's step token and tail, the text after the token. Each
 # keeps the line starting as dumps_record writes it.
 _LINE_EDITS = {
