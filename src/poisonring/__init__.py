@@ -33,7 +33,6 @@ from .ring_sim import (
     perturb,
     run,
     update,
-    validate_injections,
 )
 from .trace_metrics import (
     DeviationStats,
@@ -92,6 +91,5 @@ __all__ = [
     "run",
     "token_count",
     "update",
-    "validate_injections",
     "write_record",
 ]

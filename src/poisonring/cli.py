@@ -31,7 +31,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .poison_core import ArithmeticFault, DeviationModel, EvalContext, PoisonPolicy, PolicyError
-from .ring_sim import Injection, RingConfig, Scenario, ScenarioError, run, validate_injections
+from .ring_sim import Injection, RingConfig, Scenario, ScenarioError, run
 from .trace_metrics import RunRecord, convergence_point, deviation_stats, token_count, write_record
 
 EXIT_OK = 0
@@ -180,8 +180,7 @@ def parse_scenario(obj, source: str = "<scenario>") -> Scenario:
     parsed = tuple(
         _parse_injection(inj, f"{source}.injections[{i}]") for i, inj in enumerate(injections)
     )
-    _build(source, validate_injections, ring, parsed)
-    return Scenario(ring=ring, injections=parsed)
+    return _build(source, Scenario, ring, parsed)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -1,6 +1,6 @@
 """Dijkstra's K-state self-stabilizing token ring over poisoned scalars.
 
-A ring of node_count nodes (ids 0..N, left neighbor of i is (i-1) mod
+A ring of node_count nodes (ids 0..N-1, left neighbor of i is (i-1) mod
 node_count) runs the two guarded rules:
 
     node 0:   left == own  ->  own = (own + 1) % K
@@ -95,10 +95,38 @@ class Injection:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete reproducible experiment: a ring, which carries the seed, and its injections."""
+    """A complete reproducible experiment: a ring, which carries the seed, and its injections,
+    any iterable kept as a tuple. Checked when built: node < N, at_round <= rounds, new_status < K
+    and one injection per (node, round); errors name injections[i] or injections[i].field."""
 
     ring: RingConfig
     injections: tuple[Injection, ...] = ()
+
+    def __post_init__(self):
+        ring, injections = self.ring, self.injections
+        if not isinstance(ring, RingConfig):
+            raise ScenarioError(f"config must be a RingConfig, got {type(ring).__name__}")
+        try:
+            entries = iter(injections)
+        except TypeError:
+            raise ScenarioError(f"injections must be iterable, got {type(injections).__name__}") from None
+        object.__setattr__(self, "injections", tuple(entries))
+        seen = {}
+        for i, injection in enumerate(self.injections):
+            if not isinstance(injection, Injection):
+                raise ScenarioError(f"injections[{i}]: expected an Injection")
+            try:
+                check_int(injection.node, "node", 0, ring.node_count - 1, ScenarioError)
+                check_int(injection.at_round, "at_round", 0, ring.rounds, ScenarioError)
+                if injection.new_status is not None:
+                    check_int(injection.new_status, "new_status", 0, ring.k_states - 1, ScenarioError)
+            except ScenarioError as exc:
+                raise ScenarioError(f"injections[{i}].{exc}") from exc
+            key = (injection.node, injection.at_round)
+            if key in seen:
+                raise ScenarioError(f"injections[{i}]: conflicting injections on node {injection.node} "
+                                    f"at round {injection.at_round} (also injections[{seen[key]}])")
+            seen[key] = i
 
     @property
     def seed(self) -> int:
@@ -188,31 +216,6 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
     return state
 
 
-def validate_injections(config: RingConfig, injections) -> None:
-    """Check injections against a RingConfig: node < N, at_round <= rounds, new_status < K
-    and one per (node, round). Errors name the entry as injections[i] or injections[i].field."""
-    if not isinstance(config, RingConfig):
-        raise ScenarioError(f"config must be a RingConfig, got {type(config).__name__}")
-    seen = {}
-    for i, injection in enumerate(injections):
-        if not isinstance(injection, Injection):
-            raise ScenarioError(f"injections[{i}]: expected an Injection")
-        try:
-            check_int(injection.node, "node", 0, config.node_count - 1, ScenarioError)
-            check_int(injection.at_round, "at_round", 0, config.rounds, ScenarioError)
-            if injection.new_status is not None:
-                check_int(injection.new_status, "new_status", 0, config.k_states - 1, ScenarioError)
-        except ScenarioError as exc:
-            raise ScenarioError(f"injections[{i}].{exc}") from exc
-        key = (injection.node, injection.at_round)
-        if key in seen:
-            raise ScenarioError(
-                f"injections[{i}]: conflicting injections on node {injection.node} "
-                f"at round {injection.at_round} (also injections[{seen[key]}])"
-            )
-        seen[key] = i
-
-
 def _apply_injections(state, config, scheduled):
     for origin_id, injection in scheduled:
         if injection.policy is not None:
@@ -220,18 +223,17 @@ def _apply_injections(state, config, scheduled):
             state.statuses[injection.node] = make_poisoned(
                 current, injection.policy, origin_id, config.seed
             )
-        else:  # validate_injections has checked node and status against this ring
+        else:  # Scenario has checked node and status against this ring
             state.statuses[injection.node] = injection.new_status
 
 
 def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
-    """Simulate the ring: fixed node order 0..N per round, one guarded step per node.
+    """Simulate the ring: fixed node order 0..N-1 per round, one guarded step per node.
 
     Returns (final RingState, list of SnapshotEvents in emission order).
     Operator events accumulate in ctx.event_sink.
     """
-    injections = tuple(injections)
-    validate_injections(config, injections)
+    injections = Scenario(config, injections).injections
     if ctx is None:
         ctx = EvalContext()
     schedule = {}  # at_round -> [(origin_id, injection)]; origin_id is the scenario index

@@ -236,6 +236,20 @@ def _scenarios(draw):
     return Scenario(ring, tuple(Injection(node, at, **draw(specs)) for node, at in slots))
 
 
+@st.composite
+def _unchecked_scenarios(draw):
+    """A ring and a list of injections that may not fit it: a node of N, a round of
+    rounds + 1, a new_status of K, or a (node, round) slot given twice."""
+    nodes = draw(st.integers(1, 6))
+    ring = RingConfig(nodes, nodes + draw(st.integers(0, 3)), draw(st.integers(0, 8)),
+                      seed=draw(st.integers(0, 2**64 - 1)))
+    slots = draw(st.lists(st.tuples(st.integers(0, nodes), st.integers(0, ring.rounds + 1)),
+                          max_size=4))
+    specs = st.one_of(st.builds(dict, policy=_POLICIES),
+                      st.builds(dict, new_status=st.integers(0, ring.k_states)))
+    return ring, [Injection(node, at, **draw(specs)) for node, at in slots]
+
+
 def _sink_outcome(scenario, sink):
     """A run as seen without its events: snapshot lines, clean statuses, steps and each
     poisoned scalar's state, or the step, node and round of its ArithmeticFault."""
@@ -313,6 +327,23 @@ class TestScenarioCodec:
         assert parse_scenario(json.loads(json.dumps(obj))) == scenario
         blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
         assert scenario_digest(scenario) == hashlib.sha256(blob).hexdigest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(_unchecked_scenarios(), st.sampled_from([tuple, list, iter]))
+    def test_a_scenario_that_builds_reads_back(self, drawn, container):
+        """A Scenario is built exactly when its injections fit its ring, from any iterable;
+        one that is built reads back from its canonical object."""
+        ring, injections = drawn
+        fits = len({(i.node, i.at_round) for i in injections}) == len(injections) and all(
+            i.node < ring.node_count and i.at_round <= ring.rounds
+            and (i.new_status is None or i.new_status < ring.k_states) for i in injections)
+        try:
+            scenario = Scenario(ring, container(injections))
+        except ScenarioError:
+            assert not fits
+            return
+        assert fits and scenario.injections == tuple(injections)
+        assert parse_scenario(json.loads(json.dumps(scenario_obj(scenario)))) == scenario
 
     @pytest.mark.parametrize("name", sorted(p.name for p in SCENARIOS.glob("*.json")))
     def test_canonical_file_gives_the_same_trace_bytes(self, tmp_path, capsys, name):

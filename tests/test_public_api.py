@@ -21,13 +21,13 @@ from poisonring import (
     PolicyError,
     RingConfig,
     RingState,
+    Scenario,
     ScenarioError,
     cli,
     has_privilege,
     make_poisoned,
     perturb,
     update,
-    validate_injections,
 )
 from poisonring.poison_core import INT64_MAX, INT64_MIN, U64_MAX
 from poisonring.ring_sim import MAX_NODES
@@ -74,7 +74,7 @@ _POLICY = PoisonPolicy(DeviationModel("offset", 1))
 _RING = RingConfig(5, 5, 10)
 
 # Every integer field the checker covers: (field, low, high, its error, a call given the value).
-# A field of validate_injections names its entry; the Injection it builds has wider bounds.
+# A field a Scenario checks against its ring names its entry; the Injection it builds has wider bounds.
 INT_FIELDS = [
     ("stuck_at magnitude", INT64_MIN, INT64_MAX, PolicyError,
      lambda v: DeviationModel("stuck_at", v)),
@@ -96,11 +96,11 @@ INT_FIELDS = [
     ("has_privilege node", 0, 4, ScenarioError,
      lambda v: has_privilege(RingState(5, 5), v, EvalContext())),
     ("node", 0, 4, ScenarioError,
-     lambda v: validate_injections(_RING, [Injection(v, 0, new_status=1)])),
+     lambda v: Scenario(_RING, [Injection(v, 0, new_status=1)])),
     ("at_round", 0, 10, ScenarioError,
-     lambda v: validate_injections(_RING, [Injection(0, v, new_status=1)])),
+     lambda v: Scenario(_RING, [Injection(0, v, new_status=1)])),
     ("new_status", 0, 4, ScenarioError,
-     lambda v: validate_injections(_RING, [Injection(0, 0, new_status=v)])),
+     lambda v: Scenario(_RING, [Injection(0, 0, new_status=v)])),
 ]
 
 

@@ -21,7 +21,6 @@ from poisonring import (
     Scenario,
     ScenarioError,
     convergence_point,
-    execute_scenario,
     has_privilege,
     is_legitimate,
     is_poisoned,
@@ -31,7 +30,6 @@ from poisonring import (
     run,
     token_count,
     update,
-    validate_injections,
 )
 from poisonring import _kernel, ring_sim
 from poisonring._kernel import INT64_MAX, INT64_MIN, stream_seed
@@ -449,10 +447,10 @@ class TestRun:
         with pytest.raises(ScenarioError):
             Injection(**kwargs)
 
-    def test_validate_injections_names_the_entry(self):
+    def test_scenario_names_the_entry(self):
         config = RingConfig(5, 5, 10)
         ok = Injection(node=1, at_round=0, new_status=1)
-        validate_injections(config, [ok, Injection(node=2, at_round=0, new_status=1)])
+        Scenario(config, [ok, Injection(node=2, at_round=0, new_status=1)])
         cases = [
             (Injection(node=5, at_round=0, new_status=1),
              r"^injections\[1\]\.node must be an integer in \[0, 4\], got 5$"),
@@ -465,14 +463,30 @@ class TestRun:
         ]
         for second, message in cases:
             with pytest.raises(ScenarioError, match=message):
-                validate_injections(config, [ok, second])
+                Scenario(config, [ok, second])
 
     @pytest.mark.parametrize("config", ["x", None, (5, 5, 10)], ids=["str", "none", "tuple"])
     def test_config_must_be_a_ring_config(self, config):
         message = rf"^config must be a RingConfig, got {type(config).__name__}$"
-        for call in (lambda: run(config), lambda: validate_injections(config, []),
-                     lambda: execute_scenario(Scenario(ring=config))):
+        for call in (lambda: run(config), lambda: Scenario(ring=config)):
             with pytest.raises(ScenarioError, match=message):
+                call()
+
+    def test_injections_are_any_iterable(self):
+        config = RingConfig(5, 5, 10, seed=3)
+        injections = (Injection(1, 0, new_status=3),
+                      Injection(0, 2, policy=make_policy(rate=0.5, uses=3)))
+        outcomes = []
+        for given in (injections, list(injections), (inj for inj in injections)):
+            ctx = EvalContext()
+            state, snapshots = run(config, given, ctx)
+            outcomes.append((snapshots, state.clean_statuses(), ctx.event_sink))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        as_list, as_tuple = Scenario(config, list(injections)), Scenario(config, injections)
+        assert as_list.injections == injections
+        assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+        for call in (lambda: Scenario(config, injections=5), lambda: run(config, 5)):
+            with pytest.raises(ScenarioError, match=r"^injections must be iterable, got int$"):
                 call()
 
     def test_injection_bounds_checked(self):
