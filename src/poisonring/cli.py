@@ -212,7 +212,9 @@ def execute_scenario(scenario: Scenario) -> RunRecord:
 
 
 def _print_summary(record: RunRecord) -> None:
-    histogram = Counter(token_count(s.line) for s in record.snapshots)
+    histogram = Counter()
+    for line, count in Counter(s.line for s in record.snapshots).items():  # each line once
+        histogram[token_count(line)] += count
     stats = deviation_stats(record)
     point = convergence_point(record)
     hist = " ".join(f"{k}:{v}" for k, v in sorted(histogram.items())) or "(empty)"

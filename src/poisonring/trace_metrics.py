@@ -5,7 +5,8 @@ when the sink keeps events) and SnapshotEvents (one per firing node). RunRecord 
 both with the scenario digest and seed; the JSONL codec round-trips records exactly, one
 self-describing object per line. One table, _RECORD_TYPES, states each line's keys, their
 order and JSON types; one function, _check_record, checks each record against it, on read
-and before it is written. Each distinct op-line tail is checked, encoded and decoded once.
+and before it is written. Each distinct op-line tail is checked, encoded and decoded once,
+each distinct snapshot line is checked once on write, and one in the writer's form read in place.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ class TraceFormatError(ValueError):
 _LINE_RE = re.compile(r"[01](,[01])*")
 # How every op line starts: dumps_record writes it, loads_record tests for it.
 _OP_PREFIX = '{"type":"op","step":'
+_INT_TOKEN = r"(0|-?[1-9][0-9]{0,18})"  # a canonical int, short enough that int() reads it
+_SNAPSHOT_LINE = re.compile(rf'\{{"type":"snapshot","round":{_INT_TOKEN},"firing_node":'
+                            rf'{_INT_TOKEN},"line":"({_LINE_RE.pattern})"\}}').fullmatch
 
 # JSON key order and the JSON types each key may hold (a bool is not an int here).
 _INT, _BOOL = (int,), (bool,)
@@ -173,8 +177,9 @@ def _record_lines(record: RunRecord):
     tail, the text after the step, are _ENCODE's text of their keys in _RECORD_TYPES
     order, optional keys left out when None; each distinct tail is checked and encoded
     once, keyed by its field values and their types (a cached 1 never vouches for a True).
-    Checked steps and snapshots need no escaping and are written as f-strings. An int
-    too long for str(), which the reader could not parse either, raises its line's error.
+    Checked steps and snapshots need no escaping and are written as f-strings. Each distinct
+    snapshot line is checked once; it vouches only for exact-int rounds and firing nodes. An
+    int too long for str(), which the reader could not parse either, raises its line's error.
     """
     lineno = 1
     try:
@@ -197,9 +202,13 @@ def _record_lines(record: RunRecord):
                 _check_record("op", {"step": step, **obj}, lineno)
                 tail = tails[key] = "," + _ENCODE(obj)[1:] + "\n"
             yield f"{_OP_PREFIX}{step}{tail}"
+        checked: set[str] = set()  # snapshot lines, each an exact str, that passed the check
         for lineno, snap in enumerate(record.snapshots, start=len(record.events) + 2):
-            _check_record("snapshot", {"round": snap.round, "firing_node": snap.firing_node,
-                                       "line": snap.line}, lineno)
+            if not (type(snap.line) is str and snap.line in checked
+                    and type(snap.round) is type(snap.firing_node) is int):
+                _check_record("snapshot", {"round": snap.round, "firing_node": snap.firing_node,
+                                           "line": snap.line}, lineno)
+                checked.add(snap.line)
             yield (f'{{"type":"snapshot","round":{snap.round},"firing_node":{snap.firing_node}'
                    f',"line":"{snap.line}"}}\n')
     except TraceFormatError:
@@ -221,7 +230,8 @@ def loads_record(text: str) -> RunRecord:
     only their own keys. Every key is typed as dumps_record writes it, optional
     op keys left out, in any order and with any JSON whitespace ("\\r\\n" line
     ends load too). Any other text is a TraceFormatError, raised at the first bad
-    line. read_record parses a file's lines the same way, one at a time.
+    line. A snapshot line in the writer's exact form is read in place; read_record
+    parses a file's lines the same way, one at a time.
     """
     return _parse_lines(text.split("\n"))
 
@@ -248,6 +258,9 @@ def _parse_lines(lines) -> RunRecord:
                     if str(step) == token:  # canonical, as dumps_record writes it
                         events.append(OperatorEvent(step, *fields))
                         continue
+        elif (snap := _SNAPSHOT_LINE(raw)) is not None:  # as dumps_record writes it
+            snapshots.append(SnapshotEvent(int(snap[1]), int(snap[2]), snap[3]))
+            continue
         elif not raw.strip():
             continue
         try:

@@ -10,7 +10,7 @@ import os
 import re
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -33,6 +33,7 @@ from poisonring import (
     RingConfig,
     Scenario,
     ScenarioError,
+    SnapshotEvent,
     convergence_point,
     deviation_stats,
     dumps_record,
@@ -41,6 +42,7 @@ from poisonring import (
     loads_record,
     read_record,
     run,
+    token_count,
     write_record,
 )
 from poisonring import ring_sim
@@ -400,6 +402,21 @@ class TestRunCommand:
         assert tuple(lines[:7]) == GOLDEN_PREFIX
         assert "snapshots: 50" in captured.err
         assert "convergence point: 0" in captured.err
+
+    @pytest.mark.parametrize("source", ["poison_node0.json", "repeated multi-token lines"])
+    def test_histogram_counts_every_snapshot(self, capsys, monkeypatch, source):
+        """The summary's histogram counts each snapshot's tokens, a repeated line each time."""
+        scenario = load_scenario(str(SCENARIOS / "poison_node0.json"))
+        record = execute_scenario(scenario)
+        if source != "poison_node0.json":
+            lines = ["1,1,0", "1,1,1", "0,1,0", "1,1,0", "1,0,1", "1,1,1", "1,1,0"]
+            record.snapshots = [SnapshotEvent(i, i % 3, line) for i, line in enumerate(lines)]
+        histogram = Counter(token_count(s.line) for s in record.snapshots)
+        assert any(count > 1 for count in Counter(s.line for s in record.snapshots).values())
+        monkeypatch.setattr("poisonring.cli.execute_scenario", lambda scenario: record)
+        assert main(["run", "--config", str(SCENARIOS / "poison_node0.json")]) == EXIT_OK
+        expected = " ".join(f"{k}:{v}" for k, v in sorted(histogram.items()))
+        assert f"\ntoken-count histogram: {expected}\n" in capsys.readouterr().err
 
     def test_zero_rounds_zero_lines(self, scenario_file, capsys):
         path = scenario_file(base_scenario_obj(ring={"node_count": 5, "k_states": 5, "rounds": 0}))

@@ -31,7 +31,7 @@ from poisonring import (
     write_record,
 )
 from poisonring._kernel import INT64_MAX, INT64_MIN
-from poisonring.trace_metrics import _EVENT_TYPES, _OP_PREFIX
+from poisonring.trace_metrics import _EVENT_TYPES, _OP_PREFIX, _SNAPSHOT_LINE
 from trace_reference import (
     EVENT_KEYS,
     reference_dumps_record,
@@ -570,6 +570,34 @@ def test_tail_cache_tells_lookalike_values_apart(key, order):
             )
 
 
+class _Node(IntEnum):
+    ONE = 1
+
+
+class _Line(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"round": True}, "snapshot field 'round' has type bool"),
+        ({"firing_node": _Node.ONE}, "snapshot field 'firing_node' has type _Node"),
+        ({"line": _Line("1,0")}, "snapshot field 'line' has type _Line"),
+    ],
+    ids=["bool_round", "int_enum_firing_node", "str_subclass_line"],
+)
+def test_snapshot_check_cache_tells_lookalike_values_apart(tmp_path, changes, message):
+    """A snapshot whose line an earlier snapshot already had is still refused for a
+    lookalike of an exact int or str, by dumps_record and write_record alike."""
+    first = SnapshotEvent(0, 1, "1,0")
+    record = RunRecord("d", 0, snapshots=[first, SnapshotEvent(1, 0, "0,1"),
+                                          dataclasses.replace(first, **{"round": 2, **changes})])
+    message = f"line {reference_first_bad_line(record)}: {message}"
+    assert _outcome(dumps_record, record) == message
+    assert _outcome(write_record, record, tmp_path / "trace.jsonl") == message
+
+
 _HEADER = {"scenario_digest": "d", "seed": 0, "final_statuses": [1, 0]}
 _SNAPSHOT = SnapshotEvent(0, 1, "1,0")
 
@@ -692,3 +720,90 @@ def test_decoder_matches_the_reference(trace_path, drawn):
         outcome = _outcome(reference_loads_record, text)
         assert _outcome(loads_record, text) == outcome, name
         assert _read_back(trace_path, text) == outcome, name
+
+
+def _snapshot_text(round_, firing_node, line):
+    """A snapshot record's line from its three JSON value texts, in dumps_record's form."""
+    return f'{{"type":"snapshot","round":{round_},"firing_node":{firing_node},"line":{line}}}'
+
+
+# Edits of a snapshot line, given its round and firing_node tokens and its line's
+# JSON text. The reader must read each as json.loads does, in place or not.
+_SNAPSHOT_EDITS = {
+    **{f"{key} {token[:6]!r}": lambda r, f, l, key=key, token=token: _snapshot_text(
+           *((token, f) if key == "round" else (r, token)), l)
+       for key in ("round", "firing_node")
+       for token in ["-0", "007", "+5", " 5", "1_0", "5.0", "1e3", "-12", "9" * 19, "9" * 20,
+                     "9" * 4301]},
+    **{f"line {text}": lambda r, f, l, text=text: _snapshot_text(r, f, text)
+       for text in ['"1,,0"', '"1,2"', '""', '"\\u0031"', '"1\\n"']},
+    "trailing CR": lambda r, f, l: _snapshot_text(r, f, l) + "\r",
+    "spaces after commas": lambda r, f, l: _snapshot_text(r, f, l).replace(',"', ', "'),
+    "reordered keys": lambda r, f, l: (
+        f'{{"line":{l},"firing_node":{f},"type":"snapshot","round":{r}}}'),
+    "extra key": lambda r, f, l: _snapshot_text(r, f, l)[:-1] + ',"extra":1}',
+    "duplicate key": lambda r, f, l: _snapshot_text(r, f, l)[:-1] + f',"round":{r}}}',
+}
+
+
+def _edit_snapshot_line(line, edit):
+    obj = json.loads(line)
+    return edit(str(obj["round"]), str(obj["firing_node"]), json.dumps(obj["line"]))
+
+
+_SNAPSHOT_LINES = st.from_regex(r"[01](,[01]){0,30}", fullmatch=True)
+
+
+@st.composite
+def _snapshot_traces(draw):
+    """The lines of a trace with an op line and snapshots that repeat their lines; and
+    the indices of the snapshot lines to edit."""
+    lines = draw(st.lists(_SNAPSHOT_LINES, min_size=1, max_size=2))
+    picks = draw(st.lists(st.tuples(_INT64S, _INT64S, st.sampled_from(lines), st.booleans()),
+                          min_size=1, max_size=5))
+    record = RunRecord("d", 0, [_EVENT], [SnapshotEvent(*pick[:3]) for pick in picks], [1, 0])
+    return (reference_dumps_record(record).split("\n"),
+            {i for i, pick in enumerate(picks, 2) if pick[3]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_snapshot_traces())
+# Three snapshots with one line, the last two edited: each edit follows a line read in place.
+@example((dumps_record(RunRecord("d", 0, [_EVENT], [SnapshotEvent(step, 1, "1,0")
+                                                    for step in (5, 6, 7)])).split("\n"), {3, 4}))
+def test_snapshot_decoder_matches_the_reference(trace_path, drawn):
+    """As drawn and under each edit of the chosen snapshot lines, loads_record and
+    read_record give the reference's record, or an error on the reference's line; that
+    error is the message of the same lines with a trailing space, which no line read in
+    place has, so a line read in place never changes a message."""
+    lines, edited = drawn
+    for name, edit in [("no edit", None), *_SNAPSHOT_EDITS.items()]:
+        edited_lines = [_edit_snapshot_line(line, edit) if edit and index in edited else line
+                        for index, line in enumerate(lines)]
+        text = "\n".join(edited_lines)
+        outcome = _outcome(loads_record, text)
+        assert _read_back(trace_path, text) == outcome, name
+        reference = _outcome(reference_loads_record, text)
+        if isinstance(reference, str):
+            assert isinstance(outcome, str), name
+            assert outcome.startswith(reference[:reference.index(":") + 1]), name
+            spaced = [line + " " if index in edited else line
+                      for index, line in enumerate(edited_lines)]
+            assert _outcome(loads_record, "\n".join(spaced)) == outcome, name
+        else:
+            assert outcome == reference, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(_INT64S, _INT64S, _SNAPSHOT_LINES)
+def test_snapshot_line_read_in_place_is_what_json_reads(round_, firing_node, line):
+    """A snapshot line as dumps_record writes it, round and firing_node at int64 edges,
+    is read in place into the SnapshotEvent that json.loads gives for it."""
+    text = dumps_record(RunRecord("d", 0, snapshots=[SnapshotEvent(round_, firing_node, line)]))
+    snapshot_line = text.split("\n")[1]
+    assert _SNAPSHOT_LINE(snapshot_line) is not None
+    obj = json.loads(snapshot_line)
+    del obj["type"]
+    (snap,) = loads_record(text).snapshots
+    assert snap == SnapshotEvent(**obj)
+    assert type(snap.round) is type(snap.firing_node) is int and type(snap.line) is str
