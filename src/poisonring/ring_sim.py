@@ -6,11 +6,12 @@ node_count) runs the two guarded rules:
     node 0:   left == own  ->  own = (own + 1) % K
     node i>0: left != own  ->  own = left
 
-Guards are evaluated with unsuppressed operator semantics — this is where
-injected poisoning perturbs the protocol. Privilege monitoring never alters
-poison state and records no event: has_privilege runs one guard as a binop in
-a suppression scope, and out calls no binop, reads the N flags from the clean
-statuses and counts the N guards' steps in one add; its snapshot line is the record.
+Guards are evaluated with unsuppressed operator semantics — this is where injected poisoning
+perturbs the protocol. Privilege monitoring never alters poison state and records no event:
+has_privilege runs one guard as a binop in a suppression scope, and out calls no binop and
+counts the N guards' steps in one add; its snapshot line is the record. A flag reads only its
+node's and its left neighbour's clean values, so run keeps the N flags, patching the two that
+a status write can change, and out joins them; with no run, out rebuilds them from the statuses.
 A node that fires emits its snapshot line BEFORE applying the transition.
 """
 
@@ -134,15 +135,17 @@ class Scenario:
 
 
 class RingState:
-    """Mutable ring state: one status per node, for 1..MAX_NODES nodes and K > N - 1."""
+    """Mutable ring state: one status per node, for 1..MAX_NODES nodes and K > N - 1.
+    While run owns it, _flags holds its snapshot flags, kept by patching; otherwise None."""
 
-    __slots__ = ("statuses", "k_states", "round_index")
+    __slots__ = ("statuses", "k_states", "round_index", "_flags")
 
     def __init__(self, node_count: int, k_states: int):
         _check_ring(node_count, k_states)
         self.statuses = [0] * node_count
         self.k_states = k_states
         self.round_index = 0
+        self._flags = None
 
     def clean_statuses(self) -> list[int]:
         return [clean_value_of(s) for s in self.statuses]
@@ -169,12 +172,16 @@ def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
 def out(state: RingState, ctx: EvalContext) -> str:
     """Snapshot line: comma-separated privilege flags in node order.
 
-    Each flag is its node's guard on the clean statuses, as has_privilege
-    reads it. The line is the monitor's whole record: out calls no
-    binop, opens no scope and records no event, whatever the sink. It counts
-    the N guards' steps in one add. Statuses are read as binop reads them, in
-    node order, so a bad one raises binop's error before any step is counted.
+    Each flag is its node's guard on the clean statuses, as has_privilege reads it. The line
+    is the monitor's whole record: out calls no binop, opens no scope and records no event,
+    whatever the sink. It counts the N guards' steps in one add. Under run it joins the flags
+    run keeps; otherwise it rebuilds them, reading the statuses as binop reads them, in node
+    order, so a bad one raises binop's error before any step is counted.
     """
+    if state._flags is not None:
+        # Counted only because stream_child is keyed by step until ROADMAP A.
+        ctx.step_counter += len(state._flags)
+        return ",".join(state._flags)
     clean = [
         s if type(s) is int and INT64_MIN <= s <= INT64_MAX
         else s.clean_value if type(s) is PoisonedScalar
@@ -209,11 +216,26 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
             statuses[0] = binop("mod", bumped, state.k_states, ctx)
         else:
             statuses[node] = statuses[node - 1]
+        if state._flags is not None:
+            _patch_flags(state, node)
     except ArithmeticFault as exc:
         exc.node = node
         exc.round_index = state.round_index
         raise
     return state
+
+
+def _patch_flags(state: RingState, node: int) -> None:
+    """Rewrite the two flags a write to node can change, its own and its right neighbour's.
+    Under run each status is an exact int or a PoisonedScalar, whose clean value never changes."""
+    statuses, flags = state.statuses, state._flags
+    right = node + 1 if node + 1 < len(statuses) else 0
+    left, own, after = statuses[node - 1], statuses[node], statuses[right]
+    left = left if type(left) is int else left.clean_value
+    own = own if type(own) is int else own.clean_value
+    after = after if type(after) is int else after.clean_value
+    flags[node] = "1" if (left != own if node else left == own) else "0"
+    flags[right] = "1" if (own != after if right else own == after) else "0"
 
 
 def _apply_injections(state, config, scheduled):
@@ -225,13 +247,14 @@ def _apply_injections(state, config, scheduled):
             )
         else:  # Scenario has checked node and status against this ring
             state.statuses[injection.node] = injection.new_status
+        _patch_flags(state, injection.node)
 
 
 def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
     """Simulate the ring: fixed node order 0..N-1 per round, one guarded step per node.
 
-    Returns (final RingState, list of SnapshotEvents in emission order).
-    Operator events accumulate in ctx.event_sink.
+    Returns (final RingState, SnapshotEvents in emission order); op events go to ctx.event_sink.
+    While it runs, it keeps the state's flags for out, patching two per status write.
     """
     injections = Scenario(config, injections).injections
     if ctx is None:
@@ -240,6 +263,7 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
     for origin_id, injection in enumerate(injections):
         schedule.setdefault(injection.at_round, []).append((origin_id, injection))
     state = RingState(config.node_count, config.k_states)
+    state._flags = ["1"] + ["0"] * (config.node_count - 1)  # the all-zero start's line
     snapshots: list[SnapshotEvent] = []
     for round_index in range(config.rounds):
         state.round_index = round_index
@@ -248,4 +272,5 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
             update(state, node, ctx, snapshots)
     state.round_index = config.rounds
     _apply_injections(state, config, schedule.get(config.rounds, ()))
+    state._flags = None
     return state, snapshots

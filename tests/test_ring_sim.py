@@ -1,13 +1,14 @@
 """Ring protocol behavior: golden trace, guards, perturbation, convergence."""
 
-from collections import deque
+from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_policy
-from monitor_reference import reference_out
+from monitor_reference import flag_free_run, reference_out
 from ring_oracle import reference_convergence_point, reference_run
 
 from poisonring import (
@@ -33,7 +34,10 @@ from poisonring import (
 )
 from poisonring import _kernel, ring_sim
 from poisonring._kernel import INT64_MAX, INT64_MIN, stream_seed
+from poisonring.cli import load_scenario
 from poisonring.ring_sim import MAX_NODES
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 GOLDEN = [
     "1,0,0,0,0",
@@ -624,6 +628,113 @@ class TestMonitoringNeutrality:
         plain_core = [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in plain_events]
         noisy_core = [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in noisy_events]
         assert plain_core == noisy_core
+
+
+# Offsets and scales, INT64_MAX above all, get extra weight: they are the deviations that fault.
+_MAGNITUDES = {
+    "offset": st.one_of(st.just(INT64_MAX), st.sampled_from([1, -3, 2.5, -INT64_MAX])),
+    "scale": st.one_of(st.just(INT64_MAX), st.sampled_from([2, -1, 1.01, -INT64_MAX])),
+    "stuck_at": st.sampled_from([INT64_MIN, 0, 7, INT64_MAX]),
+    "bitflip": st.integers(0, 63),
+}
+
+
+@st.composite
+def _ring_policies(draw):
+    """Any policy. A rate of 0.5 is weighted up: node 0 faults only if its guard's draw
+    does not deviate and its add's does, and a rate near 0 or 1 rarely gives both."""
+    kind = draw(st.one_of(st.sampled_from(["offset", "scale"]),
+                          st.sampled_from(sorted(_MAGNITUDES))))
+    return make_policy(kind, draw(_MAGNITUDES[kind]),
+                       rate=draw(st.one_of(st.none(), st.just(0.5), st.floats(0.01, 0.99))),
+                       uses=draw(st.one_of(st.none(), st.integers(1, 4))),
+                       infectious=draw(st.booleans()))
+
+
+@st.composite
+def _ring_scenarios(draw):
+    """A ring of 1..9 nodes and 0-3 injections, mostly poison, some at round == rounds,
+    after the last update. Node 0 is weighted up: only its transition does arithmetic."""
+    node_count = draw(st.integers(1, 9))
+    k_states = draw(st.integers(node_count, node_count + 3))
+    rounds = draw(st.integers(0, 12))
+    count = min(draw(st.integers(0, 3)), node_count * (rounds + 1))
+    keys = draw(st.lists(
+        st.tuples(st.one_of(st.just(0), st.integers(0, node_count - 1)),
+                  st.integers(0, rounds)),
+        min_size=count, max_size=count, unique=True))
+    injections = [
+        Injection(node, at_round, new_status=draw(st.integers(0, k_states - 1)))
+        if draw(st.integers(0, 2)) == 0
+        else Injection(node, at_round, policy=draw(_ring_policies()))
+        for node, at_round in keys
+    ]
+    seed = draw(st.integers(0, 2**64 - 1))
+    return RingConfig(node_count, k_states, rounds, seed=seed), injections
+
+
+def _outcome(simulate, config, injections, sink):
+    """What a run shows: snapshots and final scalar states, or the fault; its events and steps."""
+    ctx = EvalContext(event_sink=sink)
+    try:
+        state, snapshots = simulate(config, injections, ctx)
+    except ArithmeticFault as exc:
+        shown = ("fault", str(exc), exc.step, exc.node, exc.round_index)
+    else:
+        lines = [(s.round, s.firing_node, s.line) for s in snapshots]
+        shown = (lines, _scalar_states(state.statuses))
+    return shown, list(ctx.event_sink), ctx.step_counter
+
+
+class TestRunKeepsFlags:
+    """run keeps the N flags by patching two per status write; a flag-free loop rebuilds them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(scenario=_ring_scenarios(), keep_events=st.booleans())
+    def test_matches_the_flag_free_loop(self, scenario, keep_events):
+        config, injections = scenario
+        outcomes = [_outcome(simulate, config, injections, [] if keep_events else deque(maxlen=0))
+                    for simulate in (run, flag_free_run)]
+        assert outcomes[0] == outcomes[1]
+
+    def test_ring200_lines_match_the_flag_free_loop(self):
+        scenario = load_scenario(str(SCENARIOS / "ring200.json"))
+        lines = []
+        for simulate in (run, flag_free_run):
+            ctx = EvalContext(event_sink=deque(maxlen=0))
+            _, snapshots = simulate(scenario.ring, scenario.injections, ctx)
+            lines.append([s.line for s in snapshots])
+        assert len(lines[0]) > 200 and lines[0] == lines[1]
+
+    def test_a_hand_built_state_has_no_flags(self):
+        assert RingState(5, 5)._flags is None
+
+    def test_out_reads_hand_writes_after_run(self):
+        scenario = load_scenario(str(SCENARIOS / "poison_node0.json"))
+        state, _ = run(scenario.ring, scenario.injections, EvalContext())
+        assert state._flags is None
+        state.statuses[2] = 4
+        state.statuses[3] = make_poisoned(1, make_policy(), 0, seed=3)
+        ctx, reference_ctx = EvalContext(), EvalContext()
+        assert out(state, ctx) == reference_out(state, reference_ctx)
+        assert ctx.step_counter == reference_ctx.step_counter == 5
+
+    def test_run_calls_update_per_step_and_out_per_snapshot(self, monkeypatch):
+        """The call contract a tracer wrapping ring_sim.update and ring_sim.out relies on."""
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(ring_sim, "update", counted("update", ring_sim.update))
+        monkeypatch.setattr(ring_sim, "out", counted("out", ring_sim.out))
+        scenario = load_scenario(str(SCENARIOS / "poison_node0.json"))
+        _, snapshots = run(scenario.ring, scenario.injections, EvalContext())
+        assert calls["update"] == scenario.ring.node_count * scenario.ring.rounds
+        assert calls["out"] == len(snapshots) > 0
 
 
 @settings(max_examples=30, deadline=None)
