@@ -12,7 +12,8 @@ has_privilege runs one guard as a binop in a suppression scope, and out calls no
 counts the N guards' steps in one add; its snapshot line is the record. A flag reads only its
 node's and its left neighbour's clean values, so run keeps the N flags, patching the two that
 a status write can change, and out joins them; with no run, out rebuilds them from the statuses.
-A node that fires emits its snapshot line BEFORE applying the transition.
+Under run with a sink that keeps no events, update applies exact-int guards and node 0's step
+without binop and counts the same steps. A node that fires emits its line BEFORE its transition.
 """
 
 from __future__ import annotations
@@ -204,18 +205,31 @@ def perturb(state: RingState, node: int, new_status: int) -> RingState:
 
 
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
-    """Run one node's guarded rule; emits a snapshot only when the guard fires."""
+    """Run one node's guarded rule; emits a snapshot only when the guard fires. Under run with a
+    sink that keeps no events, exact-int guards and node 0's step skip binop, counting its steps."""
     _check_node(state, node, "update")
     statuses = state.statuses
+    left, own = statuses[node - 1], statuses[node]
+    # Exact: under run an exact-int status is 0, a perturb value below K or an int64 result of
+    # binop or of this path, and binop on two such ints, with a sink that keeps nothing, counts one
+    # step and returns the clean result at any suppression depth. own < K <= INT64_MAX: no overflow.
+    inline = not ctx._keeps_events and state._flags is not None
     try:
-        if not _guard(statuses, node, ctx):
+        if inline and type(left) is int and type(own) is int:
+            ctx.step_counter += 1
+            fires = left != own if node else left == own
+        else:
+            fires = _guard(statuses, node, ctx)
+        if not fires:
             return state
         snapshots.append(SnapshotEvent(state.round_index, node, out(state, ctx)))
-        if node == 0:
-            bumped = binop("add", statuses[0], 1, ctx)
-            statuses[0] = binop("mod", bumped, state.k_states, ctx)
+        if node:
+            statuses[node] = left
+        elif inline and type(own) is int and own < state.k_states:
+            ctx.step_counter += 2
+            statuses[0] = (own + 1) % state.k_states
         else:
-            statuses[node] = statuses[node - 1]
+            statuses[0] = binop("mod", binop("add", own, 1, ctx), state.k_states, ctx)
         if state._flags is not None:
             _patch_flags(state, node)
     except ArithmeticFault as exc:

@@ -715,10 +715,12 @@ class TestSweepCommand:
         assert captured.err.count("\n") == 1
 
     # at: the character index within the --values text that the error names; the
-    # length of the text when the text ends too soon, and a stray "]" itself.
+    # length of the text when the text ends too soon, and a stray "]" itself. From
+    # Python 3.13 the decoder names a trailing comma itself.
     @pytest.mark.parametrize(
         "values,at",
-        [(".5", 0), ("1_0", 1), ("abc", 0), ("1\n2", 2), ("[1,2", 5), ("0.1,,0.5", 4), ("0.1,", 4),
+        [(".5", 0), ("1_0", 1), ("abc", 0), ("1\n2", 2), ("[1,2", 5), ("0.1,,0.5", 4),
+         ("0.1,", 3 if sys.version_info >= (3, 13) else 4),
          ("1]", 1), ("1] 2", 1), ("[1]] ", 3)],
     )
     def test_invalid_json_names_its_character(self, scenario_file, capsys, values, at):

@@ -324,6 +324,40 @@ class TestUpdate:
         assert excinfo.value.round_index == 3
         assert "node 0" in str(excinfo.value)
 
+    @pytest.mark.parametrize("statuses,node,error", [
+        ([0, 2**63], 1, ValueError), ([2**63, 2**63], 0, ValueError),
+        ([0, True], 1, TypeError), ([True, True], 0, TypeError),
+    ], ids=["2**63", "2**63-node0", "bool", "bool-node0"])
+    def test_discarding_sink_checks_a_hand_built_state_as_binop_does(self, statuses, node, error):
+        """No run owns the state, so a status run would never write still reaches binop."""
+        state = RingState(2, 2)
+        state.statuses[:] = statuses
+        ctx = EvalContext(event_sink=deque(maxlen=0))
+        with pytest.raises(error) as raised:
+            update(state, node, ctx, [])
+        reference = EvalContext(event_sink=deque(maxlen=0))
+        with pytest.raises(error) as expected:
+            ring_sim.binop("neq" if node else "eq", statuses[node - 1], statuses[node], reference)
+        assert str(raised.value) == str(expected.value)
+        assert ctx.step_counter == reference.step_counter == 0
+
+    @pytest.mark.parametrize("flags", [None, ["1", "0"]], ids=["hand-built", "run-owned"])
+    def test_node0_step_past_int64_faults_on_both_sinks(self, flags):
+        """own == K: own + 1 overflows, on a state run owns too (its flags set by hand)."""
+        faults = []
+        for sink in ([], deque(maxlen=0)):
+            state = RingState(2, INT64_MAX)
+            state.statuses[:] = [INT64_MAX, INT64_MAX]
+            state.round_index = 3
+            state._flags = None if flags is None else list(flags)
+            ctx = EvalContext(event_sink=sink)
+            with pytest.raises(ArithmeticFault) as raised:
+                update(state, 0, ctx, [])
+            exc = raised.value
+            faults.append((str(exc), exc.step, exc.node, exc.round_index, ctx.step_counter))
+        assert faults[0] == faults[1]
+        assert faults[0][1:] == (3, 0, 3, 4)
+
 
 class TestPerturb:
     def test_sets_clean_status(self, ctx):
@@ -705,6 +739,33 @@ class TestRunKeepsFlags:
             _, snapshots = simulate(scenario.ring, scenario.injections, ctx)
             lines.append([s.line for s in snapshots])
         assert len(lines[0]) > 200 and lines[0] == lines[1]
+
+    @pytest.mark.parametrize("initial", [[3, 1, 4, 1, 2], [0, 0, 0, 0, 0], [4, 3, 2, 1, 0]])
+    def test_discarding_sink_calls_no_binop(self, monkeypatch, initial):
+        """A campaign's run with a discarding sink takes its guards and node 0's steps without
+        binop; with a list sink each guard is one binop call and node 0's step two."""
+        calls = []
+        original = ring_sim.binop
+
+        def counted(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(ring_sim, "binop", counted)
+        config = RingConfig(5, 5, 10)
+        injections = [Injection(i, 0, new_status=v) for i, v in enumerate(initial)]
+        seen = []
+        for sink in (deque(maxlen=0), []):
+            calls.clear()
+            ctx = EvalContext(event_sink=sink)
+            state, snapshots = run(config, injections, ctx)
+            node0_firings = sum(s.firing_node == 0 for s in snapshots)
+            seen.append(([s.line for s in snapshots], state.statuses, ctx.step_counter,
+                         len(calls), node0_firings))
+        discarded, listed = seen
+        assert discarded[:3] == listed[:3]
+        assert discarded[3] == 0
+        assert listed[3] == 5 * 10 + 2 * listed[4] and listed[4] > 0
 
     def test_a_hand_built_state_has_no_flags(self):
         assert RingState(5, 5)._flags is None
