@@ -110,6 +110,9 @@ def stream_child(state, step):
 
 
 def bernoulli(state, rate):
-    """Advance the stream one draw; return (new_state, draw < rate)."""
-    state, z = sm64_next(state)
-    return state, (z >> 11) * _INV_2_53 < rate
+    """Advance the stream one draw; return (new_state, draw < rate). The step and mix are
+    sm64_next's, written out to save a call; the draw is the output's top 53 bits in [0, 1)."""
+    state = (state + _SM64_GAMMA) & _MASK64
+    z = ((state ^ (state >> 30)) * _SM64_MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
+    return state, ((z ^ (z >> 31)) >> 11) * _INV_2_53 < rate

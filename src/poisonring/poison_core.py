@@ -39,6 +39,7 @@ U64_MAX = (1 << 64) - 1
 
 # Each operator name to itself, so an equal str such as a StrEnum member records as the name.
 _OP_NAMES = {name: name for name in kernel.BINARY_OPS}
+_COMPARISONS = kernel.COMPARISONS
 
 
 class PolicyError(ValueError):
@@ -182,12 +183,11 @@ class PoisonedScalar:
         self.rng_state = rng_state
 
     def _consume_use(self):
-        """Spend one unsuppressed use; returns the remaining count (transient only)."""
-        remaining = self.uses_remaining  # None while poisoned iff the policy has no use limit
-        if remaining is not None:
-            remaining = self.uses_remaining = remaining - 1
-            if remaining == 0:
-                self.policy = self.uses_remaining = None
+        """Spend one unsuppressed use of a value with a use limit; returns the remaining count.
+        binop calls it only then: uses_remaining is None while poisoned iff uses are unlimited."""
+        remaining = self.uses_remaining = self.uses_remaining - 1
+        if remaining == 0:
+            self.policy = self.uses_remaining = None
         return remaining
 
     def __repr__(self):
@@ -301,48 +301,47 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         clean_result = kernel.clean_binop(op, a, b)
     except (OverflowError, ZeroDivisionError) as exc:
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
-    # Any op in a suppression scope ends here too; tested last, so a clean op reads no depth.
-    if not (lhs_poisoned or rhs_poisoned or ctx._keeps_events) or ctx.suppression_depth > 0:
+    if not (lhs_poisoned or rhs_poisoned):
+        if ctx._keeps_events and ctx.suppression_depth <= 0:
+            ctx.event_sink.append(OperatorEvent(step, op, a, b, False, False, False, clean_result,
+                                                clean_result))
+        return clean_result
+    if ctx.suppression_depth > 0:
         return clean_result
 
-    deviated = False
-    emitted = result = clean_result
-    origin = lifetime_after = None
-    if lhs_poisoned or rhs_poisoned:
-        # The left operand governs when both are poisoned.
-        # Draw, spend a use of each poisoned operand object, deviate, infect.
-        governing = lhs if lhs_poisoned else rhs
-        origin = governing.origin_id
-        policy = governing.policy
-        if policy.rate is None:
-            deviated = True
-        else:
-            governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
+    # The left operand governs when both are poisoned.
+    # Draw, spend a use of each poisoned operand object, deviate, infect.
+    governing = lhs if lhs_poisoned else rhs
+    policy = governing.policy
+    if policy.rate is None:
+        deviated = True
+    else:
+        governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
+    lifetime_after = governing.uses_remaining
+    if lifetime_after is not None:
         lifetime_after = governing._consume_use()
-        if lhs_poisoned and rhs_poisoned and rhs is not lhs:
-            rhs._consume_use()
-        if op in kernel.COMPARISONS:
-            if deviated:
-                emitted = result = not clean_result
-        else:
-            if deviated:
-                model = policy.deviation
-                try:
-                    emitted = kernel.apply_deviation(
-                        model.kind, clean_result, model._num, model._den
-                    )
-                except OverflowError as exc:
-                    raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
-            if policy.infectious:
-                child_state = kernel.stream_child(governing.rng_state, step)
-                result = PoisonedScalar(clean_result, policy, origin, child_state)
+    if lhs_poisoned and rhs_poisoned and rhs is not lhs and rhs.uses_remaining is not None:
+        rhs._consume_use()
+    emitted = result = clean_result
+    if op in _COMPARISONS:
+        if deviated:
+            emitted = result = not clean_result
+    else:
+        if deviated:
+            model = policy.deviation
+            try:
+                emitted = kernel.apply_deviation(model.kind, clean_result, model._num, model._den)
+            except OverflowError as exc:
+                raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
+        if policy.infectious:
+            child_state = kernel.stream_child(governing.rng_state, step)
+            result = PoisonedScalar(clean_result, policy, governing.origin_id, child_state)
 
     if ctx._keeps_events:
         ctx.event_sink.append(
             OperatorEvent(
                 step, op, a, b, lhs_poisoned, rhs_poisoned, deviated, clean_result, emitted,
-                origin, lifetime_after,
+                governing.origin_id, lifetime_after,
             )
         )
     return result
-

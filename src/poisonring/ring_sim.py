@@ -158,8 +158,9 @@ def _check_node(state: RingState, node, what: str) -> None:
 
 
 def _guard(statuses: list, node: int, ctx: EvalContext) -> bool:
-    """Dijkstra's guard: node 0 holds it when its left neighbour equals it,
-    any other node when they differ. Node 0's left neighbour is the last node."""
+    """Dijkstra's guard: node 0 holds it when its left neighbour, the last node, equals it,
+    any other node when they differ. has_privilege and tests/monitor_reference.py call it;
+    update makes the same binop call itself, to save a frame per guarded step."""
     return binop("neq" if node else "eq", statuses[node - 1], statuses[node], ctx)
 
 
@@ -205,27 +206,29 @@ def perturb(state: RingState, node: int, new_status: int) -> RingState:
 
 
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
-    """Run one node's guarded rule; emits a snapshot only when the guard fires. Under run with a
-    sink that keeps no events, exact-int guards and node 0's step skip binop, counting its steps."""
-    _check_node(state, node, "update")
+    """Run one node's guarded rule; emits a snapshot only when the guard fires. It calls _guard's
+    binop itself, and _check_node only for a bad node. Under run with a sink that keeps no events,
+    exact-int guards and node 0's step skip binop, counting its steps."""
     statuses = state.statuses
+    if type(node) is not int or not 0 <= node < len(statuses):
+        _check_node(state, node, "update")
     left, own = statuses[node - 1], statuses[node]
     # Exact: under run an exact-int status is 0, a perturb value below K or an int64 result of
     # binop or of this path, and binop on two such ints, with a sink that keeps nothing, counts one
     # step and returns the clean result at any suppression depth. own < K <= INT64_MAX: no overflow.
-    inline = not ctx._keeps_events and state._flags is not None
+    inline = type(own) is int and not ctx._keeps_events and state._flags is not None
     try:
-        if inline and type(left) is int and type(own) is int:
+        if inline and type(left) is int:
             ctx.step_counter += 1
             fires = left != own if node else left == own
         else:
-            fires = _guard(statuses, node, ctx)
+            fires = binop("neq" if node else "eq", left, own, ctx)
         if not fires:
             return state
         snapshots.append(SnapshotEvent(state.round_index, node, out(state, ctx)))
         if node:
             statuses[node] = left
-        elif inline and type(own) is int and own < state.k_states:
+        elif inline and own < state.k_states:
             ctx.step_counter += 2
             statuses[0] = (own + 1) % state.k_states
         else:

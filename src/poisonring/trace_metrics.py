@@ -111,10 +111,10 @@ def convergence_point(record: RunRecord) -> int | None:
     None when the record has no snapshots or its tail is illegitimate.
     """
     snaps = record.snapshots
-    if not snaps:
-        return None
+    legitimate = set()  # a tail repeats a few lines: each distinct one is checked once
     i = len(snaps)
-    while i > 0 and is_legitimate(snaps[i - 1].line):
+    while i > 0 and (snaps[i - 1].line in legitimate or is_legitimate(snaps[i - 1].line)):
+        legitimate.add(snaps[i - 1].line)
         i -= 1
     return i if i < len(snaps) else None
 

@@ -11,7 +11,7 @@ through unchanged. Both are called by operator and deviation-kind name.
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_policy
@@ -283,6 +283,19 @@ def test_bitflip_is_an_involution(value, bit):
     assert I64_MIN <= once <= I64_MAX
     assert once != value
     assert k.apply_deviation("bitflip", once, bit, 1) == value
+
+
+# bernoulli writes out sm64_next's step and mix to save a call; the two copies must agree.
+# The third example's rate is the draw itself, which is not below it.
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+@example(0, 0.5)
+@example(2**64 - 1, 0.5)
+@example(0, (0xE220A8397B1DCDAF >> 11) * 2**-53)
+def test_bernoulli_is_one_sm64_next_step(state, rate):
+    new_state, z = _kernel.sm64_next(state)
+    assert _kernel.bernoulli(state, rate) == (new_state, (z >> 11) * 2**-53 < rate)
 
 
 class TestBackendEquivalence:

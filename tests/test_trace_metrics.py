@@ -32,6 +32,7 @@ from poisonring import (
 )
 from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.trace_metrics import _EVENT_TYPES, _OP_PREFIX, _SNAPSHOT_LINE
+from ring_oracle import reference_convergence_point
 from trace_reference import (
     EVENT_KEYS,
     reference_dumps_record,
@@ -113,6 +114,24 @@ class TestConvergencePoint:
     def test_mid_run_convergence(self):
         record = RunRecord("", 0, snapshots=_snaps(["1,1", "0,0", "1,0", "0,1"]))
         assert convergence_point(record) == 2
+
+    # A few distinct lines, legitimate or not, each repeated: convergence_point checks
+    # each distinct line once, and must still find the oracle's index.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from("01"), min_size=1, max_size=4).map(",".join),
+                    min_size=1, max_size=4, unique=True)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=30)))
+    def test_repeated_lines_match_the_oracle(self, lines):
+        record = RunRecord("", 0, snapshots=_snaps(lines))
+        assert convergence_point(record) == reference_convergence_point(lines)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(["1,0,0", "0,1,0", "0,0,1"]), min_size=1, max_size=20),
+           st.sampled_from(["", "2", "1,,0", "1;0", "0,1,", "1,0,0 "]))
+    def test_malformed_line_before_a_repeated_legitimate_tail_raises(self, tail, bad):
+        record = RunRecord("", 0, snapshots=_snaps(["1,0,0", bad, *tail]))
+        with pytest.raises(TraceFormatError, match="malformed snapshot line"):
+            convergence_point(record)
 
 
 class TestDeviationStats:
