@@ -28,11 +28,7 @@ from .ring_sim import (
     RingState,
     Scenario,
     ScenarioError,
-    has_privilege,
-    out,
-    perturb,
     run,
-    update,
 )
 from .trace_metrics import (
     DeviationStats,
@@ -77,19 +73,15 @@ __all__ = [
     "deviation_stats",
     "dumps_record",
     "execute_scenario",
-    "has_privilege",
     "is_legitimate",
     "is_poisoned",
     "kernel_backend",
     "load_scenario",
     "loads_record",
     "make_poisoned",
-    "out",
     "reference_scenario",
-    "perturb",
     "read_record",
     "run",
     "token_count",
-    "update",
     "write_record",
 ]

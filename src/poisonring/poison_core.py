@@ -15,10 +15,7 @@ the channel through which poisoning perturbs control flow.
 Monitoring code that calls binop runs inside a suppression scope, written one way:
 `with ctx.suppression():`. An op in the scope counts its step, raises any ArithmeticFault
 and returns the clean result; it draws, spends, deviates, infects and records nothing, so
-observation never alters a non-infectious experiment. ring_sim.out calls no binop and
-records no event, but counts its N guards' steps. Under ring_sim.run with a sink that keeps
-no events, ring_sim.update applies exact-int guards and node 0's step without binop and
-counts the same steps.
+observation never alters a non-infectious experiment.
 Under an infectious policy observation can alter a run: monitoring ops still
 advance the step that keys an infected result's draw stream (ROADMAP A;
 pinned by a strict xfail in tests/test_ring_sim.py::TestMonitoringNeutrality).
@@ -206,9 +203,7 @@ class EvalContext:
     default. An event is built only if the sink can hold one, so a sink whose maxlen is 0,
     such as deque(maxlen=0), keeps none; with it an op with no poisoned operand returns right
     after the kernel, its step counted and any ArithmeticFault raised. Only binop appends to
-    the sink; ring_sim.out counts steps and records nothing, and under ring_sim.run with such
-    a sink ring_sim.update applies exact-int guards and node 0's step without binop, counting
-    the same steps. The sink is fixed when the context is built.
+    the sink. The sink is fixed when the context is built.
 
     The context is its own suppression scope: `with ctx.suppression():` runs
     its body clean and unrecorded; scopes nest and survive errors.

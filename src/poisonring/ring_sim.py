@@ -6,14 +6,16 @@ node_count) runs the two guarded rules:
     node 0:   left == own  ->  own = (own + 1) % K
     node i>0: left != own  ->  own = left
 
-Guards are evaluated with unsuppressed operator semantics — this is where injected poisoning
-perturbs the protocol. Privilege monitoring never alters poison state and records no event:
-has_privilege runs one guard as a binop in a suppression scope, and out calls no binop and
-counts the N guards' steps in one add; its snapshot line is the record. A flag reads only its
-node's and its left neighbour's clean values, so run keeps the N flags, patching the two that
-a status write can change, and out joins them; with no run, out rebuilds them from the statuses.
-Under run with a sink that keeps no events, update applies exact-int guards and node 0's step
-without binop and counts the same steps. A node that fires emits its line BEFORE its transition.
+run is the ring's one entry and the one writer of its statuses: each round it applies the
+round's injections, then calls update once per node. Guards are evaluated with unsuppressed
+operator semantics — this is where injected poisoning perturbs the protocol. A node that fires
+emits its snapshot line BEFORE its transition. The line is the monitor's whole record: each flag
+is its node's guard on the clean statuses, as has_privilege reads it, and a flag reads only its
+node's and its left neighbour's clean values. So a RingState starts with the all-zero start's
+N flags, run patches the two that each status write can change, and out joins them: it calls
+no binop and records no event, but counts the N guards' steps. With a sink that keeps no
+events, update applies exact-int guards and node 0's step without binop and counts the same
+steps.
 """
 
 from __future__ import annotations
@@ -22,11 +24,9 @@ from dataclasses import dataclass
 
 from .poison_core import (
     INT64_MAX,
-    INT64_MIN,
     U64_MAX,
     ArithmeticFault,
     EvalContext,
-    PoisonedScalar,
     PoisonPolicy,
     binop,
     check_int,
@@ -136,8 +136,8 @@ class Scenario:
 
 
 class RingState:
-    """Mutable ring state: one status per node, for 1..MAX_NODES nodes and K > N - 1.
-    While run owns it, _flags holds its snapshot flags, kept by patching; otherwise None."""
+    """Mutable ring state: one status per node, for 1..MAX_NODES nodes and K > N - 1. _flags
+    holds its snapshot flags, from the all-zero start's line; run keeps them by patching."""
 
     __slots__ = ("statuses", "k_states", "round_index", "_flags")
 
@@ -146,77 +146,36 @@ class RingState:
         self.statuses = [0] * node_count
         self.k_states = k_states
         self.round_index = 0
-        self._flags = None
+        self._flags = ["1"] + ["0"] * (node_count - 1)
 
     def clean_statuses(self) -> list[int]:
         return [clean_value_of(s) for s in self.statuses]
 
 
-def _check_node(state: RingState, node, what: str) -> None:
-    if type(node) is not int or not 0 <= node < len(state.statuses):
-        check_int(node, f"{what} node", 0, len(state.statuses) - 1, ScenarioError)
-
-
-def _guard(statuses: list, node: int, ctx: EvalContext) -> bool:
-    """Dijkstra's guard: node 0 holds it when its left neighbour, the last node, equals it,
-    any other node when they differ. has_privilege and tests/monitor_reference.py call it;
-    update makes the same binop call itself, to save a frame per guarded step."""
-    return binop("neq" if node else "eq", statuses[node - 1], statuses[node], ctx)
-
-
 def has_privilege(state: RingState, node: int, ctx: EvalContext) -> bool:
     """Monitoring predicate: the node's guard in a suppression scope; one step, no event."""
-    _check_node(state, node, "has_privilege")
     with ctx.suppression():
-        return _guard(state.statuses, node, ctx)
+        return binop("neq" if node else "eq", state.statuses[node - 1], state.statuses[node], ctx)
 
 
 def out(state: RingState, ctx: EvalContext) -> str:
-    """Snapshot line: comma-separated privilege flags in node order.
-
-    Each flag is its node's guard on the clean statuses, as has_privilege reads it. The line
-    is the monitor's whole record: out calls no binop, opens no scope and records no event,
-    whatever the sink. It counts the N guards' steps in one add. Under run it joins the flags
-    run keeps; otherwise it rebuilds them, reading the statuses as binop reads them, in node
-    order, so a bad one raises binop's error before any step is counted.
-    """
-    if state._flags is not None:
-        # Counted only because stream_child is keyed by step until ROADMAP A.
-        ctx.step_counter += len(state._flags)
-        return ",".join(state._flags)
-    clean = [
-        s if type(s) is int and INT64_MIN <= s <= INT64_MAX
-        else s.clean_value if type(s) is PoisonedScalar
-        else clean_value_of(s)
-        for s in state.statuses
-    ]
-    flags = ["1" if clean[-1] == clean[0] else "0"]
-    flags += ["1" if left != own else "0" for left, own in zip(clean, clean[1:])]
+    """Snapshot line: comma-separated privilege flags in node order, joined from the flags run
+    keeps. It calls no binop, opens no scope and records no event, whatever the sink, and counts
+    the N guards' steps in one add."""
     # Counted only because stream_child is keyed by step until ROADMAP A.
-    ctx.step_counter += len(flags)
-    return ",".join(flags)
-
-
-def perturb(state: RingState, node: int, new_status: int) -> RingState:
-    """Overwrite a node's status with a clean value, clearing any poison."""
-    _check_node(state, node, "perturb")
-    check_int(new_status, "perturb status", 0, state.k_states - 1, ScenarioError)
-    state.statuses[node] = new_status
-    return state
+    ctx.step_counter += len(state._flags)
+    return ",".join(state._flags)
 
 
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
-    """Run one node's guarded rule; emits a snapshot only when the guard fires. It calls _guard's
-    binop itself, and _check_node only for a bad node. Under run with a sink that keeps no events,
-    exact-int guards and node 0's step skip binop, counting its steps."""
+    """Run one node's guarded rule; emits a snapshot only when the guard fires. With a sink that
+    keeps no events, exact-int guards and node 0's step skip binop, counting its steps."""
     statuses = state.statuses
-    if type(node) is not int or not 0 <= node < len(statuses):
-        _check_node(state, node, "update")
     left, own = statuses[node - 1], statuses[node]
     # Exact: under run an exact-int status is 0, a perturb value below K or an int64 result of
     # binop or of this path, and binop on two such ints, with a sink that keeps nothing, counts one
     # step and returns the clean result at any suppression depth. own < K <= INT64_MAX: no overflow.
-    inline = type(own) is int and not ctx._keeps_events and state._flags is not None
+    inline = type(own) is int and not ctx._keeps_events
     try:
         if inline and type(left) is int:
             ctx.step_counter += 1
@@ -233,8 +192,7 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
             statuses[0] = (own + 1) % state.k_states
         else:
             statuses[0] = binop("mod", binop("add", own, 1, ctx), state.k_states, ctx)
-        if state._flags is not None:
-            _patch_flags(state, node)
+        _patch_flags(state, node)
     except ArithmeticFault as exc:
         exc.node = node
         exc.round_index = state.round_index
@@ -271,7 +229,6 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
     """Simulate the ring: fixed node order 0..N-1 per round, one guarded step per node.
 
     Returns (final RingState, SnapshotEvents in emission order); op events go to ctx.event_sink.
-    While it runs, it keeps the state's flags for out, patching two per status write.
     """
     injections = Scenario(config, injections).injections
     if ctx is None:
@@ -280,7 +237,6 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
     for origin_id, injection in enumerate(injections):
         schedule.setdefault(injection.at_round, []).append((origin_id, injection))
     state = RingState(config.node_count, config.k_states)
-    state._flags = ["1"] + ["0"] * (config.node_count - 1)  # the all-zero start's line
     snapshots: list[SnapshotEvent] = []
     for round_index in range(config.rounds):
         state.round_index = round_index
@@ -289,5 +245,4 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
             update(state, node, ctx, snapshots)
     state.round_index = config.rounds
     _apply_injections(state, config, schedule.get(config.rounds, ()))
-    state._flags = None
     return state, snapshots

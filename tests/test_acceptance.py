@@ -35,15 +35,14 @@ from poisonring import (
     is_legitimate,
     is_poisoned,
     make_poisoned,
-    out,
     read_record,
     run,
     token_count,
-    update,
 )
 from poisonring import poison_core
 from poisonring._kernel import bernoulli, stream_seed
 from poisonring.cli import EXIT_OK, GOLDEN_PREFIX, load_scenario, main, parse_scenario
+from poisonring.ring_sim import out, update
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -181,6 +180,7 @@ def test_criterion_8_monitoring_neutrality():
         for round_index in range(config.rounds):
             state.round_index = round_index
             for node in range(config.node_count):
+                # out's flags stay right: the one hand write keeps node 0's clean value at 0.
                 if extra_out:
                     out(state, ctx)
                     out(state, ctx)

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 import poisonring
 from poisonring import (
     DeviationModel,
-    EvalContext,
     Injection,
     PoisonPolicy,
     PolicyError,
@@ -24,10 +23,7 @@ from poisonring import (
     Scenario,
     ScenarioError,
     cli,
-    has_privilege,
     make_poisoned,
-    perturb,
-    update,
 )
 from poisonring.poison_core import INT64_MAX, INT64_MIN, U64_MAX
 from poisonring.ring_sim import MAX_NODES
@@ -90,11 +86,6 @@ INT_FIELDS = [
     ("node", 0, MAX_NODES - 1, ScenarioError, lambda v: Injection(v, 0, new_status=1)),
     ("at_round", 0, INT64_MAX, ScenarioError, lambda v: Injection(0, v, new_status=1)),
     ("new_status", 0, INT64_MAX - 1, ScenarioError, lambda v: Injection(0, 0, new_status=v)),
-    ("perturb status", 0, 4, ScenarioError, lambda v: perturb(RingState(5, 5), 0, v)),
-    ("perturb node", 0, 4, ScenarioError, lambda v: perturb(RingState(5, 5), v, 0)),
-    ("update node", 0, 4, ScenarioError, lambda v: update(RingState(5, 5), v, EvalContext(), [])),
-    ("has_privilege node", 0, 4, ScenarioError,
-     lambda v: has_privilege(RingState(5, 5), v, EvalContext())),
     ("node", 0, 4, ScenarioError,
      lambda v: Scenario(_RING, [Injection(v, 0, new_status=1)])),
     ("at_round", 0, 10, ScenarioError,

@@ -2,13 +2,14 @@
 
 from collections import Counter, deque
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_policy
-from monitor_reference import flag_free_run, reference_out
+from monitor_reference import reference_out, reference_run as reference_loop
 from ring_oracle import reference_convergence_point, reference_run
 
 from poisonring import (
@@ -21,21 +22,18 @@ from poisonring import (
     RunRecord,
     Scenario,
     ScenarioError,
+    SnapshotEvent,
     convergence_point,
-    has_privilege,
     is_legitimate,
     is_poisoned,
     make_poisoned,
-    out,
-    perturb,
     run,
     token_count,
-    update,
 )
 from poisonring import _kernel, ring_sim
 from poisonring._kernel import INT64_MAX, INT64_MIN, stream_seed
 from poisonring.cli import load_scenario
-from poisonring.ring_sim import MAX_NODES
+from poisonring.ring_sim import MAX_NODES, has_privilege, out, update
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -95,61 +93,9 @@ class TestRingState:
         assert str(from_state.value) == str(from_config.value)
 
 
-_POLICIES = st.builds(
-    make_policy,
-    kind=st.sampled_from(["offset", "scale", "stuck_at", "bitflip"]),
-    magnitude=st.just(2),
-    rate=st.one_of(st.none(), st.floats(0.01, 0.99)),
-    uses=st.one_of(st.none(), st.integers(1, 4)),
-    infectious=st.booleans(),
-)
-
-
-@st.composite
-def _statuses(draw):
-    """A plain int, or a scalar that is poisoned or whose poison has expired."""
-    value = draw(st.one_of(st.integers(0, 2), st.integers(INT64_MIN, INT64_MAX)))
-    form = draw(st.sampled_from(["int", "poisoned", "expired"]))
-    if form == "int":
-        return value
-    scalar = make_poisoned(value, draw(_POLICIES), 0, seed=draw(st.integers(0, 2**64 - 1)))
-    if form == "expired":
-        scalar.policy = scalar.uses_remaining = None
-    return scalar
-
-
-@st.composite
-def _aliased_statuses(draw):
-    """1..8 statuses from _statuses(), one scalar of them placed at several nodes."""
-    statuses = draw(st.lists(_statuses(), min_size=1, max_size=8))
-    shared = draw(_statuses().filter(lambda s: isinstance(s, PoisonedScalar)))
-    nodes = draw(st.lists(st.integers(0, len(statuses) - 1),
-                          min_size=min(2, len(statuses)), unique=True))
-    for node in nodes:
-        statuses[node] = shared
-    return statuses
-
-
 def _scalar_states(statuses):
     return [(s.clean_value, s.policy, s.uses_remaining, s.rng_state)
             if isinstance(s, PoisonedScalar) else s for s in statuses]
-
-
-@pytest.mark.parametrize("node", [-1, 5, "2", True], ids=["minus-1", "N", "str", "bool"])
-@pytest.mark.parametrize("name", ["update", "has_privilege"])
-def test_node_out_of_range_is_a_scenario_error(ctx, name, node):
-    state = RingState(5, 5)
-    state.statuses[:] = [0, 1, 2, 3, 4]
-    snapshots = []
-    call = {"update": lambda: update(state, node, ctx, snapshots),
-            "has_privilege": lambda: has_privilege(state, node, ctx)}[name]
-    with pytest.raises(ScenarioError) as excinfo:
-        call()
-    got = node if type(node) is int else type(node).__name__
-    assert str(excinfo.value) == f"{name} node must be an integer in [0, 4], got {got}"
-    assert state.statuses == [0, 1, 2, 3, 4]
-    assert snapshots == [] and ctx.event_sink == []
-    assert ctx.step_counter == 0 and ctx.suppression_depth == 0
 
 
 class TestHasPrivilege:
@@ -169,7 +115,7 @@ class TestHasPrivilege:
         state.statuses[0] = make_poisoned(0, make_policy(rate=0.5, uses=3), 0, seed=1)
         before = _scalar_states(state.statuses)
         flags = ["1" if has_privilege(state, node, ctx) else "0" for node in range(5)]
-        assert ",".join(flags) == out(state, EvalContext()) == "1,0,0,0,0"
+        assert ",".join(flags) == "1,0,0,0,0"
         assert ctx.event_sink == [] and ctx.step_counter == 5
         assert _scalar_states(state.statuses) == before
 
@@ -181,10 +127,9 @@ class TestOut:
     def test_single_node(self, ctx):
         assert out(RingState(1, 1), ctx) == "1"
 
-    def test_after_node0_fired(self, ctx):
-        state = RingState(5, 5)
-        state.statuses[0] = 1
-        assert out(state, ctx) == "0,1,0,0,0"
+    def test_after_node0_fired(self):
+        _, snapshots = run(RingConfig(5, 5, 1), [Injection(0, 0, new_status=1)])
+        assert snapshots[0] == SnapshotEvent(0, 1, "0,1,0,0,0")
 
     @pytest.fixture
     def monitor_calls(self, monkeypatch):
@@ -205,8 +150,8 @@ class TestOut:
     def test_discarding_sink_makes_no_monitoring_op(self, monitor_calls):
         ctx = EvalContext(event_sink=deque(maxlen=0))
         ctx.step_counter = 7
-        state = RingState(5, 5)
-        state.statuses[:] = [3, 1, 4, 1, 1]
+        state, _ = run(RingConfig(5, 5, 0), [Injection(i, 0, new_status=v)
+                                              for i, v in enumerate([3, 1, 4, 1, 1])])
         assert out(state, ctx) == "0,1,1,1,0"
         assert monitor_calls == []
         assert ctx.step_counter == 7 + 5
@@ -214,68 +159,15 @@ class TestOut:
     def test_list_sink_makes_no_monitoring_op(self, monitor_calls):
         ctx = EvalContext()
         ctx.step_counter = 7
-        state = RingState(5, 5)
-        state.statuses[:] = [3, 1, make_poisoned(4, make_policy(), 2, seed=1), 1, 1]
+        # Node 2 is poisoned at its clean 0: the statuses read [3, 1, 0, 1, 1].
+        injections = [Injection(2, 0, policy=make_policy())]
+        injections += [Injection(i, 0, new_status=v) for i, v in ((0, 3), (1, 1), (3, 1), (4, 1))]
+        state, _ = run(RingConfig(5, 5, 0), injections)
         assert out(state, ctx) == "0,1,1,1,0"
         assert monitor_calls == []
         # The line is the monitor's record: the sink gets no event, the five guards' steps count.
         assert ctx.event_sink == []
         assert ctx.step_counter == 7 + 5
-
-    @settings(max_examples=300, deadline=None)
-    @given(statuses=_aliased_statuses(), start=st.integers(min_value=0))
-    def test_records_the_events_of_the_per_node_path(self, statuses, start):
-        """out's line, steps and scalar state are the per-node path's, and like that
-        path's N suppressed guards out records no event."""
-        state = RingState(len(statuses), len(statuses))
-        state.statuses[:] = statuses
-        before = _scalar_states(statuses)
-        seen, sinks = [], []
-        for monitor in (out, reference_out):
-            ctx = EvalContext()
-            ctx.step_counter = start
-            line = monitor(state, ctx)
-            seen.append((line, ctx.step_counter, ctx.suppression_depth, _scalar_states(statuses)))
-            sinks.append(ctx.event_sink)
-        assert seen[0] == seen[1]
-        assert seen[0][3] == before
-        assert sinks[0] == sinks[1] == []
-
-    @settings(max_examples=300, deadline=None)
-    @given(statuses=st.lists(_statuses(), min_size=1, max_size=8), start=st.integers(0, 10**6))
-    def test_both_sinks_give_the_same_line_and_steps(self, statuses, start):
-        state = RingState(len(statuses), len(statuses))
-        state.statuses[:] = statuses
-        before = _scalar_states(statuses)
-        seen = []
-        for sink in ([], deque(maxlen=0)):
-            ctx = EvalContext(event_sink=sink)
-            ctx.step_counter = start
-            line = out(state, ctx)
-            seen.append((line, ctx.step_counter - start, ctx.suppression_depth))
-            assert _scalar_states(statuses) == before
-        assert seen[0] == seen[1]
-        assert seen[0][1] == len(statuses)
-
-    @pytest.mark.parametrize("bad", [True, 2**63, INT64_MIN - 1], ids=["bool", "2**63", "below"])
-    @pytest.mark.parametrize("node", [0, 2, 4])
-    def test_bad_status_raises_the_same_error_on_both_sinks(self, bad, node):
-        errors = []
-        for sink in ([], deque(maxlen=0)):
-            state = RingState(5, 5)
-            state.statuses[node] = bad
-            ctx = EvalContext(event_sink=sink)
-            with pytest.raises((TypeError, ValueError)) as excinfo:
-                out(state, ctx)
-            # Raised before any step is counted or any event recorded.
-            assert ctx.step_counter == 0 and list(sink) == []
-            assert ctx.suppression_depth == 0
-            errors.append((type(excinfo.value), str(excinfo.value)))
-        assert errors[0] == errors[1]
-        # The error binop raises on the bad status, as the per-node path does.
-        with pytest.raises((TypeError, ValueError)) as excinfo:
-            reference_out(state, EvalContext())
-        assert errors[0] == (type(excinfo.value), str(excinfo.value))
 
 
 class TestUpdate:
@@ -324,32 +216,13 @@ class TestUpdate:
         assert excinfo.value.round_index == 3
         assert "node 0" in str(excinfo.value)
 
-    @pytest.mark.parametrize("statuses,node,error", [
-        ([0, 2**63], 1, ValueError), ([2**63, 2**63], 0, ValueError),
-        ([0, True], 1, TypeError), ([True, True], 0, TypeError),
-    ], ids=["2**63", "2**63-node0", "bool", "bool-node0"])
-    def test_discarding_sink_checks_a_hand_built_state_as_binop_does(self, statuses, node, error):
-        """No run owns the state, so a status run would never write still reaches binop."""
-        state = RingState(2, 2)
-        state.statuses[:] = statuses
-        ctx = EvalContext(event_sink=deque(maxlen=0))
-        with pytest.raises(error) as raised:
-            update(state, node, ctx, [])
-        reference = EvalContext(event_sink=deque(maxlen=0))
-        with pytest.raises(error) as expected:
-            ring_sim.binop("neq" if node else "eq", statuses[node - 1], statuses[node], reference)
-        assert str(raised.value) == str(expected.value)
-        assert ctx.step_counter == reference.step_counter == 0
-
-    @pytest.mark.parametrize("flags", [None, ["1", "0"]], ids=["hand-built", "run-owned"])
-    def test_node0_step_past_int64_faults_on_both_sinks(self, flags):
-        """own == K: own + 1 overflows, on a state run owns too (its flags set by hand)."""
+    def test_node0_step_past_int64_faults_on_both_sinks(self):
+        """own == K: own + 1 overflows on both sinks; the inline step takes only own < K."""
         faults = []
         for sink in ([], deque(maxlen=0)):
             state = RingState(2, INT64_MAX)
             state.statuses[:] = [INT64_MAX, INT64_MAX]
             state.round_index = 3
-            state._flags = None if flags is None else list(flags)
             ctx = EvalContext(event_sink=sink)
             with pytest.raises(ArithmeticFault) as raised:
                 update(state, 0, ctx, [])
@@ -360,36 +233,19 @@ class TestUpdate:
 
 
 class TestPerturb:
-    def test_sets_clean_status(self, ctx):
-        state = RingState(5, 5)
-        perturb(state, 2, 3)
+    def test_sets_clean_status(self):
+        state, _ = run(RingConfig(5, 5, 0), [Injection(2, 0, new_status=3)])
         assert state.statuses == [0, 0, 3, 0, 0]
 
-    def test_token_count_multiplies(self, ctx):
-        state = RingState(5, 5)
-        perturb(state, 2, 3)
-        line = out(state, ctx)
-        assert line == "1,0,1,1,0"
-        assert token_count(line) == 3
+    def test_token_count_multiplies(self):
+        _, snapshots = run(RingConfig(5, 5, 1), [Injection(2, 0, new_status=3)])
+        assert snapshots[0] == SnapshotEvent(0, 0, "1,0,1,1,0")
+        assert token_count(snapshots[0].line) == 3
 
-    def test_clears_poison(self, ctx):
-        state = RingState(5, 5)
-        state.statuses[2] = make_poisoned(0, make_policy(), 0, seed=1)
-        perturb(state, 2, 1)
-        assert state.statuses[2] == 1
-
-    def test_range_check(self):
-        state = RingState(5, 5)
-        for node, status, message in (
-            (2, 5, r"^perturb status must be an integer in \[0, 4\], got 5$"),
-            (2, "3", r"^perturb status must be an integer in \[0, 4\], got str$"),
-            (2, 3.0, r"^perturb status must be an integer in \[0, 4\], got float$"),
-            (-1, 3, r"^perturb node must be an integer in \[0, 4\], got -1$"),
-            (5, 3, r"^perturb node must be an integer in \[0, 4\], got 5$"),
-        ):
-            with pytest.raises(ScenarioError, match=message):
-                perturb(state, node, status)
-        assert state.statuses == [0] * 5
+    def test_clears_poison(self):
+        injections = [Injection(2, 0, policy=make_policy()), Injection(2, 1, new_status=1)]
+        state, _ = run(RingConfig(5, 5, 1), injections)
+        assert type(state.statuses[2]) is int and state.statuses[2] == 1
 
 
 class TestPropagation:
@@ -599,6 +455,7 @@ class TestMonitoringNeutrality:
         for round_index in range(config.rounds):
             state.round_index = round_index
             for node in range(config.node_count):
+                # out's flags stay right: the one hand write keeps node 0's clean value at 0.
                 for _ in range(extra_outs):
                     out(state, ctx)
                 update(state, node, ctx, snapshots)
@@ -721,20 +578,21 @@ def _outcome(simulate, config, injections, sink):
 
 
 class TestRunKeepsFlags:
-    """run keeps the N flags by patching two per status write; a flag-free loop rebuilds them."""
+    """run keeps the N flags by patching two per status write; reference_run reads each line
+    from the statuses."""
 
     @settings(max_examples=400, deadline=None)
     @given(scenario=_ring_scenarios(), keep_events=st.booleans())
     def test_matches_the_flag_free_loop(self, scenario, keep_events):
         config, injections = scenario
         outcomes = [_outcome(simulate, config, injections, [] if keep_events else deque(maxlen=0))
-                    for simulate in (run, flag_free_run)]
+                    for simulate in (run, reference_loop)]
         assert outcomes[0] == outcomes[1]
 
     def test_ring200_lines_match_the_flag_free_loop(self):
         scenario = load_scenario(str(SCENARIOS / "ring200.json"))
         lines = []
-        for simulate in (run, flag_free_run):
+        for simulate in (run, reference_loop):
             ctx = EvalContext(event_sink=deque(maxlen=0))
             _, snapshots = simulate(scenario.ring, scenario.injections, ctx)
             lines.append([s.line for s in snapshots])
@@ -767,18 +625,30 @@ class TestRunKeepsFlags:
         assert discarded[3] == 0
         assert listed[3] == 5 * 10 + 2 * listed[4] and listed[4] > 0
 
-    def test_a_hand_built_state_has_no_flags(self):
-        assert RingState(5, 5)._flags is None
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=_ring_scenarios(), keep_events=st.booleans())
+    def test_each_line_is_the_reference_line(self, scenario, keep_events):
+        """Each line out joins, up to the final state's, is reference_out's for the statuses at
+        that point; it counts the same N steps and leaves the sink and every scalar as it was."""
+        config, injections = scenario
+        joined = ring_sim.out
 
-    def test_out_reads_hand_writes_after_run(self):
-        scenario = load_scenario(str(SCENARIOS / "poison_node0.json"))
-        state, _ = run(scenario.ring, scenario.injections, EvalContext())
-        assert state._flags is None
-        state.statuses[2] = 4
-        state.statuses[3] = make_poisoned(1, make_policy(), 0, seed=3)
-        ctx, reference_ctx = EvalContext(), EvalContext()
-        assert out(state, ctx) == reference_out(state, reference_ctx)
-        assert ctx.step_counter == reference_ctx.step_counter == 5
+        def checked(state, ctx):
+            reference_ctx, before = EvalContext(), _scalar_states(state.statuses)
+            events, step = list(ctx.event_sink), ctx.step_counter
+            line = joined(state, ctx)
+            assert line == reference_out(state, reference_ctx)
+            assert ctx.step_counter - step == reference_ctx.step_counter
+            assert list(ctx.event_sink) == events
+            assert _scalar_states(state.statuses) == before
+            return line
+
+        with mock.patch.object(ring_sim, "out", checked):
+            try:
+                state, _ = run(config, injections, EvalContext([] if keep_events else deque(maxlen=0)))
+            except ArithmeticFault:
+                return
+        checked(state, EvalContext())
 
     def test_run_calls_update_per_step_and_out_per_snapshot(self, monkeypatch):
         """The call contract a tracer wrapping ring_sim.update and ring_sim.out relies on."""

@@ -76,14 +76,14 @@ class TestTokenCount:
         with pytest.raises(TraceFormatError):
             token_count(line)
 
-    def test_multi_token_privilege_line(self, ctx):
+    def test_multi_token_privilege_line(self):
         # Hand-oracle for statuses [0,1,1,0,0]: nodes 0, 1 and 3 hold privileges.
-        from poisonring import RingState, out
+        from poisonring import Injection, RingConfig, run
 
-        state = RingState(5, 5)
-        state.statuses = [0, 1, 1, 0, 0]
-        line = out(state, ctx)
-        assert line == "1,1,0,1,0"
+        injections = [Injection(1, 0, new_status=1), Injection(2, 0, new_status=1)]
+        _, snapshots = run(RingConfig(5, 5, 1), injections)
+        line = snapshots[0].line
+        assert (snapshots[0].firing_node, line) == (0, "1,1,0,1,0")
         assert token_count(line) == 3
 
 
