@@ -98,6 +98,25 @@ def _scalar_states(statuses):
             if isinstance(s, PoisonedScalar) else s for s in statuses]
 
 
+@pytest.mark.parametrize("node", [-1, 5, "2", True], ids=["minus-1", "N", "str", "bool"])
+@pytest.mark.parametrize("name", ["run", "Scenario"])
+def test_node_out_of_range_is_a_scenario_error(ctx, name, node):
+    """A status is written only through an Injection: its node is checked against MAX_NODES when
+    it is built and against the ring when the scenario is, before run takes any step."""
+    config = RingConfig(5, 5, 2)
+    call = {"run": lambda: run(config, [Injection(node, 1, new_status=1)], ctx),
+            "Scenario": lambda: Scenario(config, [Injection(node, 1, new_status=1)])}[name]
+    with pytest.raises(ScenarioError) as excinfo:
+        call()
+    if type(node) is int and 0 <= node < MAX_NODES:
+        expected = f"injections[0].node must be an integer in [0, 4], got {node}"
+    else:
+        got = node if type(node) is int else type(node).__name__
+        expected = f"node must be an integer in [0, {MAX_NODES - 1}], got {got}"
+    assert str(excinfo.value) == expected
+    assert ctx.event_sink == [] and ctx.step_counter == 0 and ctx.suppression_depth == 0
+
+
 class TestHasPrivilege:
     def test_all_zero_ring(self, ctx):
         state = RingState(5, 5)
@@ -230,6 +249,35 @@ class TestUpdate:
             faults.append((str(exc), exc.step, exc.node, exc.round_index, ctx.step_counter))
         assert faults[0] == faults[1]
         assert faults[0][1:] == (3, 0, 3, 4)
+
+
+    @pytest.mark.parametrize("own_form", ["int", "poisoned"])
+    @pytest.mark.parametrize("left_form", ["int", "poisoned"])
+    @pytest.mark.parametrize("node", [0, 1])
+    def test_discarding_sink_matches_the_list_sink(self, node, left_form, own_form):
+        """With a discarding sink update takes exact-int guards and node 0's step without binop;
+        whatever form the two statuses it reads take, it fires, writes and counts as binop does."""
+        def status(form, value):
+            if form == "int":
+                return value
+            return make_poisoned(value, make_policy(rate=0.5, infectious=True), 0, seed=value + 5)
+
+        fired = 0
+        for left, own in ((0, 0), (1, 0), (2, 2), (0, 2)):
+            seen = []
+            for sink in ([], deque(maxlen=0)):
+                state = RingState(2, 3)
+                state.statuses[node - 1] = status(left_form, left)
+                state.statuses[node] = status(own_form, own)
+                state.round_index = 4
+                ctx = EvalContext(event_sink=sink)
+                snapshots = []
+                update(state, node, ctx, snapshots)
+                fires = [(s.round, s.firing_node) for s in snapshots]
+                seen.append((fires, _scalar_states(state.statuses), ctx.step_counter))
+            assert seen[0] == seen[1]
+            fired += len(seen[0][0])
+        assert fired > 0
 
 
 class TestPerturb:
@@ -649,6 +697,40 @@ class TestRunKeepsFlags:
             except ArithmeticFault:
                 return
         checked(state, EvalContext())
+
+    @pytest.mark.parametrize("node_count", [1, 2, 5])
+    def test_a_new_state_has_the_all_zero_flags(self, node_count):
+        state = RingState(node_count, node_count)
+        assert out(state, EvalContext()) == reference_out(state, EvalContext())
+
+    @pytest.mark.parametrize("write", ["1", "K-1", "poison"])
+    @pytest.mark.parametrize("node", [0, 1, 4])
+    def test_a_write_patches_its_own_and_its_right_flag(self, node, write):
+        """A status write can change only its node's flag and its right neighbour's, node 0 being
+        the last node's right; run patches those two. Poison keeps the clean value and the flags."""
+        if write == "poison":
+            injection = Injection(node, 0, policy=make_policy(rate=0.5))
+        else:
+            injection = Injection(node, 0, new_status=1 if write == "1" else 4)
+        state, snapshots = run(RingConfig(5, 5, 0), [injection])
+        assert snapshots == []
+        line = reference_out(state, EvalContext())
+        assert ",".join(state._flags) == line
+        changed = {i for i, (a, b) in enumerate(zip("1,0,0,0,0".split(","), line.split(",")))
+                   if a != b}
+        assert changed == (set() if write == "poison" else {node, (node + 1) % 5})
+
+    def test_out_reads_writes_after_the_last_round(self):
+        """Injections at round == rounds are applied after the last update; out's line reads them."""
+        scenario = load_scenario(str(SCENARIOS / "poison_node0.json"))
+        ring = scenario.ring
+        late = (Injection(2, ring.rounds, new_status=4),
+                Injection(3, ring.rounds, policy=make_policy(infectious=True)))
+        state, _ = run(ring, scenario.injections + late, EvalContext())
+        assert state.clean_statuses()[2] == 4 and isinstance(state.statuses[3], PoisonedScalar)
+        ctx, reference_ctx = EvalContext(), EvalContext()
+        assert out(state, ctx) == reference_out(state, reference_ctx)
+        assert ctx.step_counter == reference_ctx.step_counter == 5
 
     def test_run_calls_update_per_step_and_out_per_snapshot(self, monkeypatch):
         """The call contract a tracer wrapping ring_sim.update and ring_sim.out relies on."""
