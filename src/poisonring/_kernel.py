@@ -95,13 +95,16 @@ def sm64_next(state):
 
 
 def stream_seed(seed, origin_id):
-    """Initial draw-stream state for an injection site under a scenario seed.
-
-    Both inputs are taken modulo 2**64.
-    """
-    _, z = sm64_next(seed & _MASK64)
-    _, z2 = sm64_next(z ^ (origin_id & _MASK64))
-    return z2
+    """Initial draw-stream state for an injection site under a scenario seed: the output of
+    sm64_next(sm64_next(seed)'s output ^ origin_id), the two steps written out to save calls.
+    Both inputs are taken modulo 2**64."""
+    z = (seed + _SM64_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
+    z = ((z ^ (z >> 31) ^ origin_id) + _SM64_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
+    return z ^ (z >> 31)
 
 
 def stream_child(state, step):

@@ -7,15 +7,14 @@ node_count) runs the two guarded rules:
     node i>0: left != own  ->  own = left
 
 run is the ring's one entry and the one writer of its statuses: each round it applies the
-round's injections, then calls update once per node. Guards are evaluated with unsuppressed
-operator semantics — this is where injected poisoning perturbs the protocol. A node that fires
-emits its snapshot line BEFORE its transition. The line is the monitor's whole record: each flag
-is its node's guard on the clean statuses, as has_privilege reads it, and a flag reads only its
-node's and its left neighbour's clean values. So a RingState starts with the all-zero start's
-N flags, run patches the two that each status write can change, and out joins them: it calls
-no binop and records no event, but counts the N guards' steps. With a sink that keeps no
-events, update applies exact-int guards and node 0's step without binop and counts the same
-steps.
+round's injections, if any, then calls update once per node. Guards are evaluated with
+unsuppressed operator semantics — this is where injected poisoning perturbs the protocol. A node
+that fires emits its snapshot line BEFORE its transition. The line is the monitor's whole record:
+each flag is its node's guard on the clean statuses, as has_privilege reads it, and a flag reads
+only its node's and its left neighbour's clean values. So a RingState starts with the all-zero
+start's N flags, each write patches the two it can change (update a firing's, _patch_flags an
+injection's), and out joins them, calling no binop, recording no event, counting N steps. With a
+sink that keeps no events, update applies exact-int guards and node 0's step without binop.
 """
 
 from __future__ import annotations
@@ -168,8 +167,8 @@ def out(state: RingState, ctx: EvalContext) -> str:
 
 
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
-    """Run one node's guarded rule; emits a snapshot only when the guard fires. With a sink that
-    keeps no events, exact-int guards and node 0's step skip binop, counting its steps."""
+    """Run one node's guarded rule; a firing emits a snapshot, writes, and patches two flags as
+    _patch_flags would. Under a sink keeping no events exact-int guards and node 0's step skip binop."""
     statuses = state.statuses
     left, own = statuses[node - 1], statuses[node]
     # Exact: under run an exact-int status is 0, a perturb value below K or an int64 result of
@@ -185,14 +184,25 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
         if not fires:
             return state
         snapshots.append(SnapshotEvent(state.round_index, node, out(state, ctx)))
-        if node:
+        flags = state._flags
+        if node:  # a copy of its left value: the own flag clears
             statuses[node] = left
-        elif inline and own < state.k_states:
-            ctx.step_counter += 2
-            statuses[0] = (own + 1) % state.k_states
+            flags[node] = "0"
+            new = left if type(left) is int else left.clean_value
         else:
-            statuses[0] = binop("mod", binop("add", own, 1, ctx), state.k_states, ctx)
-        _patch_flags(state, node)
+            if inline and own < state.k_states:
+                ctx.step_counter += 2
+                new = (own + 1) % state.k_states
+            else:
+                new = binop("mod", binop("add", own, 1, ctx), state.k_states, ctx)
+            statuses[0] = new
+            new = new if type(new) is int else new.clean_value
+            flags[0] = "1" if (left if type(left) is int else left.clean_value) == new else "0"
+        # Read after the write: with N == 1 the right flag is node 0's own again, now correct.
+        right = node + 1 if node + 1 < len(statuses) else 0
+        after = statuses[right]
+        after = after if type(after) is int else after.clean_value
+        flags[right] = "1" if (new != after if right else new == after) else "0"
     except ArithmeticFault as exc:
         exc.node = node
         exc.round_index = state.round_index
@@ -201,8 +211,8 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
 
 
 def _patch_flags(state: RingState, node: int) -> None:
-    """Rewrite the two flags a write to node can change, its own and its right neighbour's.
-    Under run each status is an exact int or a PoisonedScalar, whose clean value never changes."""
+    """Rewrite the two flags an injection's write to node can change, its own and its right
+    neighbour's. Under run each status is an exact int or a PoisonedScalar of fixed clean value."""
     statuses, flags = state.statuses, state._flags
     right = node + 1 if node + 1 < len(statuses) else 0
     left, own, after = statuses[node - 1], statuses[node], statuses[right]
@@ -238,11 +248,13 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
         schedule.setdefault(injection.at_round, []).append((origin_id, injection))
     state = RingState(config.node_count, config.k_states)
     snapshots: list[SnapshotEvent] = []
+    update_node, nodes = update, range(config.node_count)  # read per run, so it sees a wrapper set first
     for round_index in range(config.rounds):
         state.round_index = round_index
-        _apply_injections(state, config, schedule.get(round_index, ()))
-        for node in range(config.node_count):
-            update(state, node, ctx, snapshots)
+        if round_index in schedule:
+            _apply_injections(state, config, schedule[round_index])
+        for node in nodes:
+            update_node(state, node, ctx, snapshots)
     state.round_index = config.rounds
     _apply_injections(state, config, schedule.get(config.rounds, ()))
     return state, snapshots

@@ -298,6 +298,20 @@ def test_bernoulli_is_one_sm64_next_step(state, rate):
     assert _kernel.bernoulli(state, rate) == (new_state, (z >> 11) * 2**-53 < rate)
 
 
+# stream_seed writes out two sm64_next steps to save calls; both inputs are taken modulo 2**64,
+# so the property draws them past 64 bits and below zero.
+@settings(max_examples=300)
+@given(st.integers(min_value=-(2**70), max_value=2**70),
+       st.integers(min_value=-(2**70), max_value=2**70))
+@example(0, 0)
+@example(2**64 - 1, -1)
+@example(-1, 2**64)
+def test_stream_seed_is_two_sm64_next_steps(seed, origin_id):
+    _, z = _kernel.sm64_next(seed % 2**64)
+    _, expected = _kernel.sm64_next(z ^ (origin_id % 2**64))
+    assert _kernel.stream_seed(seed, origin_id) == expected
+
+
 class TestBackendEquivalence:
     """The core's operators agree bit for bit with the kernel they call."""
 

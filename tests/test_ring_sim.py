@@ -732,8 +732,11 @@ class TestRunKeepsFlags:
         assert out(state, ctx) == reference_out(state, reference_ctx)
         assert ctx.step_counter == reference_ctx.step_counter == 5
 
-    def test_run_calls_update_per_step_and_out_per_snapshot(self, monkeypatch):
-        """The call contract a tracer wrapping ring_sim.update and ring_sim.out relies on."""
+    @pytest.mark.parametrize("sink", [list, lambda: deque(maxlen=0)], ids=["list", "discard"])
+    @pytest.mark.parametrize("shape", ["poison_node0", "perturbed_clean"])
+    def test_run_calls_update_per_step_and_out_per_snapshot(self, monkeypatch, shape, sink):
+        """The call contract a tracer wrapping ring_sim.update and ring_sim.out relies on, on a
+        poisoned ring and on a campaign's clean 5-node ring perturbed at round 0."""
         calls = Counter()
 
         def counted(name, original):
@@ -744,10 +747,91 @@ class TestRunKeepsFlags:
 
         monkeypatch.setattr(ring_sim, "update", counted("update", ring_sim.update))
         monkeypatch.setattr(ring_sim, "out", counted("out", ring_sim.out))
-        scenario = load_scenario(str(SCENARIOS / "poison_node0.json"))
-        _, snapshots = run(scenario.ring, scenario.injections, EvalContext())
+        if shape == "poison_node0":
+            scenario = load_scenario(str(SCENARIOS / "poison_node0.json"))
+        else:
+            scenario = Scenario(RingConfig(5, 5, 10), [Injection(i, 0, new_status=v)
+                                                       for i, v in enumerate([3, 1, 4, 1, 2])])
+        _, snapshots = run(scenario.ring, scenario.injections, EvalContext(event_sink=sink()))
         assert calls["update"] == scenario.ring.node_count * scenario.ring.rounds
         assert calls["out"] == len(snapshots) > 0
+
+
+def _infected(clean):
+    """A status whose guards and steps go through binop; its rate is low enough that no draw
+    deviates them, and an infectious op's result is poisoned too."""
+    return make_poisoned(clean, make_policy(rate=1e-9, infectious=True), 0, seed=clean)
+
+
+@pytest.mark.parametrize("sink", [list, lambda: deque(maxlen=0)], ids=["list", "discard"])
+class TestFiringPatch:
+    """update writes a firing node's status and patches the two flags it can change, its own
+    and its right neighbour's: after each firing the flags give reference_out's line."""
+
+    def _fire(self, statuses, k_states, nodes, sink):
+        """Set a ring's flags from its statuses, update each node in turn and check the flags
+        after every firing; return the firing nodes."""
+        state = RingState(len(statuses), k_states)
+        state.statuses[:] = statuses
+        state._flags = reference_out(state, EvalContext()).split(",")
+        fired, ctx = [], EvalContext(event_sink=sink())
+        for node in nodes:
+            snapshots = []
+            update(state, node, ctx, snapshots)
+            if snapshots:
+                fired.append(node)
+                assert ",".join(state._flags) == reference_out(state, EvalContext())
+        return fired, state
+
+    @pytest.mark.parametrize("k_states", [1, 2, 3])
+    def test_one_node_is_its_own_left_and_right(self, sink, k_states):
+        fired, _ = self._fire([0], k_states, [0] * 4, sink)
+        assert fired == [0] * 4
+
+    def test_one_infected_node(self, sink):
+        fired, state = self._fire([_infected(1)], 3, [0] * 3, sink)
+        assert fired == [0] * 3 and isinstance(state.statuses[0], PoisonedScalar)
+
+    @pytest.mark.parametrize("statuses", [[0, 0], [1, 0], [0, 1], [2, 1], [1, 1]])
+    def test_two_nodes(self, sink, statuses):
+        fired, _ = self._fire(statuses, 3, [0, 1] * 4, sink)
+        assert fired
+
+    def test_the_last_node_wraps_its_patch_to_flag_0(self, sink):
+        """Node 4 copies 3 from node 3: node 0's flag turns from 0 to 1."""
+        fired, state = self._fire([3, 3, 3, 3, 1], 5, [4], sink)
+        assert fired == [4] and state._flags == ["1", "0", "0", "0", "0"]
+
+    def test_a_node_copies_a_poisoned_scalar(self, sink):
+        left = _infected(2)
+        fired, state = self._fire([0, left, 1, 1, 1], 5, [2, 3], sink)
+        assert fired == [2, 3] and state.statuses[2] is state.statuses[3] is left
+
+    def test_node0_writes_an_infected_scalar_through_binop(self, sink):
+        fired, state = self._fire([_infected(2), 1, 1, 1, 2], 5, [0], sink)
+        assert fired == [0] and isinstance(state.statuses[0], PoisonedScalar)
+        assert state.statuses[0].clean_value == 3 and state._flags == ["0", "1", "0", "0", "1"]
+
+    @pytest.mark.parametrize("config, injections", [
+        (RingConfig(1, 1, 4), []),
+        (RingConfig(1, 2, 5), [Injection(0, 2, new_status=1)]),
+        (RingConfig(2, 2, 6), [Injection(1, 0, new_status=1)]),
+        (RingConfig(2, 3, 8), [Injection(0, 1, policy=make_policy(rate=0.5, infectious=True))]),
+        (RingConfig(5, 5, 20), [Injection(0, 0, policy=make_policy(rate=0.5, infectious=True))]),
+    ], ids=["N1-K1", "N1-K2", "N2", "N2-poison", "N5-poison"])
+    def test_run_keeps_the_flags_after_each_firing(self, monkeypatch, sink, config, injections):
+        stepped, fired = ring_sim.update, []
+
+        def checked(state, node, ctx, snapshots):
+            before = len(snapshots)
+            stepped(state, node, ctx, snapshots)
+            if len(snapshots) > before:
+                fired.append(node)
+                assert ",".join(state._flags) == reference_out(state, EvalContext())
+
+        monkeypatch.setattr(ring_sim, "update", checked)
+        run(config, injections, EvalContext(event_sink=sink()))
+        assert fired and (config.node_count == 1 or config.node_count - 1 in fired)
 
 
 @settings(max_examples=30, deadline=None)
