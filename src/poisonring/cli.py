@@ -52,9 +52,6 @@ GOLDEN_PREFIX = (
     "0,1,0,0,0",
 )
 
-# Each sweep --param: the policy axis of the canonical scenario object it edits, and its key.
-SWEEP_PARAMS = {"rate": ("effect", "intermittent"), "transient_uses": ("lifetime", "transient")}
-
 
 def reference_scenario() -> Scenario:
     """The built-in fault-free reference run behind `check`."""
@@ -68,6 +65,8 @@ def reference_scenario() -> Scenario:
 # The policy axes: (file key, PoisonPolicy field, the plain form for None, the key of {key: value}).
 _AXES = (("effect", "rate", "deterministic", "intermittent"),
          ("lifetime", "uses", "always", "transient"))
+# Each sweep --param and the policy axis of the canonical scenario object it edits.
+SWEEP_PARAMS = dict(zip(("rate", "transient_uses"), _AXES))
 # A magnitude string as str() writes a Fraction or an int: "7", "-5/2".
 _MAGNITUDE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
@@ -283,7 +282,7 @@ def _sweep_values(text: str) -> list:
 
 def _sweep_point(scenario: Scenario, param: str, value) -> Scenario:
     """The sweep point of one decoded --values value: it is set on every poison injection."""
-    axis, key = SWEEP_PARAMS[param]
+    axis, _, _, key = SWEEP_PARAMS[param]
     # A value decoded just below the recursion limit can be too deep to write back.
     name = _build("--values: invalid JSON", json.dumps, value, separators=(",", ":"))
     field = f"--values: {param}={name}"

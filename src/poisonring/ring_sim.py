@@ -12,9 +12,9 @@ unsuppressed operator semantics — this is where injected poisoning perturbs th
 that fires emits its snapshot line BEFORE its transition. The line is the monitor's whole record:
 each flag is its node's guard on the clean statuses, as has_privilege reads it, and a flag reads
 only its node's and its left neighbour's clean values. So a RingState starts with the all-zero
-start's N flags, each write patches the two it can change (update a firing's, _patch_flags an
-injection's), and out joins them, calling no binop, recording no event, counting N steps. With a
-sink that keeps no events, update applies exact-int guards and node 0's step without binop.
+start's N flags, a firing patches the two it can change, a round's injections set all N again, and
+out joins them, calling no binop, recording no event, counting N steps. With a sink that keeps no
+events, update applies exact-int guards and node 0's step without binop.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ class Scenario:
 
 class RingState:
     """Mutable ring state: one status per node, for 1..MAX_NODES nodes and K > N - 1. _flags
-    holds its snapshot flags, from the all-zero start's line; run keeps them by patching."""
+    holds its snapshot flags, from the all-zero start's line; run keeps them current."""
 
     __slots__ = ("statuses", "k_states", "round_index", "_flags")
 
@@ -167,8 +167,8 @@ def out(state: RingState, ctx: EvalContext) -> str:
 
 
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
-    """Run one node's guarded rule; a firing emits a snapshot, writes, and patches two flags as
-    _patch_flags would. Under a sink keeping no events exact-int guards and node 0's step skip binop."""
+    """Run one node's guarded rule; a firing emits a snapshot, writes, and patches its own flag and
+    its right neighbour's. Under a sink keeping no events exact-int guards and node 0's step skip binop."""
     statuses = state.statuses
     left, own = statuses[node - 1], statuses[node]
     # Exact: under run an exact-int status is 0, a perturb value below K or an int64 result of
@@ -210,29 +210,22 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
     return state
 
 
-def _patch_flags(state: RingState, node: int) -> None:
-    """Rewrite the two flags an injection's write to node can change, its own and its right
-    neighbour's. Under run each status is an exact int or a PoisonedScalar of fixed clean value."""
-    statuses, flags = state.statuses, state._flags
-    right = node + 1 if node + 1 < len(statuses) else 0
-    left, own, after = statuses[node - 1], statuses[node], statuses[right]
-    left = left if type(left) is int else left.clean_value
-    own = own if type(own) is int else own.clean_value
-    after = after if type(after) is int else after.clean_value
-    flags[node] = "1" if (left != own if node else left == own) else "0"
-    flags[right] = "1" if (own != after if right else own == after) else "0"
-
-
 def _apply_injections(state, config, scheduled):
+    """Write the round's injections, then set all N flags from the clean statuses."""
+    statuses, flags = state.statuses, state._flags
     for origin_id, injection in scheduled:
         if injection.policy is not None:
-            current = clean_value_of(state.statuses[injection.node])
-            state.statuses[injection.node] = make_poisoned(
-                current, injection.policy, origin_id, config.seed
-            )
+            current = clean_value_of(statuses[injection.node])
+            statuses[injection.node] = make_poisoned(current, injection.policy, origin_id, config.seed)
         else:  # Scenario has checked node and status against this ring
-            state.statuses[injection.node] = injection.new_status
-        _patch_flags(state, injection.node)
+            statuses[injection.node] = injection.new_status
+    # Under run each status is an exact int or a PoisonedScalar of fixed clean value.
+    left = statuses[-1]
+    left = left if type(left) is int else left.clean_value
+    for node, own in enumerate(statuses):
+        own = own if type(own) is int else own.clean_value
+        flags[node] = "1" if (left != own if node else left == own) else "0"
+        left = own
 
 
 def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
@@ -256,5 +249,6 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
         for node in nodes:
             update_node(state, node, ctx, snapshots)
     state.round_index = config.rounds
-    _apply_injections(state, config, schedule.get(config.rounds, ()))
+    if config.rounds in schedule:
+        _apply_injections(state, config, schedule[config.rounds])
     return state, snapshots

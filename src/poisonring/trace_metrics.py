@@ -6,7 +6,8 @@ both with the scenario digest and seed; the JSONL codec round-trips records exac
 self-describing object per line. One table, _RECORD_TYPES, states each line's keys, their
 order and JSON types; one function, _check_record, checks each record against it, on read
 and before it is written. Each distinct op-line tail is checked, encoded and decoded once,
-each distinct snapshot line is checked once on write, and one in the writer's form read in place.
+and each distinct snapshot line is checked once on write. On read, one regex per line kind
+(_OP_LINE, _SNAPSHOT_LINE) recognises the writer's exact form, which is read in place.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ class TraceFormatError(ValueError):
 
 
 _LINE_RE = re.compile(r"[01](,[01])*")
-# How every op line starts: dumps_record writes it, loads_record tests for it.
+# How every op line starts: dumps_record writes it, _OP_LINE matches it.
 _OP_PREFIX = '{"type":"op","step":'
 _INT_TOKEN = r"(0|-?[1-9][0-9]{0,18})"  # a canonical int, short enough that int() reads it
+# Lines in the writer's exact form: an op line's step and tail, a snapshot line's three fields.
+_OP_LINE = re.compile(re.escape(_OP_PREFIX) + _INT_TOKEN + "(,.*)").fullmatch
 _SNAPSHOT_LINE = re.compile(rf'\{{"type":"snapshot","round":{_INT_TOKEN},"firing_node":'
                             rf'{_INT_TOKEN},"line":"({_LINE_RE.pattern})"\}}').fullmatch
 
@@ -230,34 +233,27 @@ def loads_record(text: str) -> RunRecord:
     only their own keys. Every key is typed as dumps_record writes it, optional
     op keys left out, in any order and with any JSON whitespace ("\\r\\n" line
     ends load too). Any other text is a TraceFormatError, raised at the first bad
-    line. A snapshot line in the writer's exact form is read in place; read_record
-    parses a file's lines the same way, one at a time.
+    line. A snapshot line in the writer's exact form is read in place, and so is an
+    op line whose tail an earlier line decoded; read_record parses a file's lines
+    the same way, one at a time.
     """
     return _parse_lines(text.split("\n"))
 
 
 def _parse_lines(lines) -> RunRecord:
-    """loads_record's parse of lines without their "\\n"; decodes each distinct op-line tail once."""
+    """loads_record's parse of lines without their "\\n". A line _SNAPSHOT_LINE matches is read in
+    place, as is one _OP_LINE matches whose tail is cached; each distinct tail is decoded once."""
     record = None
     events: list[OperatorEvent] = []
     snapshots: list[SnapshotEvent] = []
     tails: dict[str, tuple] = {}  # op-line tail -> its _TAIL_KEYS values
-    start = len(_OP_PREFIX)
     for lineno, raw in enumerate(lines, start=1):
-        tail = None
-        if raw.startswith(_OP_PREFIX):
-            comma = raw.find(",", start)
-            token, tail = raw[start:comma], raw[comma:]
-            fields = tails.get(tail)
+        op = _OP_LINE(raw)  # as dumps_record writes it
+        if op is not None:
+            fields = tails.get(op[2])
             if fields is not None:
-                try:
-                    step = int(token)
-                except ValueError:  # not an integer, or past 4,300 digits
-                    pass
-                else:
-                    if str(step) == token:  # canonical, as dumps_record writes it
-                        events.append(OperatorEvent(step, *fields))
-                        continue
+                events.append(OperatorEvent(int(op[1]), *fields))
+                continue
         elif (snap := _SNAPSHOT_LINE(raw)) is not None:  # as dumps_record writes it
             snapshots.append(SnapshotEvent(int(snap[1]), int(snap[2]), snap[3]))
             continue
@@ -274,9 +270,8 @@ def _parse_lines(lines) -> RunRecord:
         if kind == "op":
             fields = tuple(map(obj.get, _TAIL_KEYS))
             events.append(OperatorEvent(obj["step"], *fields))
-            # An int step's text holds no comma, so the tail is all that follows it;
-            # with no escape and no "step" key there, any step can precede it.
-            if tail is not None and "\\" not in tail and '"step"' not in tail:
+            # With no escape and no "step" key in it, a tail reads the same after any step.
+            if op is not None and "\\" not in (tail := op[2]) and '"step"' not in tail:
                 tails[tail] = fields
         elif kind == "snapshot":
             snapshots.append(SnapshotEvent(**obj))

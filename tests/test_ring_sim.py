@@ -592,22 +592,28 @@ def _ring_policies(draw):
 
 @st.composite
 def _ring_scenarios(draw):
-    """A ring of 1..9 nodes and 0-3 injections, mostly poison, some at round == rounds,
-    after the last update. Node 0 is weighted up: only its transition does arithmetic."""
+    """A ring of 1..9 nodes and either 0-3 injections, mostly poison, some at round == rounds,
+    after the last update, or a campaign's round: a new_status on every node at one round in
+    0..rounds. Node 0 is weighted up: only its transition does arithmetic."""
     node_count = draw(st.integers(1, 9))
     k_states = draw(st.integers(node_count, node_count + 3))
     rounds = draw(st.integers(0, 12))
-    count = min(draw(st.integers(0, 3)), node_count * (rounds + 1))
-    keys = draw(st.lists(
-        st.tuples(st.one_of(st.just(0), st.integers(0, node_count - 1)),
-                  st.integers(0, rounds)),
-        min_size=count, max_size=count, unique=True))
-    injections = [
-        Injection(node, at_round, new_status=draw(st.integers(0, k_states - 1)))
-        if draw(st.integers(0, 2)) == 0
-        else Injection(node, at_round, policy=draw(_ring_policies()))
-        for node, at_round in keys
-    ]
+    if draw(st.integers(0, 2)) == 0:
+        at_round = draw(st.integers(0, rounds))
+        injections = [Injection(node, at_round, new_status=draw(st.integers(0, k_states - 1)))
+                      for node in range(node_count)]
+    else:
+        count = min(draw(st.integers(0, 3)), node_count * (rounds + 1))
+        keys = draw(st.lists(
+            st.tuples(st.one_of(st.just(0), st.integers(0, node_count - 1)),
+                      st.integers(0, rounds)),
+            min_size=count, max_size=count, unique=True))
+        injections = [
+            Injection(node, at_round, new_status=draw(st.integers(0, k_states - 1)))
+            if draw(st.integers(0, 2)) == 0
+            else Injection(node, at_round, policy=draw(_ring_policies()))
+            for node, at_round in keys
+        ]
     seed = draw(st.integers(0, 2**64 - 1))
     return RingConfig(node_count, k_states, rounds, seed=seed), injections
 
@@ -626,8 +632,8 @@ def _outcome(simulate, config, injections, sink):
 
 
 class TestRunKeepsFlags:
-    """run keeps the N flags by patching two per status write; reference_run reads each line
-    from the statuses."""
+    """run keeps the N flags, a firing patching two and a round's injections setting all N;
+    reference_run reads each line from the statuses."""
 
     @settings(max_examples=400, deadline=None)
     @given(scenario=_ring_scenarios(), keep_events=st.booleans())
@@ -707,7 +713,7 @@ class TestRunKeepsFlags:
     @pytest.mark.parametrize("node", [0, 1, 4])
     def test_a_write_patches_its_own_and_its_right_flag(self, node, write):
         """A status write can change only its node's flag and its right neighbour's, node 0 being
-        the last node's right; run patches those two. Poison keeps the clean value and the flags."""
+        the last node's right; run's flags after it are the line. Poison keeps the clean value."""
         if write == "poison":
             injection = Injection(node, 0, policy=make_policy(rate=0.5))
         else:

@@ -685,8 +685,9 @@ def test_writer_refuses_an_int_too_long_to_write(tmp_path, header, events, snaps
 # Edits of an op line's step token and tail, the text after the token. Each
 # keeps the line starting as dumps_record writes it.
 _LINE_EDITS = {
-    **{f"step {token[:6]!r}": lambda step, tail, token=token: (token, tail)
-       for token in ["-0", "007", "+5", " 5", "1_0", "5.0", "9" * 4301]},
+    **{f"step {token[:6]!r} of {len(token)} chars": lambda step, tail, token=token: (token, tail)
+       for token in ["-0", "007", "+5", " 5", "1_0", "5.0", "9" * 19, "9" * 20,
+                     "-9223372036854775808", "9" * 4301]},
     "escaped step key": lambda step, tail: (step, ',"st\\u0065p":3' + tail),
     "second step key": lambda step, tail: (step, tail[:-1] + ',"step":3}'),
     "type key": lambda step, tail: (step, ',"type":"op"' + tail),
@@ -749,7 +750,8 @@ def _snapshot_text(round_, firing_node, line):
 # Edits of a snapshot line, given its round and firing_node tokens and its line's
 # JSON text. The reader must read each as json.loads does, in place or not.
 _SNAPSHOT_EDITS = {
-    **{f"{key} {token[:6]!r}": lambda r, f, l, key=key, token=token: _snapshot_text(
+    **{f"{key} {token[:6]!r} of {len(token)} chars":
+       lambda r, f, l, key=key, token=token: _snapshot_text(
            *((token, f) if key == "round" else (r, token)), l)
        for key in ("round", "firing_node")
        for token in ["-0", "007", "+5", " 5", "1_0", "5.0", "1e3", "-12", "9" * 19, "9" * 20,
