@@ -4,16 +4,15 @@ The hot primitives behind every intercepted operation: checked 64-bit signed
 arithmetic, deviation application, and the SplitMix64 draw stream.
 clean_binop is the one operator entry, for the names in BINARY_OPS.
 
-All value arguments are Python ints already verified to lie in the signed
-64-bit range. Results outside that range raise OverflowError.
+Operands, clean results and magnitudes are Python ints already verified to lie
+in the signed 64-bit range; results outside it raise OverflowError. Stream states
+are u64, and stream_seed takes both of its inputs modulo 2**64.
 """
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
-_MASK64 = (1 << 64) - 1
-_BIT63 = 1 << 63
-_TWO64 = 1 << 64
+U64_MAX = (1 << 64) - 1
 
 # The operator and deviation-kind names the kernel dispatches on.
 BINARY_OPS = frozenset(("add", "sub", "mul", "mod", "eq", "neq", "lt"))
@@ -80,17 +79,17 @@ def apply_deviation(kind, clean, p_num, p_den):
     if kind == "stuck_at":
         return p_num
     if kind == "bitflip":
-        u = (clean & _MASK64) ^ (1 << p_num)
-        return u - _TWO64 if u >= _BIT63 else u
+        # Bit 63 of a two's-complement int64 is worth INT64_MIN.
+        return clean ^ (INT64_MIN if p_num == 63 else 1 << p_num)
     raise ValueError(f"unknown deviation kind {kind!r}")
 
 
 def sm64_next(state):
     """One SplitMix64 step: (new_state, mixed 64-bit output)."""
-    state = (state + _SM64_GAMMA) & _MASK64
+    state = (state + _SM64_GAMMA) & U64_MAX
     z = state
-    z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
+    z = ((z ^ (z >> 30)) * _SM64_MIX1) & U64_MAX
+    z = ((z ^ (z >> 27)) * _SM64_MIX2) & U64_MAX
     return state, z ^ (z >> 31)
 
 
@@ -98,24 +97,23 @@ def stream_seed(seed, origin_id):
     """Initial draw-stream state for an injection site under a scenario seed: the output of
     sm64_next(sm64_next(seed)'s output ^ origin_id), the two steps written out to save calls.
     Both inputs are taken modulo 2**64."""
-    z = (seed + _SM64_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
-    z = ((z ^ (z >> 31) ^ origin_id) + _SM64_GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _SM64_MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
+    z = (seed + _SM64_GAMMA) & U64_MAX
+    z = ((z ^ (z >> 30)) * _SM64_MIX1) & U64_MAX
+    z = ((z ^ (z >> 27)) * _SM64_MIX2) & U64_MAX
+    z = ((z ^ (z >> 31) ^ origin_id) + _SM64_GAMMA) & U64_MAX
+    z = ((z ^ (z >> 30)) * _SM64_MIX1) & U64_MAX
+    z = ((z ^ (z >> 27)) * _SM64_MIX2) & U64_MAX
     return z ^ (z >> 31)
 
 
-def stream_child(state, step):
-    """Stream state for an infected result; leaves the parent state untouched."""
-    return stream_seed(state, step)
+# Stream state for an infected result, keyed by (parent state, step); the parent is untouched.
+stream_child = stream_seed
 
 
 def bernoulli(state, rate):
     """Advance the stream one draw; return (new_state, draw < rate). The step and mix are
     sm64_next's, written out to save a call; the draw is the output's top 53 bits in [0, 1)."""
-    state = (state + _SM64_GAMMA) & _MASK64
-    z = ((state ^ (state >> 30)) * _SM64_MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _SM64_MIX2) & _MASK64
+    state = (state + _SM64_GAMMA) & U64_MAX
+    z = ((state ^ (state >> 30)) * _SM64_MIX1) & U64_MAX
+    z = ((z ^ (z >> 27)) * _SM64_MIX2) & U64_MAX
     return state, ((z ^ (z >> 31)) >> 11) * _INV_2_53 < rate

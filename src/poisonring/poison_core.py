@@ -16,9 +16,9 @@ Monitoring code that calls binop runs inside a suppression scope, written one wa
 `with ctx.suppression():`. An op in the scope counts its step, raises any ArithmeticFault
 and returns the clean result; it draws, spends, deviates, infects and records nothing, so
 observation never alters a non-infectious experiment.
-Under an infectious policy observation can alter a run: monitoring ops still
-advance the step that keys an infected result's draw stream (ROADMAP A;
-pinned by a strict xfail in tests/test_ring_sim.py::TestMonitoringNeutrality).
+Under an infectious policy observation can alter a run: monitoring ops still advance the step
+that keys an infected result's draw stream (ROADMAP A; pinned by the strict xfails
+test_extra_out_calls_change_nothing_at_seed_0 and ..._with_any_policy in tests/test_ring_sim.py).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from .trace_metrics import OperatorEvent
 
 INT64_MIN = kernel.INT64_MIN
 INT64_MAX = kernel.INT64_MAX
-
-U64_MAX = (1 << 64) - 1
+U64_MAX = kernel.U64_MAX
 
 # Each operator name to itself, so an equal str such as a StrEnum member records as the name.
 _OP_NAMES = {name: name for name in kernel.BINARY_OPS}
@@ -127,8 +126,6 @@ class DeviationModel:
         if not (INT64_MIN <= num <= INT64_MAX and 0 < den <= INT64_MAX):
             raise PolicyError("magnitude numerator/denominator exceed 64 bits")
         object.__setattr__(self, "magnitude", mag)
-        object.__setattr__(self, "_num", num)
-        object.__setattr__(self, "_den", den)
 
 
 @dataclass(frozen=True)
@@ -324,8 +321,9 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     else:
         if deviated:
             model = policy.deviation
+            mag = model.magnitude
             try:
-                emitted = kernel.apply_deviation(model.kind, clean_result, model._num, model._den)
+                emitted = kernel.apply_deviation(model.kind, clean_result, mag.numerator, mag.denominator)
             except OverflowError as exc:
                 raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
         if policy.infectious:

@@ -1,9 +1,9 @@
 """Reference privilege monitor and an independent ring loop.
 
-reference_out: each flag is its node's guard, ring_sim.has_privilege, in its own
-suppression scope, so it counts N steps and records nothing. It reads the
-statuses themselves, where ring_sim.out joins the flags run keeps, and must give
-the same line and steps.
+reference_out: each flag is its node's guard, a binop written out here in its
+own suppression scope, so it counts N steps and records nothing; it calls no
+ring_sim code. It reads the statuses themselves, where ring_sim.out joins the
+flags run keeps, and must give the same line and steps.
 
 reference_run: run's protocol with no kept flags and no inline guard. Every guard
 and node 0's add and mod go through binop, every line comes from reference_out,
@@ -12,12 +12,15 @@ statuses, events, steps and faults.
 """
 
 from poisonring import ArithmeticFault, RingState, SnapshotEvent, binop, clean_value_of, make_poisoned
-from poisonring.ring_sim import has_privilege
 
 
 def reference_out(state, ctx) -> str:
-    return ",".join("1" if has_privilege(state, node, ctx) else "0"
-                    for node in range(len(state.statuses)))
+    statuses, flags = state.statuses, []
+    for node in range(len(statuses)):
+        with ctx.suppression():
+            privileged = binop("neq" if node else "eq", statuses[node - 1], statuses[node], ctx)
+        flags.append("1" if privileged else "0")
+    return ",".join(flags)
 
 
 def reference_run(config, injections, ctx):

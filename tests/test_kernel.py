@@ -285,6 +285,17 @@ def test_bitflip_is_an_involution(value, bit):
     assert k.apply_deviation("bitflip", once, bit, 1) == value
 
 
+# The flip done the long way: toggle the bit in the u64 representation, then read it back signed.
+@settings(max_examples=300)
+@given(int64s, st.integers(min_value=0, max_value=63))
+@example(I64_MIN, 63)
+@example(-1, 63)
+@example(I64_MAX, 62)
+def test_bitflip_matches_the_unsigned_flip(value, bit):
+    u = (value % 2**64) ^ (1 << bit)
+    assert _kernel.apply_deviation("bitflip", value, bit, 1) == (u - 2**64 if u >= 2**63 else u)
+
+
 # bernoulli writes out sm64_next's step and mix to save a call; the two copies must agree.
 # The third example's rate is the draw itself, which is not below it.
 @settings(max_examples=300)

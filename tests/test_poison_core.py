@@ -5,6 +5,7 @@ from contextlib import nullcontext as _null_scope
 from dataclasses import replace
 from enum import Enum, IntEnum
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,16 +29,22 @@ from poisonring import (
     is_poisoned,
     loads_record,
     make_poisoned,
+    run,
 )
+from poisonring import _kernel
 from poisonring._kernel import (
     BINARY_OPS,
+    COMPARISONS,
     INT64_MAX,
     INT64_MIN,
     bernoulli,
     clean_binop,
     stream_seed,
 )
+from poisonring.cli import load_scenario
 from poisonring.ring_sim import has_privilege
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class _Small(IntEnum):
@@ -784,6 +791,23 @@ class TestInfection:
         p = make_poisoned(3, make_policy(infectious=True), 0, seed=2)
         result = binop("lt", p, 10, ctx)
         assert isinstance(result, bool)
+
+    def test_each_infection_calls_the_kernel_stream_child(self, monkeypatch):
+        """binop reaches an infected result's stream through the name kernel.stream_child, the
+        attribute a profiler wraps, once per poisoned arithmetic event of an infectious run."""
+        calls = []
+
+        def counted(state, step):
+            calls.append(step)
+            return stream_seed(state, step)
+
+        monkeypatch.setattr(_kernel, "stream_child", counted)
+        scenario = load_scenario(str(SCENARIOS / "poison_node0.json"))
+        ctx = EvalContext([])
+        run(scenario.ring, scenario.injections, ctx)
+        infections = [e.step for e in ctx.event_sink
+                      if (e.lhs_poisoned or e.rhs_poisoned) and e.op not in COMPARISONS]
+        assert calls == infections and len(calls) > 0
 
 
 class TestDeterminism:

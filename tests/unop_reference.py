@@ -1,9 +1,11 @@
 """Reference operators: the interception path as it was before binop applied the policy itself.
 
-Verbatim copies, so that the oracle shares no policy code with the package,
-except that each OperatorEvent is built by keyword and that an op in a
-suppression scope returns its clean result right after the kernel, recording
-nothing, as events have no suppressed field:
+Verbatim copies, so that the oracle shares no policy code with the package.
+They depart from the originals in three places: each OperatorEvent is built by
+keyword; an op in a suppression scope returns its clean result right after the
+kernel, recording nothing, as events have no suppressed field; and a deviation
+reads the model's magnitude as `magnitude.numerator` and `.denominator`, as
+DeviationModel keeps no other copy of it. The copies:
 
 - reference_unop is the separate unop body from before unop became binop's
   path, with the kernel's checked_neg inlined as `kernel._checked(-a)`;
@@ -69,7 +71,8 @@ def _poisoned_use(op, value, other, clean_result, step):
             model = policy.deviation
             try:
                 emitted = kernel.apply_deviation(
-                    model.kind, clean_result, model._num, model._den
+                    model.kind, clean_result, model.magnitude.numerator,
+                    model.magnitude.denominator,
                 )
             except OverflowError as exc:
                 raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
