@@ -234,14 +234,10 @@ def is_poisoned(value) -> bool:
 
 
 def clean_value_of(value) -> int:
-    """Underlying exact integer of a scalar or plain int."""
+    """The operand as an exact int, as binop reads it: a PoisonedScalar's clean value, or an int
+    (no bool) in the signed 64-bit range, an int subclass such as an IntEnum read as its int."""
     if isinstance(value, PoisonedScalar):
         return value.clean_value
-    return _check_operand(value)
-
-
-def _check_operand(value) -> int:
-    """The operand as an exact int: an int subclass such as an IntEnum reads as its int."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"operand must be an integer scalar, got {type(value).__name__}")
     if not INT64_MIN <= value <= INT64_MAX:
@@ -249,9 +245,9 @@ def _check_operand(value) -> int:
     return int(value)
 
 
-def make_poisoned(value: int, policy: PoisonPolicy, origin_id: int, seed: int) -> PoisonedScalar:
-    """Wrap a value as poisoned; the draw stream derives from (seed, origin_id)."""
-    value = _check_operand(value)
+def make_poisoned(value, policy: PoisonPolicy, origin_id: int, seed: int) -> PoisonedScalar:
+    """Wrap an operand's clean value, and only that, as poisoned, its stream from (seed, origin_id)."""
+    value = clean_value_of(value)
     if not isinstance(policy, PoisonPolicy):
         raise PolicyError("policy must be a PoisonPolicy")
     check_int(origin_id, "origin_id", INT64_MIN, INT64_MAX)

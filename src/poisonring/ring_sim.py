@@ -166,9 +166,10 @@ def out(state: RingState, ctx: EvalContext) -> str:
     return ",".join(state._flags)
 
 
-def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> RingState:
-    """Run one node's guarded rule; a firing emits a snapshot, writes, and patches its own flag and
-    its right neighbour's. Under a sink keeping no events exact-int guards and node 0's step skip binop."""
+def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> None:
+    """Run one node's guarded rule in place, returning nothing; a firing emits a snapshot, writes, and
+    patches its own flag and its right neighbour's. Under a sink keeping no events exact-int guards and
+    node 0's step skip binop."""
     statuses = state.statuses
     left, own = statuses[node - 1], statuses[node]
     # Exact: under run an exact-int status is 0, a perturb value below K or an int64 result of
@@ -182,7 +183,7 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
         else:
             fires = binop("neq" if node else "eq", left, own, ctx)
         if not fires:
-            return state
+            return
         snapshots.append(SnapshotEvent(state.round_index, node, out(state, ctx)))
         flags = state._flags
         if node:  # a copy of its left value: the own flag clears
@@ -207,7 +208,6 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> Ri
         exc.node = node
         exc.round_index = state.round_index
         raise
-    return state
 
 
 def _apply_injections(state, config, scheduled):
@@ -215,8 +215,8 @@ def _apply_injections(state, config, scheduled):
     statuses, flags = state.statuses, state._flags
     for origin_id, injection in scheduled:
         if injection.policy is not None:
-            current = clean_value_of(statuses[injection.node])
-            statuses[injection.node] = make_poisoned(current, injection.policy, origin_id, config.seed)
+            statuses[injection.node] = make_poisoned(statuses[injection.node], injection.policy,
+                                                     origin_id, config.seed)
         else:  # Scenario has checked node and status against this ring
             statuses[injection.node] = injection.new_status
     # Under run each status is an exact int or a PoisonedScalar of fixed clean value.

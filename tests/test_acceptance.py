@@ -5,9 +5,11 @@ deviation rate; criterion 7 compares against the brute-force ring oracle
 over every one of the 3,125 initial status vectors.
 """
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import subprocess
 import sys
 import time
@@ -298,6 +300,23 @@ def test_frozen_traces_read_as_the_reference_reads_them(tmp_path, capsys, name):
     assert read_record(trace) == reference_loads_record(trace.read_bytes().decode("utf-8"))
 
 
+# Frozen sha256 of `sweep --config poison_node0.json` stdout, one table per swept axis.
+FROZEN_SWEEP_SHA256 = {
+    ("rate", "0.1,0.5,0.9"): "4042c25b5373136b62c8a14c2dd099edb662432746f382ab003da19374fffc49",
+    ("transient_uses", "1,4"): "169b217143ba559c577f4a1cdbe99e7e7d02402dffe3dfa6cf3b3922d8131e2f",
+}
+
+
+@pytest.mark.parametrize("param, values", sorted(FROZEN_SWEEP_SHA256))
+def test_frozen_sweep_tables(capsys, param, values):
+    """A 20-rep sweep table over each axis matches its frozen sha256."""
+    argv = ["sweep", "--config", str(SCENARIOS / "poison_node0.json"), "--param", param,
+            "--values", values, "--reps", "20"]
+    assert main(argv) == EXIT_OK
+    table = capsys.readouterr().out
+    assert hashlib.sha256(table.encode("utf-8")).hexdigest() == FROZEN_SWEEP_SHA256[param, values]
+
+
 # Every frozen-digest scenario, plus one whose offset deviation overflows
 # mid-run (an ArithmeticFault at step 34, round 4, after intermittent draws).
 SINK_SCENARIOS = {
@@ -352,3 +371,17 @@ def test_zero_capacity_sink_builds_no_event(monkeypatch, name):
     assert list(last_two) == events[-2:]
     if name == "intermittent_offset_overflow":
         assert kept == ("fault", 34, 0, 4, 35)
+
+
+def test_a_fault_from_run_survives_pickle_and_deepcopy():
+    """An ArithmeticFault from run keeps its type, text, step, node and round through pickle
+    and copy.deepcopy, as a process pool sending it back would need."""
+    scenario = parse_scenario(SINK_SCENARIOS["intermittent_offset_overflow"])
+    with pytest.raises(ArithmeticFault) as info:
+        run(scenario.ring, scenario.injections)
+    fault = info.value
+    assert (fault.step, fault.node, fault.round_index) == (34, 0, 4)
+    for copied in (pickle.loads(pickle.dumps(fault)), copy.deepcopy(fault)):
+        assert type(copied) is ArithmeticFault
+        assert str(copied) == str(fault)
+        assert (copied.step, copied.node, copied.round_index) == (34, 0, 4)

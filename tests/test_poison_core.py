@@ -451,6 +451,37 @@ def _observed(value):
     return (type(value), value)
 
 
+@st.composite
+def _used_scalars(draw):
+    """A PoisonedScalar still poisoned, expired, or built with no policy, some uses spent."""
+    clean, origin_id = draw(_int64s), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["poisoned", "expired", "no policy"]))
+    if kind == "no policy":
+        return PoisonedScalar(clean, None, origin_id, draw(st.integers(0, 2**64 - 1)))
+    policy = draw(_policies)
+    if kind == "expired":
+        policy = replace(policy, uses=draw(st.integers(1, 3)))
+    scalar = make_poisoned(clean, policy, origin_id, draw(st.integers(0, 99)))
+    spent = policy.uses if kind == "expired" else draw(st.integers(0, (policy.uses or 3) - 1))
+    ctx = EvalContext()
+    for _ in range(spent):  # a comparison spends a use and draws, and cannot fault
+        binop("lt", scalar, 0, ctx)
+    assert is_poisoned(scalar) == (kind == "poisoned")
+    return scalar
+
+
+@settings(max_examples=200)
+@given(_used_scalars(), _policies, _int64s, st.integers(0, 2**64 - 1))
+def test_make_poisoned_wraps_a_scalar_by_its_clean_value(scalar, policy, origin_id, seed):
+    """make_poisoned reads a PoisonedScalar as binop does, by its clean value: none of its
+    policy, uses or stream carries over, and the scalar itself is left as it was."""
+    before = _observed(scalar)
+    wrapped = make_poisoned(scalar, policy, origin_id, seed)
+    assert _observed(scalar) == before
+    expected = make_poisoned(clean_value_of(scalar), policy, origin_id, seed)
+    assert _observed(wrapped) == _observed(expected)
+
+
 def _outcome(apply, *args):
     try:
         return "ok", apply(*args)

@@ -663,6 +663,12 @@ class TestRunKeepsFlags:
 
     @settings(max_examples=400, deadline=None)
     @given(scenario=_ring_scenarios(), keep_events=st.booleans())
+    # Node 0's status, still poisoned, is poisoned again at round 2: run passes the scalar to
+    # make_poisoned, where reference_loop passes its clean value.
+    @example(scenario=(RingConfig(3, 4, 5, seed=7),
+                       [Injection(0, 0, policy=make_policy(infectious=True)),
+                        Injection(0, 2, policy=make_policy("scale", 2, rate=0.5, uses=3))]),
+             keep_events=True)
     def test_matches_the_flag_free_loop(self, scenario, keep_events):
         config, injections = scenario
         outcomes = [_outcome(simulate, config, injections, [] if keep_events else deque(maxlen=0))
