@@ -314,7 +314,11 @@ def cmd_sweep(scenario: Scenario, param: str, values: list, reps: int) -> int:
         points, stats = [], []
         for rep in range(reps):
             seeded = _with_seed(swept, (scenario.seed + rep) % 2**64)
-            record = execute_scenario(seeded)
+            try:
+                record = execute_scenario(seeded)
+            except ArithmeticFault as exc:  # name the point, so run --seed can replay it
+                exc.args = (f"{param}={value!s}, seed {seeded.seed}: {exc.args[0]}",)
+                raise
             points.append(convergence_point(record))
             stats.append(deviation_stats(record))
         converged = [p for p in points if p is not None]

@@ -1,20 +1,20 @@
 """Dijkstra's K-state self-stabilizing token ring over poisoned scalars.
 
-A ring of node_count nodes (ids 0..N-1, left neighbor of i is (i-1) mod
-node_count) runs the two guarded rules:
+A ring of N = node_count nodes (ids 0..N-1, left neighbor of i is (i-1) mod N) runs the two
+guarded rules:
 
     node 0:   left == own  ->  own = (own + 1) % K
     node i>0: left != own  ->  own = left
 
 run is the ring's one entry and the one writer of its statuses: each round it applies the
-round's injections, if any, then calls update once per node. Guards are evaluated with
-unsuppressed operator semantics — this is where injected poisoning perturbs the protocol. A node
-that fires emits its snapshot line BEFORE its transition. The line is the monitor's whole record:
-each flag is its node's guard on the clean statuses, as has_privilege reads it, and a flag reads
-only its node's and its left neighbour's clean values. So a RingState starts with the all-zero
-start's N flags, a firing patches the two it can change, a round's injections set all N again, and
-out joins them, calling no binop, recording no event, counting N steps. With a sink that keeps no
-events, update applies exact-int guards and node 0's step without binop.
+round's injections, if any, then calls update once per node, and it names an ArithmeticFault's node
+and round. Guards are evaluated with unsuppressed operator semantics — this is where injected
+poisoning perturbs the protocol. A node that fires emits its snapshot line BEFORE its transition.
+The line is the monitor's whole record: each flag is its node's guard on the clean statuses, as
+has_privilege reads it, and a flag reads only its node's and its left neighbour's clean values. So
+a RingState starts with the all-zero start's N flags, a firing patches the two it can change, a
+round's injections set all N again, and out joins them, calling no binop, recording no event,
+counting N steps. With a discarding sink, update skips binop on exact-int guards and node 0's step.
 """
 
 from __future__ import annotations
@@ -169,45 +169,40 @@ def out(state: RingState, ctx: EvalContext) -> str:
 def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> None:
     """Run one node's guarded rule in place, returning nothing; a firing emits a snapshot, writes, and
     patches its own flag and its right neighbour's. Under a sink keeping no events exact-int guards and
-    node 0's step skip binop."""
+    node 0's step skip binop. An ArithmeticFault propagates; run names its node and round."""
     statuses = state.statuses
     left, own = statuses[node - 1], statuses[node]
-    # Exact: under run an exact-int status is 0, a perturb value below K or an int64 result of
-    # binop or of this path, and binop on two such ints, with a sink that keeps nothing, counts one
-    # step and returns the clean result at any suppression depth. own < K <= INT64_MAX: no overflow.
+    # Exact: under run an exact-int status lies in [0, K) (0, a perturb value below K, a copy of its
+    # left value, or node 0's own step), and binop on two such ints, with a sink that keeps nothing,
+    # counts one step and returns the clean result at any suppression depth. own + 1 <= K: no overflow.
     inline = type(own) is int and not ctx._keeps_events
-    try:
-        if inline and type(left) is int:
-            ctx.step_counter += 1
-            fires = left != own if node else left == own
+    if inline and type(left) is int:
+        ctx.step_counter += 1
+        fires = left != own if node else left == own
+    else:
+        fires = binop("neq" if node else "eq", left, own, ctx)
+    if not fires:
+        return
+    snapshots.append(SnapshotEvent(state.round_index, node, out(state, ctx)))
+    flags = state._flags
+    if node:  # a copy of its left value: the own flag clears
+        statuses[node] = left
+        flags[node] = "0"
+        new = left if type(left) is int else left.clean_value
+    else:
+        if inline:
+            ctx.step_counter += 2
+            new = (own + 1) % state.k_states
         else:
-            fires = binop("neq" if node else "eq", left, own, ctx)
-        if not fires:
-            return
-        snapshots.append(SnapshotEvent(state.round_index, node, out(state, ctx)))
-        flags = state._flags
-        if node:  # a copy of its left value: the own flag clears
-            statuses[node] = left
-            flags[node] = "0"
-            new = left if type(left) is int else left.clean_value
-        else:
-            if inline and own < state.k_states:
-                ctx.step_counter += 2
-                new = (own + 1) % state.k_states
-            else:
-                new = binop("mod", binop("add", own, 1, ctx), state.k_states, ctx)
-            statuses[0] = new
-            new = new if type(new) is int else new.clean_value
-            flags[0] = "1" if (left if type(left) is int else left.clean_value) == new else "0"
-        # Read after the write: with N == 1 the right flag is node 0's own again, now correct.
-        right = node + 1 if node + 1 < len(statuses) else 0
-        after = statuses[right]
-        after = after if type(after) is int else after.clean_value
-        flags[right] = "1" if (new != after if right else new == after) else "0"
-    except ArithmeticFault as exc:
-        exc.node = node
-        exc.round_index = state.round_index
-        raise
+            new = binop("mod", binop("add", own, 1, ctx), state.k_states, ctx)
+        statuses[0] = new
+        new = new if type(new) is int else new.clean_value
+        flags[0] = "1" if (left if type(left) is int else left.clean_value) == new else "0"
+    # Read after the write: with N == 1 the right flag is node 0's own again, now correct.
+    right = node + 1 if node + 1 < len(statuses) else 0
+    after = statuses[right]
+    after = after if type(after) is int else after.clean_value
+    flags[right] = "1" if (new != after if right else new == after) else "0"
 
 
 def _apply_injections(state, config, scheduled):
@@ -242,13 +237,16 @@ def run(config: RingConfig, injections=(), ctx: EvalContext | None = None):
     state = RingState(config.node_count, config.k_states)
     snapshots: list[SnapshotEvent] = []
     update_node, nodes = update, range(config.node_count)  # read per run, so it sees a wrapper set first
-    for round_index in range(config.rounds):
+    for round_index in range(config.rounds + 1):
         state.round_index = round_index
         if round_index in schedule:
             _apply_injections(state, config, schedule[round_index])
-        for node in nodes:
-            update_node(state, node, ctx, snapshots)
-    state.round_index = config.rounds
-    if config.rounds in schedule:
-        _apply_injections(state, config, schedule[config.rounds])
+        if round_index == config.rounds:
+            break
+        try:
+            for node in nodes:
+                update_node(state, node, ctx, snapshots)
+        except ArithmeticFault as exc:
+            exc.node, exc.round_index = node, round_index
+            raise
     return state, snapshots

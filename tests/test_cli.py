@@ -508,9 +508,23 @@ class TestRunCommand:
     def test_arithmetic_fault_exits_2(self, scenario_file, capsys):
         path = scenario_file(OVERFLOW_SCENARIO)
         assert main(["run", "--config", path]) == EXIT_RUNTIME
-        err = capsys.readouterr().err
-        assert "arithmetic fault" in err
-        assert "node 0" in err
+        assert capsys.readouterr().err == (
+            "arithmetic fault: add deviation: result exceeds signed 64-bit range"
+            " (step 23, node 0, round 1)\n")
+
+    def test_a_sweep_fault_names_its_point_and_run_seed_replays_it(self, scenario_file, capsys):
+        """A sweep's fault names the swept value and the rep's seed; run --seed at that point
+        faults at the same step, node and round."""
+        poison = poison_injection_obj(magnitude="9223372036854775807")
+        obj = {"ring": {"node_count": 2, "k_states": 2, "rounds": 3}, "seed": 0,
+               "injections": [poison]}
+        sweep = ["sweep", "--param", "rate", "--values", "0.5", "--reps", "3"]
+        assert main([*sweep, "--config", scenario_file(obj)]) == EXIT_RUNTIME
+        fault = "add deviation: result exceeds signed 64-bit range (step 7, node 0, round 2)\n"
+        assert capsys.readouterr().err == f"arithmetic fault: rate=0.5, seed 0: {fault}"
+        poison["policy"]["effect"] = {"intermittent": 0.5}
+        assert main(["run", "--config", scenario_file(obj), "--seed", "0"]) == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"arithmetic fault: {fault}"
 
     @pytest.mark.parametrize("deviation", [{"kind": ["offset"], "magnitude": 1}, {}])
     def test_bad_deviation_kind_exits_1(self, scenario_file, capsys, deviation):

@@ -219,38 +219,6 @@ class TestUpdate:
         update(state, 0, ctx, [])
         assert state.statuses[0] == 0
 
-    def test_arithmetic_fault_carries_node_and_round(self, ctx):
-        state = RingState(5, 5)
-        state.round_index = 3
-        state.statuses[4] = 1  # makes node 0's clean guard false
-        state.statuses[0] = make_poisoned(
-            0, make_policy(kind="scale", magnitude=9_000_000_000_000_000_000, infectious=True),
-            0, seed=0,
-        )
-        # guard deviates to true, then the scale deviation overflows on add
-        state.statuses[0].clean_value = 3
-        with pytest.raises(ArithmeticFault) as excinfo:
-            update(state, 0, ctx, [])
-        assert excinfo.value.node == 0
-        assert excinfo.value.round_index == 3
-        assert "node 0" in str(excinfo.value)
-
-    def test_node0_step_past_int64_faults_on_both_sinks(self):
-        """own == K: own + 1 overflows on both sinks; the inline step takes only own < K."""
-        faults = []
-        for sink in ([], deque(maxlen=0)):
-            state = RingState(2, INT64_MAX)
-            state.statuses[:] = [INT64_MAX, INT64_MAX]
-            state.round_index = 3
-            ctx = EvalContext(event_sink=sink)
-            with pytest.raises(ArithmeticFault) as raised:
-                update(state, 0, ctx, [])
-            exc = raised.value
-            faults.append((str(exc), exc.step, exc.node, exc.round_index, ctx.step_counter))
-        assert faults[0] == faults[1]
-        assert faults[0][1:] == (3, 0, 3, 4)
-
-
     @pytest.mark.parametrize("own_form", ["int", "poisoned"])
     @pytest.mark.parametrize("left_form", ["int", "poisoned"])
     @pytest.mark.parametrize("node", [0, 1])
@@ -463,6 +431,22 @@ class TestRun:
 
         assert once() == once()
 
+    def test_arithmetic_fault_carries_node_and_round(self):
+        """run names the node and round of a fault raised in update, alike on both sinks: the
+        ring of test_cli's OVERFLOW_SCENARIO overflows node 0's add in round 1."""
+        policy = make_policy(kind="scale", magnitude=9_000_000_000_000_000_000, infectious=True)
+        injections = [Injection(0, 0, policy=policy), Injection(4, 0, new_status=1)]
+        faults = []
+        for sink in ([], deque(maxlen=0)):
+            ctx = EvalContext(event_sink=sink)
+            with pytest.raises(ArithmeticFault) as raised:
+                run(RingConfig(5, 5, 12), injections, ctx)
+            exc = raised.value
+            faults.append((str(exc), exc.step, exc.node, exc.round_index, ctx.step_counter))
+        assert faults[0] == faults[1]
+        assert faults[0][:4] == ("add deviation: result exceeds signed 64-bit range"
+                                 " (step 23, node 0, round 1)", 23, 0, 1)
+
     def test_poisoned_guard_blocks_node0(self):
         # Deterministic negation: node 0's true guard is emitted false, so it
         # never fires; its poisoned status freezes and the wave stalls at 0.
@@ -674,6 +658,28 @@ class TestRunKeepsFlags:
         outcomes = [_outcome(simulate, config, injections, [] if keep_events else deque(maxlen=0))
                     for simulate in (run, reference_loop)]
         assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenario=_ring_scenarios(), keep_events=st.booleans())
+    def test_an_exact_int_status_lies_in_0_to_k(self, scenario, keep_events):
+        """Under run every exact-int status update reads, and every final one, lies in [0, K):
+        so node 0's inline step, own + 1 <= K <= INT64_MAX, cannot overflow."""
+        config, injections = scenario
+        stepped, k_states = ring_sim.update, config.k_states
+
+        def in_range(statuses):
+            return all(0 <= s < k_states for s in statuses if type(s) is int)
+
+        def checked(state, node, ctx, snapshots):
+            assert in_range([state.statuses[node - 1], state.statuses[node]])
+            stepped(state, node, ctx, snapshots)
+
+        with mock.patch.object(ring_sim, "update", checked):
+            try:
+                state, _ = run(config, injections, EvalContext([] if keep_events else deque(maxlen=0)))
+            except ArithmeticFault:
+                return
+        assert in_range(state.statuses)
 
     def test_ring200_lines_match_the_flag_free_loop(self):
         scenario = load_scenario(str(SCENARIOS / "ring200.json"))
