@@ -92,7 +92,7 @@ def _as_rational(value, field: str) -> Fraction:
     raise PolicyError(f"{field} must be a number")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviationModel:
     """How an emitted result differs from the clean one.
 
@@ -128,7 +128,7 @@ class DeviationModel:
         object.__setattr__(self, "magnitude", mag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PoisonPolicy:
     """Three-axis poisoning behavior plus a deviation model.
 

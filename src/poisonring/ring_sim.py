@@ -49,7 +49,7 @@ def _check_ring(node_count, k_states) -> None:
     check_int(k_states, "k_states", node_count, INT64_MAX, ScenarioError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RingConfig:
     """Ring size, state modulus, round budget, and scenario seed: exact ints with
     1 <= N <= MAX_NODES, N <= K <= INT64_MAX, rounds <= INT64_MAX and seed <= U64_MAX."""
@@ -65,7 +65,7 @@ class RingConfig:
         check_int(self.seed, "seed", 0, U64_MAX, ScenarioError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Injection:
     """A perturbation applied to one node at the start of one round.
 
@@ -94,7 +94,7 @@ class Injection:
         return "poison" if self.policy is not None else "perturb"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
     """A complete reproducible experiment: a ring, which carries the seed, and its injections,
     any iterable kept as a tuple. Checked when built: node < N, at_round <= rounds, new_status < K

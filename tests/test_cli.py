@@ -385,6 +385,14 @@ class TestScenarioCodec:
         assert "injections[0].policy.deviation" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_bool_magnitude_exits_1(self, scenario_file, capsys):
+        path = scenario_file(base_scenario_obj(injections=[poison_injection_obj(magnitude=True)]))
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}.injections[0].policy.deviation: "
+                                "offset magnitude must be a number, not bool\n")
+
     @pytest.mark.parametrize("text", ["1/0", "nan", "abc", "1" * 5000])
     def test_unreadable_magnitude_names_its_field(self, scenario_file, text):
         obj = base_scenario_obj(injections=[poison_injection_obj(magnitude=text)])

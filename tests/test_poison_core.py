@@ -85,6 +85,11 @@ class TestDeviationModel:
         with pytest.raises(PolicyError, match="stuck_at magnitude must be an integer"):
             DeviationModel("stuck_at", magnitude)
 
+    @pytest.mark.parametrize("kind,magnitude", [("offset", True), ("scale", False)])
+    def test_rational_magnitude_is_not_a_bool(self, kind, magnitude):
+        with pytest.raises(PolicyError, match=f"^{kind} magnitude must be a number, not bool$"):
+            DeviationModel(kind, magnitude)
+
     @pytest.mark.parametrize("kind,magnitude", [("offset", 2**70), ("scale", 1e-30)])
     def test_magnitude_beyond_64_bits(self, kind, magnitude):
         with pytest.raises(PolicyError, match="numerator/denominator exceed 64 bits"):

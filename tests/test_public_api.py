@@ -1,11 +1,18 @@
-"""The package's public surface: `__all__`, the README's code examples and the integer rule."""
+"""The package's public surface: `__all__`, the README's code examples, the integer rule and
+the frozen value types."""
 
 import contextlib
+import copy
+import dataclasses
 import io
+import pickle
 import re
 import shlex
+import sys
+import tracemalloc
 import types
 from enum import IntEnum
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -29,6 +36,7 @@ from poisonring.poison_core import INT64_MAX, INT64_MIN, U64_MAX
 from poisonring.ring_sim import MAX_NODES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SCENARIOS = README.parent / "scenarios"
 
 
 def test_all_lists_each_public_attribute_once():
@@ -113,3 +121,46 @@ def test_every_integer_field_takes_exactly_the_ints_in_its_bounds(data):
     with pytest.raises(error) as excinfo:
         call(value)
     assert re.search(rf"(^|\.){name} must be an integer in \[", str(excinfo.value))
+
+
+# One of each frozen value type, every deviation kind, and each scenario file's Scenario.
+_VALUES = [
+    DeviationModel("offset", Fraction(-1, 3)),
+    DeviationModel("scale", 1.01),
+    DeviationModel("stuck_at", INT64_MIN),
+    DeviationModel("bitflip", 63),
+    PoisonPolicy(DeviationModel("scale", 2), rate=0.25, uses=3, infectious=True),
+    RingConfig(5, 7, 10, seed=U64_MAX),
+    Injection(4, 10, policy=_POLICY),
+    Injection(0, 3, new_status=6),
+    Scenario(RingConfig(5, 7, 10), [Injection(4, 10, policy=_POLICY), Injection(0, 3, new_status=6)]),
+    *(pytest.param(cli.load_scenario(str(path)), id=path.name)
+      for path in sorted(SCENARIOS.glob("*.json"))),
+]
+
+
+@pytest.mark.parametrize("value", _VALUES, ids=lambda v: type(v).__name__)
+def test_a_value_type_survives_pickle_copy_and_replace(value):
+    """A process pool sends scenarios to its workers: each copy is an equal value of the same
+    type with an equal hash. The types are slotted, so an instance has no __dict__."""
+    assert not hasattr(value, "__dict__")
+    copies = [pickle.loads(pickle.dumps(value, protocol))
+              for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value), dataclasses.replace(value)]
+    for copied in copies:
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+
+
+def test_an_injection_takes_at_most_72_bytes():
+    """A campaign holds its injections by the thousand. Slotted, one takes 64 bytes under
+    tracemalloc on CPython 3.10 to 3.13; with a __dict__ it took 96 to 152."""
+    count = 15_625
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        injections = [Injection(node=i % 5, at_round=0, new_status=i % 5) for i in range(count)]
+        used = tracemalloc.get_traced_memory()[0] - before - sys.getsizeof(injections)
+    finally:
+        tracemalloc.stop()
+    assert used / count <= 72
