@@ -4,10 +4,12 @@ One run produces an ordered stream of OperatorEvents (one per intercepted operat
 when the sink keeps events) and SnapshotEvents (one per firing node). RunRecord bundles
 both with the scenario digest and seed; the JSONL codec round-trips records exactly, one
 self-describing object per line. One table, _RECORD_TYPES, states each line's keys, their
-order and JSON types; one function, _check_record, checks each record against it, on read
-and before it is written. Each distinct op-line tail is checked, encoded and decoded once,
-and each distinct snapshot line is checked once on write. On read, one regex per line kind
-(_OP_LINE, _SNAPSHOT_LINE) recognises the writer's exact form, which is read in place.
+order and JSON types; one function, _check_record, judges each record against it, on read
+and before it is written. Op and snapshot lines in the writer's exact form skip JSON: the
+writer formats a record of exact field types as an f-string, and the reader matches such a
+line with a regex and converts each distinct op tail and snapshot line once. Each accepts
+only what _check_record accepts, and leaves anything else to it, so no byte or message
+depends on these paths.
 """
 
 from __future__ import annotations
@@ -22,21 +24,22 @@ class TraceFormatError(ValueError):
     """Malformed snapshot line or trace file."""
 
 
-_LINE_RE = re.compile(r"[01](,[01])*")
+_LINE_RE = re.compile(r"[01](?:,[01])*")
 # How every op line starts: dumps_record writes it, _OP_LINE matches it.
 _OP_PREFIX = '{"type":"op","step":'
 _INT_TOKEN = r"(0|-?[1-9][0-9]{0,18})"  # a canonical int, short enough that int() reads it
-# Lines in the writer's exact form: an op line's step and tail, a snapshot line's three fields.
+# Lines in the writer's exact form: an op line's step and tail, a snapshot line's three fields
+# (its line any text, for _LINE_RE to judge once per distinct line).
 _OP_LINE = re.compile(re.escape(_OP_PREFIX) + _INT_TOKEN + "(,.*)").fullmatch
 _SNAPSHOT_LINE = re.compile(rf'\{{"type":"snapshot","round":{_INT_TOKEN},"firing_node":'
-                            rf'{_INT_TOKEN},"line":"({_LINE_RE.pattern})"\}}').fullmatch
+                            rf'{_INT_TOKEN},"line":"(.*)"\}}').fullmatch
 
 # JSON key order and the JSON types each key may hold (a bool is not an int here).
-_INT, _BOOL = (int,), (bool,)
+_INT, _BOOL, _RESULT = (int,), (bool,), (int, bool)
 _EVENT_TYPES = {
     "step": _INT, "op": (str,), "lhs_clean": _INT, "rhs_clean": _INT,
     "lhs_poisoned": _BOOL, "rhs_poisoned": _BOOL, "deviated": _BOOL,
-    "clean_result": (int, bool), "emitted_result": (int, bool),
+    "clean_result": _RESULT, "emitted_result": _RESULT,
     "origin_id": _INT, "lifetime_after": _INT,
 }
 # The op keys left out of a line when None, never written as null; all others are required.
@@ -48,9 +51,17 @@ _RECORD_TYPES = {
     "run": {"scenario_digest": (str,), "seed": _INT, "final_statuses": (list,)},
 }
 _REQUIRED = {kind: frozenset(schema.keys() - _OPTIONAL) for kind, schema in _RECORD_TYPES.items()}
-# An op line's keys after step, in JSON key order: the line's tail is their text.
-_TAIL_KEYS = tuple(_EVENT_TYPES)[1:]
-_TAIL_FIELDS = attrgetter(*_TAIL_KEYS)
+_EVENT_FIELDS = attrgetter(*_EVENT_TYPES)
+# An op line's tail, the text after its step, in the writer's exact form: one group per key
+# in _EVENT_TYPES order, each read as _LITERALS gives it or as an int, but the op string,
+# which needs no escape. Only a first-seen tail is matched, through re's cache, so a program
+# that reads no trace never compiles it.
+_TOKENS = {_INT: _INT_TOKEN, _BOOL: "(true|false)", _RESULT: _INT_TOKEN[:-1] + "|true|false)",
+           (str,): r'"([^"\\\x00-\x1f]*)"'}
+_OP_TAIL = "".join(
+    f'(?:,"{key}":{_TOKENS[types]})?' if key in _OPTIONAL else f',"{key}":{_TOKENS[types]}'
+    for key, types in _EVENT_TYPES.items() if key != "step") + "}"
+_LITERALS = {"true": True, "false": False, None: None}
 
 
 @dataclass(slots=True)
@@ -175,14 +186,14 @@ def _check_record(kind, obj: dict, lineno: int) -> None:
 def _record_lines(record: RunRecord):
     """Yield the record's JSONL lines, each ending in "\\n": header, events, snapshots.
 
-    Each record is first checked by _check_record under its line's number, so one the
-    reader would reject raises the reader's TraceFormatError. The header and each op-line
-    tail, the text after the step, are _ENCODE's text of their keys in _RECORD_TYPES
-    order, optional keys left out when None; each distinct tail is checked and encoded
-    once, keyed by its field values and their types (a cached 1 never vouches for a True).
-    Checked steps and snapshots need no escaping and are written as f-strings. Each distinct
-    snapshot line is checked once; it vouches only for exact-int rounds and firing nodes. An
-    int too long for str(), which the reader could not parse either, raises its line's error.
+    A record the reader would reject raises the reader's TraceFormatError, naming its line.
+    The header is checked by _check_record and written as _ENCODE's text of its keys in
+    _RECORD_TYPES order. Events and snapshots are written as f-strings without JSON, optional
+    keys left out when None. An event whose fields each hold exactly a type _EVENT_TYPES
+    names, or a snapshot of exact ints and an exact str _LINE_RE matches (each distinct line
+    matched once), is exactly what _check_record accepts, so it is called only for any other
+    event or snapshot, to refuse it: no message changes and no byte depends on the f-strings.
+    An int too long for str(), which no reader could parse, raises its line's error.
     """
     lineno = 1
     try:
@@ -190,30 +201,35 @@ def _record_lines(record: RunRecord):
                   "final_statuses": record.final_statuses}
         _check_record("run", header, lineno)
         yield '{"type":"run",' + _ENCODE(header)[1:] + "\n"
-        tails: dict[tuple, str] = {}  # (fields, *their types) -> tail, "\n" included
         for lineno, event in enumerate(record.events, start=2):
-            fields = _TAIL_FIELDS(event)
-            key = (fields, *map(type, fields))
-            step = event.step
-            try:
-                tail = tails[key]
-            except (KeyError, TypeError):  # a new tail, or an unhashable field (never well typed)
-                tail = None
-            if tail is None or type(step) is not int:
-                obj = {name: value for name, value in zip(_TAIL_KEYS, fields)
-                       if value is not None or name not in _OPTIONAL}
-                _check_record("op", {"step": step, **obj}, lineno)
-                tail = tails[key] = "," + _ENCODE(obj)[1:] + "\n"
-            yield f"{_OP_PREFIX}{step}{tail}"
-        checked: set[str] = set()  # snapshot lines, each an exact str, that passed the check
+            fields = _EVENT_FIELDS(event)
+            step, op, lhs, rhs, lhs_p, rhs_p, deviated, clean, emitted, origin, life = fields
+            # _EVENT_TYPES spelled out: _check_record accepts no other event, and refuses this.
+            if not (type(step) is type(lhs) is type(rhs) is int and type(op) is str
+                    and type(lhs_p) is type(rhs_p) is type(deviated) is bool
+                    and type(clean) in _RESULT and type(emitted) in _RESULT
+                    and (origin is None or type(origin) is int)
+                    and (life is None or type(life) is int)):
+                _check_record("op", {key: value for key, value in zip(_EVENT_TYPES, fields)
+                                     if value is not None or key not in _OPTIONAL}, lineno)
+            clean = "true" if clean is True else "false" if clean is False else clean
+            emitted = "true" if emitted is True else "false" if emitted is False else emitted
+            origin = "" if origin is None else f',"origin_id":{origin}'
+            life = "" if life is None else f',"lifetime_after":{life}'
+            yield (f'{_OP_PREFIX}{step},"op":{_ENCODE(op)},"lhs_clean":{lhs},"rhs_clean":{rhs},'
+                   f'"lhs_poisoned":{"true" if lhs_p else "false"},'
+                   f'"rhs_poisoned":{"true" if rhs_p else "false"},'
+                   f'"deviated":{"true" if deviated else "false"},"clean_result":{clean},'
+                   f'"emitted_result":{emitted}{origin}{life}}}\n')
+        checked: set[str] = set()  # snapshot lines, each an exact str, that _LINE_RE matched
         for lineno, snap in enumerate(record.snapshots, start=len(record.events) + 2):
-            if not (type(snap.line) is str and snap.line in checked
-                    and type(snap.round) is type(snap.firing_node) is int):
-                _check_record("snapshot", {"round": snap.round, "firing_node": snap.firing_node,
-                                           "line": snap.line}, lineno)
-                checked.add(snap.line)
-            yield (f'{{"type":"snapshot","round":{snap.round},"firing_node":{snap.firing_node}'
-                   f',"line":"{snap.line}"}}\n')
+            round_, node, line = snap.round, snap.firing_node, snap.line
+            if not (type(round_) is type(node) is int and type(line) is str
+                    and (line in checked or _LINE_RE.fullmatch(line))):
+                _check_record("snapshot", {"round": round_, "firing_node": node, "line": line},
+                              lineno)  # refuses it, as it refuses such an event
+            checked.add(line)
+            yield f'{{"type":"snapshot","round":{round_},"firing_node":{node},"line":"{line}"}}\n'
     except TraceFormatError:
         raise
     except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
@@ -233,30 +249,40 @@ def loads_record(text: str) -> RunRecord:
     only their own keys. Every key is typed as dumps_record writes it, optional
     op keys left out, in any order and with any JSON whitespace ("\\r\\n" line
     ends load too). Any other text is a TraceFormatError, raised at the first bad
-    line. A snapshot line in the writer's exact form is read in place, and so is an
-    op line whose tail an earlier line decoded; read_record parses a file's lines
-    the same way, one at a time.
+    line. Op and snapshot lines in the writer's exact form are read without JSON;
+    read_record parses a file's lines the same way, one at a time.
     """
     return _parse_lines(text.split("\n"))
 
 
 def _parse_lines(lines) -> RunRecord:
-    """loads_record's parse of lines without their "\\n". A line _SNAPSHOT_LINE matches is read in
-    place, as is one _OP_LINE matches whose tail is cached; each distinct tail is decoded once."""
+    """loads_record's parse of lines without their "\\n". A line in the writer's exact form is
+    read without JSON: an op line whose tail _OP_TAIL matches, each distinct tail converted
+    once, and a snapshot line whose line _LINE_RE matches, each distinct line matched once
+    and kept once. Any other line is json.loads' and _check_record's."""
     record = None
     events: list[OperatorEvent] = []
     snapshots: list[SnapshotEvent] = []
-    tails: dict[str, tuple] = {}  # op-line tail -> its _TAIL_KEYS values
+    tails: dict[str, tuple] = {}  # op-line tail -> its field values after step
+    known: dict[str, str] = {}  # snapshot line -> the one str that holds it
     for lineno, raw in enumerate(lines, start=1):
         op = _OP_LINE(raw)  # as dumps_record writes it
         if op is not None:
             fields = tails.get(op[2])
+            if fields is None and (tail := re.fullmatch(_OP_TAIL, op[2])) is not None:
+                name, *values = tail.groups()
+                fields = tails[op[2]] = (
+                    name, *[_LITERALS[v] if v in _LITERALS else int(v) for v in values])
             if fields is not None:
                 events.append(OperatorEvent(int(op[1]), *fields))
                 continue
         elif (snap := _SNAPSHOT_LINE(raw)) is not None:  # as dumps_record writes it
-            snapshots.append(SnapshotEvent(int(snap[1]), int(snap[2]), snap[3]))
-            continue
+            line = known.get(snap[3])
+            if line is None and _LINE_RE.fullmatch(snap[3]):
+                line = known[snap[3]] = snap[3]
+            if line is not None:
+                snapshots.append(SnapshotEvent(int(snap[1]), int(snap[2]), line))
+                continue
         elif not raw.strip():
             continue
         try:
@@ -268,11 +294,7 @@ def _parse_lines(lines) -> RunRecord:
         kind = obj.pop("type", None)
         _check_record(kind, obj, lineno)
         if kind == "op":
-            fields = tuple(map(obj.get, _TAIL_KEYS))
-            events.append(OperatorEvent(obj["step"], *fields))
-            # With no escape and no "step" key in it, a tail reads the same after any step.
-            if op is not None and "\\" not in (tail := op[2]) and '"step"' not in tail:
-                tails[tail] = fields
+            events.append(OperatorEvent(**obj))
         elif kind == "snapshot":
             snapshots.append(SnapshotEvent(**obj))
         else:  # "run"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import tracemalloc
+from collections import deque
 from enum import IntEnum
 
 import pytest
@@ -55,6 +56,17 @@ def _outcome(call, *args):
         return call(*args)
     except TraceFormatError as exc:
         return str(exc)
+
+
+def _typed(value):
+    """value with each field and item paired with its type, so that == tells True from 1 and
+    an IntEnum from its int: a record field by field, its events and snapshots too; anything
+    else, such as a message, as (type, value)."""
+    if dataclasses.is_dataclass(value):
+        return type(value), [_typed(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    if isinstance(value, (list, deque)):  # the reader's lists, or a context's sink
+        return [_typed(item) for item in value]
+    return type(value), value
 
 
 def _read_back(path, text):
@@ -193,13 +205,13 @@ def _rich_record():
 class TestJsonlRoundTrip:
     def test_dumps_loads_identity(self):
         record = _rich_record()
-        assert loads_record(dumps_record(record)) == record
+        assert _typed(loads_record(dumps_record(record))) == _typed(record)
 
     def test_file_roundtrip(self, tmp_path):
         record = _rich_record()
         path = tmp_path / "trace.jsonl"
         write_record(record, path)
-        assert read_record(path) == record
+        assert _typed(read_record(path)) == _typed(record)
 
     def test_file_codec_holds_one_line_at_a_time(self, tmp_path):
         """Neither write_record nor read_record holds the trace's text: each peaks at
@@ -224,7 +236,7 @@ class TestJsonlRoundTrip:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert loaded == record
+        assert _typed(loaded) == _typed(record)
         size = path.stat().st_size
         assert size >= 4_000_000
         assert write_peak < size / 4
@@ -388,7 +400,7 @@ class TestJsonlRoundTrip:
 
     def test_crlf_line_ends_load(self):
         record = _rich_record()
-        assert loads_record(dumps_record(record).replace("\n", "\r\n")) == record
+        assert _typed(loads_record(dumps_record(record).replace("\n", "\r\n"))) == _typed(record)
 
     def test_well_typed_op_record_loads(self):
         header = '{"type":"run","scenario_digest":"d","seed":0,"final_statuses":[1]}'
@@ -444,11 +456,11 @@ def test_any_text_loads_or_is_a_trace_format_error(trace_path, text):
     """loads_record gives a RunRecord that the analytics accept, or a TraceFormatError;
     read_record gives the same for the text written to a file."""
     record = _outcome(loads_record, text)
-    assert _read_back(trace_path, text) == record
+    assert _typed(_read_back(trace_path, text)) == _typed(record)
     if isinstance(record, str):
         return
     assert isinstance(record, RunRecord)
-    assert loads_record(dumps_record(record)) == record
+    assert _typed(loads_record(dumps_record(record))) == _typed(record)
     convergence_point(record)
     deviation_stats(record)
 
@@ -491,6 +503,10 @@ def _generated_events(draw, op_names=_OP_NAMES):
     return event
 
 
+# Snapshot lines of 32 to 400 nodes, as long as ring200.json's and beyond, drawn now and
+# then beside the short ones, so that each distinct line is checked once at these lengths.
+_LONG_LINES = st.builds(lambda nodes, bits: ",".join(f"{bits:0400b}"[:nodes]),
+                        st.integers(32, 400), st.integers(0, 2**400 - 1))
 _GENERATED_RECORDS = st.builds(
     RunRecord,
     scenario_digest=st.text(max_size=8),
@@ -498,7 +514,8 @@ _GENERATED_RECORDS = st.builds(
     events=st.lists(_generated_events(), max_size=4),
     snapshots=st.lists(
         st.builds(SnapshotEvent, round=_INT64S | _OTHER_VALUES, firing_node=_INT64S,
-                  line=st.text(max_size=6) | st.from_regex(r"[01](,[01]){0,3}", fullmatch=True)),
+                  line=st.text(max_size=6) | st.from_regex(r"[01](,[01]){0,3}", fullmatch=True)
+                  | _LONG_LINES | _LONG_LINES.map(lambda line: line + ",")),
         max_size=2,
     ),
     final_statuses=st.lists(_INT64S, max_size=3),
@@ -508,9 +525,10 @@ _GENERATED_RECORDS = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(_GENERATED_RECORDS)
 def test_encoder_matches_reference_bytes(trace_path, record):
-    """A well-formed record is written as the reference writes it and loads back equal;
-    any other record is refused by dumps_record and write_record alike, at its first
-    line that holds a value outside its field's type or a malformed snapshot line."""
+    """A well-formed record is written as the reference writes it and loads back equal,
+    each field of its own type; any other record is refused by dumps_record and
+    write_record alike, at its first line that holds a value outside its field's type or
+    a malformed snapshot line."""
     dumped = _outcome(dumps_record, record)
     written = _outcome(write_record, record, trace_path)
     bad = reference_first_bad_line(record)
@@ -518,7 +536,7 @@ def test_encoder_matches_reference_bytes(trace_path, record):
         text = reference_dumps_record(record)
         assert dumped == text
         assert written is None and trace_path.read_bytes() == text.encode()
-        assert loads_record(text) == record
+        assert _typed(loads_record(text)) == _typed(record)
     else:
         assert dumped.startswith(f"line {bad}: ")
         assert written == dumped
@@ -531,7 +549,8 @@ def test_encoder_matches_reference_on_a_run():
 
 def test_int_enum_operands_under_every_deviation_kind_are_written(tmp_path):
     """A record the library builds from IntEnum operands, under each deviation kind,
-    passes the writer's check: written as the reference writes it, it loads back equal."""
+    passes the writer's check: written as the reference writes it, it loads back equal,
+    each field of its own type."""
     ctx = EvalContext()
     for origin_id, (kind, magnitude) in enumerate(
         [("offset", 2), ("scale", 2), ("stuck_at", 7), ("bitflip", 3)]
@@ -547,14 +566,14 @@ def test_int_enum_operands_under_every_deviation_kind_are_written(tmp_path):
     assert {event.deviated for event in record.events} == {True, False}
     text = dumps_record(record)
     assert text == reference_dumps_record(record)
-    assert loads_record(text) == record
+    assert _typed(loads_record(text)) == _typed(record)
     path = tmp_path / "trace.jsonl"
     write_record(record, path)
-    assert read_record(path) == record
+    assert _typed(read_record(path)) == _typed(record)
 
 
 # Values that compare equal, and so hash alike, yet may encode apart; and two
-# unhashable values, which the encoder cannot cache.
+# unhashable values.
 _LOOKALIKES = (
     (True, 1, 1.0),
     (_Level.HIGH, 7, 7.0),
@@ -566,10 +585,10 @@ _LOOKALIKES = (
 
 @pytest.mark.parametrize("order", ["forward", "reversed"])
 @pytest.mark.parametrize("key", EVENT_KEYS[1:])
-def test_tail_cache_tells_lookalike_values_apart(key, order):
-    """Events differing only in one field's type each get their own tail, cached or not:
-    each value, after the written events before it, its lookalikes among them, is
-    written as its own type or refused with its own field's message."""
+def test_writer_tells_lookalike_values_apart(key, order):
+    """Events differing only in one field's type each get their own line: each value,
+    after the written events before it, its lookalikes among them, is written as its
+    own type, and read back as it, or refused with its own field's message."""
     base = OperatorEvent(step=0, op="add", lhs_clean=1, rhs_clean=1, lhs_poisoned=True,
                          rhs_poisoned=False, deviated=False, clean_result=2, emitted_result=2,
                          origin_id=0, lifetime_after=1)
@@ -577,11 +596,13 @@ def test_tail_cache_tells_lookalike_values_apart(key, order):
     if order == "reversed":
         values.reverse()
     written = []
-    for value in values * 2:  # the second pass reads the cache
+    for value in values * 2:  # the second pass follows each value's lookalikes
         event = dataclasses.replace(base, step=len(written), **{key: value})
         record = RunRecord("digest", 1, events=[*written, event])
         if reference_first_bad_line(record) is None:
-            assert dumps_record(record) == reference_dumps_record(record)
+            text = dumps_record(record)
+            assert text == reference_dumps_record(record)
+            assert _typed(loads_record(text)) == _typed(record)
             written.append(event)
         else:
             assert _outcome(dumps_record, record) == (
@@ -632,7 +653,7 @@ _SNAPSHOT = SnapshotEvent(0, 1, "1,0")
         ({}, [{}, {"step": "1"}], _SNAPSHOT, "line 3: op field 'step' has type str"),
         ({}, [{"op": 3}], _SNAPSHOT, "line 2: op field 'op' has type int"),
         ({}, [{"rhs_clean": [1]}], _SNAPSHOT, "line 2: op field 'rhs_clean' has type list"),
-        # An equal event with 1 is written and its tail cached first.
+        # An equal event with 1 is written first.
         ({}, [{"lhs_clean": 1}, {"step": 1, "lhs_clean": True}], _SNAPSHOT,
          "line 3: op field 'lhs_clean' has type bool"),
         ({}, [{}], SnapshotEvent(0, 1, "1,2"), "line 3: malformed snapshot line '1,2'"),
@@ -662,7 +683,7 @@ _TOO_LONG = 10**5000  # past the 4,300 digits str() writes, so no reader can rea
         ({"seed": _TOO_LONG}, [], _SNAPSHOT, 1),
         ({"final_statuses": [0, -_TOO_LONG]}, [], _SNAPSHOT, 1),
         ({}, [{"lhs_clean": _TOO_LONG}], _SNAPSHOT, 2),
-        # The second event's tail is the first's, so only its step is new.
+        # The second event's tail is the first's: only its step differs.
         ({}, [{}, {"step": _TOO_LONG}], _SNAPSHOT, 3),
         ({}, [{}], SnapshotEvent(_TOO_LONG, 1, "1,0"), 3),
     ],
@@ -737,9 +758,9 @@ def test_decoder_matches_the_reference(trace_path, drawn):
     for name, edit in [("no edit", None), *_LINE_EDITS.items()]:
         text = "\n".join(_edit_op_line(line, edit) if edit and index in edited else line
                          for index, line in enumerate(lines))
-        outcome = _outcome(reference_loads_record, text)
-        assert _outcome(loads_record, text) == outcome, name
-        assert _read_back(trace_path, text) == outcome, name
+        outcome = _typed(_outcome(reference_loads_record, text))
+        assert _typed(_outcome(loads_record, text)) == outcome, name
+        assert _typed(_read_back(trace_path, text)) == outcome, name
 
 
 def _snapshot_text(round_, firing_node, line):
@@ -758,6 +779,7 @@ _SNAPSHOT_EDITS = {
                      "9" * 4301]},
     **{f"line {text}": lambda r, f, l, text=text: _snapshot_text(r, f, text)
        for text in ['"1,,0"', '"1,2"', '""', '"\\u0031"', '"1\\n"']},
+    "line with a trailing comma": lambda r, f, l: _snapshot_text(r, f, l[:-1] + ',"'),
     "trailing CR": lambda r, f, l: _snapshot_text(r, f, l) + "\r",
     "spaces after commas": lambda r, f, l: _snapshot_text(r, f, l).replace(',"', ', "'),
     "reordered keys": lambda r, f, l: (
@@ -772,7 +794,7 @@ def _edit_snapshot_line(line, edit):
     return edit(str(obj["round"]), str(obj["firing_node"]), json.dumps(obj["line"]))
 
 
-_SNAPSHOT_LINES = st.from_regex(r"[01](,[01]){0,30}", fullmatch=True)
+_SNAPSHOT_LINES = st.from_regex(r"[01](,[01]){0,30}", fullmatch=True) | _LONG_LINES
 
 
 @st.composite
@@ -803,7 +825,7 @@ def test_snapshot_decoder_matches_the_reference(trace_path, drawn):
                         for index, line in enumerate(lines)]
         text = "\n".join(edited_lines)
         outcome = _outcome(loads_record, text)
-        assert _read_back(trace_path, text) == outcome, name
+        assert _typed(_read_back(trace_path, text)) == _typed(outcome), name
         reference = _outcome(reference_loads_record, text)
         if isinstance(reference, str):
             assert isinstance(outcome, str), name
@@ -812,7 +834,7 @@ def test_snapshot_decoder_matches_the_reference(trace_path, drawn):
                       for index, line in enumerate(edited_lines)]
             assert _outcome(loads_record, "\n".join(spaced)) == outcome, name
         else:
-            assert outcome == reference, name
+            assert _typed(outcome) == _typed(reference), name
 
 
 @settings(max_examples=300, deadline=None)
