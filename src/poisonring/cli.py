@@ -72,13 +72,14 @@ _MAGNITUDE_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def scenario_obj(scenario: Scenario) -> dict:
-    """The canonical JSON object of a scenario: what parse_scenario reads and the digest hashes."""
+    """The canonical JSON object of a scenario: what parse_scenario reads and the digest hashes.
+    An injection with a policy is a "poison", one without a "perturb"; no other module names kinds."""
     injections = []
     for injection in scenario.injections:
-        obj = {"kind": injection.kind, "node": injection.node, "at_round": injection.at_round}
+        obj = {"kind": "poison", "node": injection.node, "at_round": injection.at_round}
         policy = injection.policy
         if policy is None:
-            obj["new_status"] = injection.new_status
+            obj.update(kind="perturb", new_status=injection.new_status)
         else:
             deviation = {"kind": policy.deviation.kind, "magnitude": str(policy.deviation.magnitude)}
             obj["policy"] = {

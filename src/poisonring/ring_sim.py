@@ -89,10 +89,6 @@ class Injection:
         if self.new_status is not None:
             check_int(self.new_status, "new_status", 0, INT64_MAX - 1, ScenarioError)
 
-    @property
-    def kind(self) -> str:
-        return "poison" if self.policy is not None else "perturb"
-
 
 @dataclass(frozen=True, slots=True)
 class Scenario:

@@ -5,7 +5,16 @@ from pathlib import Path
 import pytest
 
 import poisonring
-from poisonring import DeviationModel, EvalContext, PoisonPolicy
+from poisonring import (
+    ArithmeticFault,
+    DeviationModel,
+    EvalContext,
+    PoisonPolicy,
+    RingConfig,
+    RingState,
+    make_poisoned,
+)
+from poisonring.ring_sim import out, update
 
 
 def pytest_runtest_logreport(report):
@@ -19,18 +28,48 @@ def subprocess_env() -> dict:
     """Environment for a `python -m poisonring` child that imports the package under test.
 
     PYTHONUNBUFFERED is dropped, so the child buffers stdout as it does under
-    a user's shell or CI.
+    a user's shell or CI. The child runs in dev mode with warnings as errors,
+    as pytest's filterwarnings = error holds only in the test process.
     """
     package_root = str(Path(poisonring.__file__).resolve().parent.parent)
     paths = [package_root, os.environ.get("PYTHONPATH", "")]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return {**env, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return {**env, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+            "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}
 
 
 def make_policy(kind="offset", magnitude=1, rate=None, uses=None, infectious=False):
     return PoisonPolicy(
         DeviationModel(kind, magnitude), rate=rate, uses=uses, infectious=infectious
     )
+
+
+def monitored_run(seed: int, policy=None, extra_outs: int = 0):
+    """A 5-node, 10-round ring with node 0 poisoned (by default with an intermittent, transient,
+    infectious offset), driven by hand with extra_outs out() calls before each update and at
+    the end of each round; returns (state, snapshots, events)."""
+    ctx = EvalContext()
+    config = RingConfig(5, 5, 10, seed=seed)
+    state = RingState(config.node_count, config.k_states)
+    if policy is None:
+        policy = make_policy(rate=0.5, uses=8, infectious=True)
+    state.statuses[0] = make_poisoned(0, policy, 0, config.seed)
+    snapshots = []
+    for round_index in range(config.rounds):
+        state.round_index = round_index
+        for node in range(config.node_count):
+            # out's flags stay right: the one hand write keeps node 0's clean value at 0.
+            for _ in range(extra_outs):
+                out(state, ctx)
+            # run names a fault's node and round; update, called alone, leaves them None.
+            try:
+                update(state, node, ctx, snapshots)
+            except ArithmeticFault as exc:
+                exc.node, exc.round_index = node, round_index
+                raise
+        for _ in range(extra_outs):
+            out(state, ctx)
+    return state, snapshots, ctx.event_sink
 
 
 @pytest.fixture

@@ -18,7 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
+from conftest import (
+    base_scenario_obj,
+    make_policy,
+    monitored_run,
+    poison_injection_obj,
+    subprocess_env,
+)
 from ring_oracle import all_initial_states, reference_convergence_point, reference_run
 from trace_reference import reference_loads_record
 
@@ -29,7 +35,6 @@ from poisonring import (
     OperatorEvent,
     PoisonedScalar,
     RingConfig,
-    RingState,
     RunRecord,
     binop,
     convergence_point,
@@ -44,7 +49,6 @@ from poisonring import (
 from poisonring import poison_core
 from poisonring._kernel import bernoulli, stream_seed
 from poisonring.cli import EXIT_OK, GOLDEN_PREFIX, load_scenario, main, parse_scenario
-from poisonring.ring_sim import out, update
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -170,27 +174,8 @@ def test_criterion_7_exhaustive_convergence():
 def test_criterion_8_monitoring_neutrality():
     """Extra out() calls leave a poisoned run's outcome untouched and
     monitoring records no event."""
-
-    def poisoned_run(extra_out: bool):
-        ctx = EvalContext()
-        config = RingConfig(5, 5, 10, seed=42)
-        state = RingState(config.node_count, config.k_states)
-        state.statuses[0] = make_poisoned(
-            0, make_policy(rate=0.5, uses=8, infectious=True), 0, config.seed
-        )
-        snapshots = []
-        for round_index in range(config.rounds):
-            state.round_index = round_index
-            for node in range(config.node_count):
-                # out's flags stay right: the one hand write keeps node 0's clean value at 0.
-                if extra_out:
-                    out(state, ctx)
-                    out(state, ctx)
-                update(state, node, ctx, snapshots)
-        return state, snapshots, ctx.event_sink
-
-    plain_state, plain_snaps, plain_events = poisoned_run(False)
-    noisy_state, noisy_snaps, noisy_events = poisoned_run(True)
+    plain_state, plain_snaps, plain_events = monitored_run(42)
+    noisy_state, noisy_snaps, noisy_events = monitored_run(42, extra_outs=2)
     assert plain_state.clean_statuses() == noisy_state.clean_statuses()
     assert [is_poisoned(s) for s in plain_state.statuses] == [
         is_poisoned(s) for s in noisy_state.statuses

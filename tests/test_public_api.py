@@ -1,5 +1,5 @@
-"""The package's public surface: `__all__`, the README's code examples, the integer rule and
-the frozen value types."""
+"""The package's public surface: `__all__`, the version, the README's code examples, the
+integer rule and the frozen value types."""
 
 import contextlib
 import copy
@@ -46,6 +46,15 @@ def test_all_lists_each_public_attribute_once():
     }
     assert len(poisonring.__all__) == len(set(poisonring.__all__))
     assert set(poisonring.__all__) == public
+
+
+def test_package_version_is_the_projects():
+    """__version__ is pyproject.toml's [project] version, so a version written into a trace
+    names the release that wrote it. A regex reads the file: tomllib is new in 3.11."""
+    text = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL).group(1)
+    version = re.search(r'^version = "([^"]+)"$', project, re.MULTILINE).group(1)
+    assert version == poisonring.__version__
 
 
 def test_readme_python_examples_run():

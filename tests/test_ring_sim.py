@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_policy
+from conftest import make_policy, monitored_run
 from monitor_reference import reference_out, reference_run as reference_loop
 from ring_oracle import reference_convergence_point, reference_run
 
@@ -490,31 +490,6 @@ _NEUTRALITY_CASES = dict(
 
 
 class TestMonitoringNeutrality:
-    def _manual_run(self, extra_outs: int, seed: int, policy=None):
-        """A 5-node ring with node 0 poisoned; extra_outs out() calls before each update."""
-        ctx = EvalContext()
-        config = RingConfig(5, 5, 10, seed=seed)
-        state = RingState(config.node_count, config.k_states)
-        if policy is None:
-            policy = make_policy(rate=0.5, uses=8, infectious=True)
-        state.statuses[0] = make_poisoned(0, policy, 0, config.seed)
-        snapshots = []
-        for round_index in range(config.rounds):
-            state.round_index = round_index
-            for node in range(config.node_count):
-                # out's flags stay right: the one hand write keeps node 0's clean value at 0.
-                for _ in range(extra_outs):
-                    out(state, ctx)
-                # run names a fault's node and round; update, called alone, leaves them None.
-                try:
-                    update(state, node, ctx, snapshots)
-                except ArithmeticFault as exc:
-                    exc.node, exc.round_index = node, round_index
-                    raise
-            for _ in range(extra_outs):
-                out(state, ctx)
-        return state, snapshots, ctx.event_sink
-
     def test_extra_out_calls_change_nothing(self):
         self._assert_neutral(seed=42)
 
@@ -568,7 +543,7 @@ class TestMonitoringNeutrality:
         runs, faults = [], []
         for outs in (0, extra_outs):
             try:
-                runs.append(self._manual_run(outs, seed, policy))
+                runs.append(monitored_run(seed, policy, outs))
             except ArithmeticFault as exc:
                 faults.append((exc.node, exc.round_index))
         # A fault must hit both sides at the same node and round; the step may differ.
