@@ -5,8 +5,8 @@ negation as binop("sub", 0, x, ctx); every application records an
 OperatorEvent when the sink keeps events, and may emit a deviated result per
 the value's PoisonPolicy (deterministic/intermittent effect, always/transient
 lifetime, infectious propagation). Includes Dijkstra's K-state
-self-stabilizing token ring as the reference workload plus trace analytics
-and a CLI.
+self-stabilizing token ring as the reference workload plus trace analytics.
+The CLI lives in poisonring.cli, which the package does not import.
 """
 
 from .poison_core import (
@@ -45,7 +45,6 @@ from .trace_metrics import (
     token_count,
     write_record,
 )
-from .cli import GOLDEN_PREFIX, execute_scenario, load_scenario, reference_scenario
 
 __version__ = "0.1.0"
 
@@ -54,7 +53,6 @@ __all__ = [
     "DeviationModel",
     "DeviationStats",
     "EvalContext",
-    "GOLDEN_PREFIX",
     "Injection",
     "OperatorEvent",
     "PoisonPolicy",
@@ -72,14 +70,11 @@ __all__ = [
     "convergence_point",
     "deviation_stats",
     "dumps_record",
-    "execute_scenario",
     "is_legitimate",
     "is_poisoned",
     "kernel_backend",
-    "load_scenario",
     "loads_record",
     "make_poisoned",
-    "reference_scenario",
     "read_record",
     "run",
     "token_count",

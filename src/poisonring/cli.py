@@ -53,11 +53,6 @@ GOLDEN_PREFIX = (
 )
 
 
-def reference_scenario() -> Scenario:
-    """The built-in fault-free reference run behind `check`."""
-    return Scenario(ring=RingConfig(node_count=5, k_states=5, rounds=10, seed=0))
-
-
 # Scenario files hold the canonical object that scenario_obj writes and scenario_digest
 # hashes; parse_scenario reads it back. The reader checks the JSON shape (objects, lists,
 # known and required keys); every value is checked by the domain type it builds, and its
@@ -255,8 +250,8 @@ def compare_golden(lines):
 
 
 def cmd_check() -> int:
-    """Re-run the built-in reference scenario and compare the golden prefix."""
-    record = execute_scenario(reference_scenario())
+    """Re-run the built-in fault-free reference ring and compare the golden prefix."""
+    record = execute_scenario(Scenario(RingConfig(node_count=5, k_states=5, rounds=10)))
     mismatch = compare_golden([s.line for s in record.snapshots])
     if mismatch is None:
         print(f"check: {len(GOLDEN_PREFIX)}/{len(GOLDEN_PREFIX)} golden lines match", file=sys.stderr)

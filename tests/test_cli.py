@@ -23,7 +23,6 @@ from conftest import base_scenario_obj, make_policy, poison_injection_obj, subpr
 from monitor_reference import reference_out
 from trace_reference import reference_dumps_record
 from poisonring import (
-    GOLDEN_PREFIX,
     ArithmeticFault,
     DeviationModel,
     EvalContext,
@@ -37,8 +36,6 @@ from poisonring import (
     convergence_point,
     deviation_stats,
     dumps_record,
-    execute_scenario,
-    load_scenario,
     loads_record,
     read_record,
     run,
@@ -54,8 +51,11 @@ from poisonring.cli import (
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_RUNTIME,
+    GOLDEN_PREFIX,
     cmd_check,
     compare_golden,
+    execute_scenario,
+    load_scenario,
     main,
     parse_scenario,
     scenario_digest,
@@ -882,6 +882,15 @@ class TestSubprocessDeterminism:
         result = self._invoke("check")
         assert result.returncode == EXIT_OK
         assert b"golden lines match" in result.stderr
+
+    @pytest.mark.parametrize("entry", ["poisonring", "poisonring.cli"])
+    def test_module_entry_checks_clean(self, entry):
+        """Both module entries run `check` in dev mode with warnings as errors: the package
+        does not import its CLI, so runpy finds no earlier copy of poisonring.cli."""
+        result = subprocess.run([sys.executable, "-m", entry, "check"], capture_output=True,
+                                env=subprocess_env(), timeout=120)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stderr == b"check: 7/7 golden lines match\n"
 
 
 # A fixed pool of replacement leaves. It holds no huge positive ints: an

@@ -8,6 +8,7 @@ import io
 import pickle
 import re
 import shlex
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import subprocess_env
 import poisonring
 from poisonring import (
     DeviationModel,
@@ -55,6 +57,19 @@ def test_package_version_is_the_projects():
     project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", text, re.MULTILINE | re.DOTALL).group(1)
     version = re.search(r'^version = "([^"]+)"$', project, re.MULTILINE).group(1)
     assert version == poisonring.__version__
+
+
+def test_importing_the_package_loads_no_cli():
+    """A fresh `import poisonring` loads the library, not poisonring.cli or argparse. The test
+    compares sys.modules before and after, so a site hook that loads argparse first passes."""
+    code = ("import sys; before = set(sys.modules); import poisonring; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=subprocess_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "poisonring" in loaded
+    assert not loaded & {"poisonring.cli", "argparse"}
 
 
 def test_readme_python_examples_run():

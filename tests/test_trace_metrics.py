@@ -290,6 +290,25 @@ class TestJsonlRoundTrip:
         with pytest.raises(TraceFormatError, match=r"^line 1: unknown run field 'bogus'$"):
             loads_record(header + "\n")
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP T: _check_record judges each snapshot alone, so one outside the "
+        "header's ring loads; T's flip records check their indices against the ring",
+    )
+    @pytest.mark.parametrize(
+        "snapshot",
+        ['{"type":"snapshot","round":-5,"firing_node":0,"line":"1,0"}',
+         '{"type":"snapshot","round":0,"firing_node":99,"line":"1,0"}',
+         '{"type":"snapshot","round":0,"firing_node":0,"line":"1,0,0,0"}'],
+        ids=["negative_round", "firing_node_outside", "line_of_4_nodes"],
+    )
+    def test_a_snapshot_outside_its_ring_is_a_trace_format_error(self, snapshot):
+        """A snapshot no run of the header's 2-node ring can write: a round below 0, a
+        firing node outside the ring, or a line of another ring size."""
+        header = '{"type":"run","scenario_digest":"ab","seed":0,"final_statuses":[0,1]}'
+        with pytest.raises(TraceFormatError):
+            loads_record(f"{header}\n{snapshot}\n")
+
     def test_unknown_type_rejected(self):
         with pytest.raises(TraceFormatError, match="unknown record type"):
             loads_record('{"type":"nope"}\n')
