@@ -393,6 +393,16 @@ class TestScenarioCodec:
         assert captured.err == (f"error: {path}.injections[0].policy.deviation: "
                                 "offset magnitude must be a number, not bool\n")
 
+    @pytest.mark.parametrize("magnitude,message", [
+        (float("inf"), "must be finite"), (float("nan"), "must be finite"), ([1], "must be a number"),
+    ], ids=["Infinity", "NaN", "list"])
+    def test_non_finite_or_non_number_magnitude_exits_1(self, scenario_file, capsys, magnitude, message):
+        path = scenario_file(base_scenario_obj(injections=[poison_injection_obj(magnitude=magnitude)]))
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}.injections[0].policy.deviation: offset magnitude {message}\n"
+
     @pytest.mark.parametrize("text", ["1/0", "nan", "abc", "1" * 5000])
     def test_unreadable_magnitude_names_its_field(self, scenario_file, text):
         obj = base_scenario_obj(injections=[poison_injection_obj(magnitude=text)])

@@ -90,6 +90,16 @@ class TestDeviationModel:
         with pytest.raises(PolicyError, match=f"^{kind} magnitude must be a number, not bool$"):
             DeviationModel(kind, magnitude)
 
+    @pytest.mark.parametrize("kind,magnitude,message", [
+        ("offset", float("inf"), "offset magnitude must be finite"),
+        ("scale", float("nan"), "scale magnitude must be finite"),
+        ("offset", [1], "offset magnitude must be a number"),
+        ("scale", None, "scale magnitude must be a number"),
+    ], ids=["inf", "nan", "list", "none"])
+    def test_rational_magnitude_is_a_finite_number(self, kind, magnitude, message):
+        with pytest.raises(PolicyError, match=f"^{message}$"):
+            DeviationModel(kind, magnitude)
+
     @pytest.mark.parametrize("kind,magnitude", [("offset", 2**70), ("scale", 1e-30)])
     def test_magnitude_beyond_64_bits(self, kind, magnitude):
         with pytest.raises(PolicyError, match="numerator/denominator exceed 64 bits"):
