@@ -30,7 +30,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
-from .poison_core import ArithmeticFault, DeviationModel, EvalContext, PoisonPolicy, PolicyError
+from .poison_core import U64_MAX, ArithmeticFault, DeviationModel, EvalContext, PoisonPolicy, PolicyError
 from .ring_sim import Injection, RingConfig, Scenario, ScenarioError, run
 from .trace_metrics import RunRecord, convergence_point, deviation_stats, token_count, write_record
 
@@ -308,7 +308,7 @@ def cmd_sweep(scenario: Scenario, param: str, values: list, reps: int) -> int:
     for value, swept in sweeps:
         points, stats = [], []
         for rep in range(reps):
-            seeded = _with_seed(swept, (scenario.seed + rep) % 2**64)
+            seeded = _with_seed(swept, (scenario.seed + rep) & U64_MAX)
             try:
                 record = execute_scenario(seeded)
             except ArithmeticFault as exc:  # name the point, so run --seed can replay it

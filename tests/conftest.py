@@ -9,10 +9,13 @@ from poisonring import (
     ArithmeticFault,
     DeviationModel,
     EvalContext,
+    PoisonedScalar,
     PoisonPolicy,
     RingConfig,
     RingState,
+    is_poisoned,
     make_poisoned,
+    run,
 )
 from poisonring.ring_sim import out, update
 
@@ -44,6 +47,27 @@ def make_policy(kind="offset", magnitude=1, rate=None, uses=None, infectious=Fal
     )
 
 
+def scalar_states(statuses):
+    """Each status as an int, or a poisoned scalar's (clean value, policy, uses left, stream)."""
+    return [(s.clean_value, s.policy, s.uses_remaining, s.rng_state)
+            if isinstance(s, PoisonedScalar) else s for s in statuses]
+
+
+def run_outcome(config, injections=(), sink=None, simulate=run):
+    """(shown, events, steps) of one run: shown is the snapshots as (round, firing_node, line)
+    and the final scalar_states, or ("fault", text, step, node, round) of its ArithmeticFault;
+    events is a list of what the sink (None: a new list) kept and steps the final step counter."""
+    ctx = EvalContext(event_sink=sink)
+    try:
+        state, snapshots = simulate(config, injections, ctx)
+    except ArithmeticFault as exc:
+        shown = ("fault", str(exc), exc.step, exc.node, exc.round_index)
+    else:
+        lines = [(s.round, s.firing_node, s.line) for s in snapshots]
+        shown = (lines, scalar_states(state.statuses))
+    return shown, list(ctx.event_sink), ctx.step_counter
+
+
 def monitored_run(seed: int, policy=None, extra_outs: int = 0):
     """A 5-node, 10-round ring with node 0 poisoned (by default with an intermittent, transient,
     infectious offset), driven by hand with extra_outs out() calls before each update and at
@@ -70,6 +94,32 @@ def monitored_run(seed: int, policy=None, extra_outs: int = 0):
         for _ in range(extra_outs):
             out(state, ctx)
     return state, snapshots, ctx.event_sink
+
+
+def assert_monitoring_neutral(seed: int, policy=None, extra_outs: int = 1):
+    """monitored_run with 0 and with extra_outs out() calls shows the same clean statuses,
+    poison flags, snapshot lines and (op, lhs, rhs, deviated) per event, or faults at the same
+    node and round on both sides (the step may differ); returns that (node, round), or None."""
+    runs, faults = [], []
+    for outs in (0, extra_outs):
+        try:
+            runs.append(monitored_run(seed, policy, outs))
+        except ArithmeticFault as exc:
+            faults.append((exc.node, exc.round_index))
+    assert len(faults) in (0, 2) and faults[:1] == faults[1:]
+    if faults:
+        return faults[0]
+    (plain_state, plain_snaps, plain_events), (noisy_state, noisy_snaps, noisy_events) = runs
+    assert plain_state.clean_statuses() == noisy_state.clean_statuses()
+    assert [is_poisoned(v) for v in plain_state.statuses] == [
+        is_poisoned(v) for v in noisy_state.statuses
+    ]
+    assert [s.line for s in plain_snaps] == [s.line for s in noisy_snaps]
+    # out records no event, so both runs record the same decisions, op for op
+    plain_core = [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in plain_events]
+    noisy_core = [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in noisy_events]
+    assert plain_core == noisy_core
+    return None
 
 
 @pytest.fixture

@@ -20,9 +20,10 @@ import pytest
 
 from conftest import (
     base_scenario_obj,
+    assert_monitoring_neutral,
     make_policy,
-    monitored_run,
     poison_injection_obj,
+    run_outcome,
     subprocess_env,
 )
 from ring_oracle import all_initial_states, reference_convergence_point, reference_run
@@ -33,7 +34,6 @@ from poisonring import (
     EvalContext,
     Injection,
     OperatorEvent,
-    PoisonedScalar,
     RingConfig,
     RunRecord,
     binop,
@@ -174,17 +174,8 @@ def test_criterion_7_exhaustive_convergence():
 def test_criterion_8_monitoring_neutrality():
     """Extra out() calls leave a poisoned run's outcome untouched and
     monitoring records no event."""
-    plain_state, plain_snaps, plain_events = monitored_run(42)
-    noisy_state, noisy_snaps, noisy_events = monitored_run(42, extra_outs=2)
-    assert plain_state.clean_statuses() == noisy_state.clean_statuses()
-    assert [is_poisoned(s) for s in plain_state.statuses] == [
-        is_poisoned(s) for s in noisy_state.statuses
-    ]
-    assert [s.line for s in plain_snaps] == [s.line for s in noisy_snaps]
-    # The same decisions, op for op: out adds no event and moves no draw.
-    assert [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in noisy_events] == [
-        (e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in plain_events
-    ]
+    # Neither side faults, and both make the same decisions, op for op.
+    assert assert_monitoring_neutral(42, extra_outs=2) is None
 
 
 def test_criterion_9_byte_identical_trace_files(tmp_path):
@@ -332,30 +323,15 @@ def test_zero_capacity_sink_builds_no_event(monkeypatch, name):
 
     monkeypatch.setattr(poison_core, "OperatorEvent", counted_event)
 
-    def outcome(sink):
-        ctx = EvalContext(event_sink=sink)
-        try:
-            state, snapshots = run(scenario.ring, scenario.injections, ctx)
-        except ArithmeticFault as exc:
-            return ("fault", exc.step, exc.node, exc.round_index, ctx.step_counter)
-        scalars = [
-            (s.clean_value, s.policy, s.uses_remaining, s.rng_state)
-            if isinstance(s, PoisonedScalar) else s
-            for s in state.statuses
-        ]
-        return [s.line for s in snapshots], state.clean_statuses(), ctx.step_counter, scalars
-
-    events = []
-    kept = outcome(events)
+    shown, events, steps = run_outcome(scenario.ring, scenario.injections, [])
     assert len(built) == len(events) > 0
     built.clear()
-    assert outcome(deque(maxlen=0)) == kept
+    assert run_outcome(scenario.ring, scenario.injections, deque(maxlen=0)) == (shown, [], steps)
     assert built == []
-    last_two = deque(maxlen=2)
-    assert outcome(last_two) == kept
-    assert list(last_two) == events[-2:]
+    last_two = run_outcome(scenario.ring, scenario.injections, deque(maxlen=2))
+    assert last_two == (shown, events[-2:], steps)
     if name == "intermittent_offset_overflow":
-        assert kept == ("fault", 34, 0, 4, 35)
+        assert (shown[0], *shown[2:], steps) == ("fault", 34, 0, 4, 35)
 
 
 def test_a_fault_from_run_survives_pickle_and_deepcopy():

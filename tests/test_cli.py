@@ -19,15 +19,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import base_scenario_obj, make_policy, poison_injection_obj, subprocess_env
+from conftest import (
+    base_scenario_obj,
+    make_policy,
+    poison_injection_obj,
+    run_outcome,
+    subprocess_env,
+)
 from monitor_reference import reference_out
 from trace_reference import reference_dumps_record
 from poisonring import (
     ArithmeticFault,
     DeviationModel,
-    EvalContext,
     Injection,
-    PoisonedScalar,
     PoisonPolicy,
     RingConfig,
     Scenario,
@@ -38,7 +42,6 @@ from poisonring import (
     dumps_record,
     loads_record,
     read_record,
-    run,
     token_count,
     write_record,
 )
@@ -252,19 +255,6 @@ def _unchecked_scenarios(draw):
     return ring, [Injection(node, at, **draw(specs)) for node, at in slots]
 
 
-def _sink_outcome(scenario, sink):
-    """A run as seen without its events: snapshot lines, clean statuses, steps and each
-    poisoned scalar's state, or the step, node and round of its ArithmeticFault."""
-    ctx = EvalContext(event_sink=sink)
-    try:
-        state, snapshots = run(scenario.ring, scenario.injections, ctx)
-    except ArithmeticFault as exc:
-        return "fault", exc.step, exc.node, exc.round_index, ctx.step_counter
-    scalars = [(s.clean_value, s.policy, s.uses_remaining, s.rng_state)
-               for s in state.statuses if isinstance(s, PoisonedScalar)]
-    return [s.line for s in snapshots], state.clean_statuses(), ctx.step_counter, scalars
-
-
 _SMALL_RING = RingConfig(4, 5, 8, seed=3)
 
 
@@ -277,14 +267,9 @@ _SMALL_RING = RingConfig(4, 5, 8, seed=3)
 @example(parse_scenario(OVERFLOW_SCENARIO))  # an ArithmeticFault in round 1
 def test_discarding_sink_changes_nothing(scenario):
     """With a deque(maxlen=0) sink, clean ops return right after the kernel; the run is
-    still the list-sink run, clean, perturbed, poisoned or faulting."""
-    assert _sink_outcome(scenario, deque(maxlen=0)) == _sink_outcome(scenario, [])
-
-
-def _run_outcome(scenario):
-    ctx = EvalContext()
-    state, snapshots = run(scenario.ring, scenario.injections, ctx)
-    return ctx.event_sink, snapshots, state.clean_statuses(), ctx.step_counter
+    still the list-sink run, clean, perturbed, poisoned or faulting, and keeps no event."""
+    shown, _, steps = run_outcome(scenario.ring, scenario.injections, [])
+    assert run_outcome(scenario.ring, scenario.injections, deque(maxlen=0)) == (shown, [], steps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,16 +278,13 @@ def _run_outcome(scenario):
     DeviationModel("offset", 1), rate=0.5, uses=3, infectious=True)),)))
 def test_out_records_what_the_per_node_path_records(scenario):
     """A run's events are those of the same run monitored by one suppressed binop per
-    node, which records nothing; snapshots, statuses and steps are equal."""
-    try:
-        events, snapshots, statuses, steps = _run_outcome(scenario)
-    except ArithmeticFault:
-        return
+    node, which records nothing; snapshots, statuses, steps and any fault are equal."""
+    ran = run_outcome(scenario.ring, scenario.injections)
     with mock.patch.object(ring_sim, "out", reference_out):
-        per_node = _run_outcome(scenario)
+        per_node = run_outcome(scenario.ring, scenario.injections)
     # repr tells True from 1, which a trace line does too.
-    assert [repr(e) for e in events] == [repr(e) for e in per_node[0]]
-    assert (snapshots, statuses, steps) == per_node[1:]
+    assert [repr(e) for e in ran[1]] == [repr(e) for e in per_node[1]]
+    assert ran == per_node
 
 
 @settings(max_examples=200, deadline=None)
@@ -691,6 +673,24 @@ class TestSweepCommand:
         assert main(self._sweep_args(path, param="transient_uses", values="1,4", reps="5")) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [r.split()[0] for r in rows] == ["1", "4"]
+
+    def test_rep_seeds_wrap_at_2_64(self, scenario_file, capsys, monkeypatch):
+        """Rep r runs at seed (scenario seed + r) mod 2**64."""
+        obj = base_scenario_obj(seed=2**64 - 1,
+                                injections=[poison_injection_obj(effect={"intermittent": 0.5})])
+        args = self._sweep_args(scenario_file(obj), values="0.5", reps="3")
+        assert main(args) == EXIT_OK
+        unpatched = capsys.readouterr().out
+        seeds = []
+
+        def recorded(scenario):
+            seeds.append(scenario.seed)
+            return execute_scenario(scenario)
+
+        monkeypatch.setattr("poisonring.cli.execute_scenario", recorded)
+        assert main(args) == EXIT_OK
+        assert seeds == [2**64 - 1, 0, 1]
+        assert capsys.readouterr().out == unpatched
 
     def test_empty_values_rejected(self, scenario_file, capsys):
         obj = base_scenario_obj(injections=[poison_injection_obj()])

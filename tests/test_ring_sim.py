@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_policy, monitored_run
+from conftest import assert_monitoring_neutral, make_policy, run_outcome, scalar_states
 from monitor_reference import reference_out, reference_run as reference_loop
 from ring_oracle import reference_convergence_point, reference_run
 
@@ -93,11 +93,6 @@ class TestRingState:
         assert str(from_state.value) == str(from_config.value)
 
 
-def _scalar_states(statuses):
-    return [(s.clean_value, s.policy, s.uses_remaining, s.rng_state)
-            if isinstance(s, PoisonedScalar) else s for s in statuses]
-
-
 @pytest.mark.parametrize("node", [-1, 5, "2", True], ids=["minus-1", "N", "str", "bool"])
 @pytest.mark.parametrize("name", ["run", "Scenario"])
 def test_node_out_of_range_is_a_scenario_error(ctx, name, node):
@@ -132,11 +127,11 @@ class TestHasPrivilege:
         records nothing; no draw is made and no use spent."""
         state = RingState(5, 5)
         state.statuses[0] = make_poisoned(0, make_policy(rate=0.5, uses=3), 0, seed=1)
-        before = _scalar_states(state.statuses)
+        before = scalar_states(state.statuses)
         flags = ["1" if has_privilege(state, node, ctx) else "0" for node in range(5)]
         assert ",".join(flags) == "1,0,0,0,0"
         assert ctx.event_sink == [] and ctx.step_counter == 5
-        assert _scalar_states(state.statuses) == before
+        assert scalar_states(state.statuses) == before
 
 
 class TestOut:
@@ -242,7 +237,7 @@ class TestUpdate:
                 snapshots = []
                 update(state, node, ctx, snapshots)
                 fires = [(s.round, s.firing_node) for s in snapshots]
-                seen.append((fires, _scalar_states(state.statuses), ctx.step_counter))
+                seen.append((fires, scalar_states(state.statuses), ctx.step_counter))
             assert seen[0] == seen[1]
             fired += len(seen[0][0])
         assert fired > 0
@@ -466,12 +461,12 @@ class TestRun:
         assert len(ctx.event_sink) == 5 * 10 + 2 * node0_moves
         # has_privilege on the poisoned ring: the clean guard, one step, no event, no draw, no use.
         assert any(is_poisoned(s) for s in state.statuses)
-        before = _scalar_states(state.statuses)
+        before = scalar_states(state.statuses)
         recorded, steps = list(ctx.event_sink), ctx.step_counter
         flags = ["1" if has_privilege(state, node, ctx) else "0" for node in range(5)]
         assert ",".join(flags) == out(state, EvalContext())
         assert ctx.event_sink == recorded and ctx.step_counter == steps + 5
-        assert _scalar_states(state.statuses) == before
+        assert scalar_states(state.statuses) == before
 
 
 # A policy's fields and the number of extra out() calls, for the neutrality properties.
@@ -491,7 +486,7 @@ _NEUTRALITY_CASES = dict(
 
 class TestMonitoringNeutrality:
     def test_extra_out_calls_change_nothing(self):
-        self._assert_neutral(seed=42)
+        assert_monitoring_neutral(seed=42)
 
     @pytest.mark.xfail(
         strict=True,
@@ -499,7 +494,7 @@ class TestMonitoringNeutrality:
         reason="ROADMAP A: child streams are keyed by a step counter that counts suppressed ops",
     )
     def test_extra_out_calls_change_nothing_at_seed_0(self):
-        self._assert_neutral(seed=0)
+        assert_monitoring_neutral(seed=0)
 
     @settings(max_examples=200, deadline=None)
     @given(**_NEUTRALITY_CASES)
@@ -515,7 +510,7 @@ class TestMonitoringNeutrality:
         """
         kind, magnitude = deviation
         policy = make_policy(kind, magnitude, rate=rate, uses=uses)
-        self._assert_neutral(seed, policy, extra_outs)
+        assert_monitoring_neutral(seed, policy, extra_outs)
 
     @pytest.mark.xfail(
         strict=True,
@@ -537,29 +532,7 @@ class TestMonitoringNeutrality:
         """
         kind, magnitude = deviation
         policy = make_policy(kind, magnitude, rate=rate, uses=uses, infectious=infectious)
-        self._assert_neutral(seed, policy, extra_outs)
-
-    def _assert_neutral(self, seed: int, policy=None, extra_outs: int = 1):
-        runs, faults = [], []
-        for outs in (0, extra_outs):
-            try:
-                runs.append(monitored_run(seed, policy, outs))
-            except ArithmeticFault as exc:
-                faults.append((exc.node, exc.round_index))
-        # A fault must hit both sides at the same node and round; the step may differ.
-        assert len(faults) in (0, 2) and faults[:1] == faults[1:]
-        if faults:
-            return
-        (plain_state, plain_snaps, plain_events), (noisy_state, noisy_snaps, noisy_events) = runs
-        assert plain_state.clean_statuses() == noisy_state.clean_statuses()
-        assert [is_poisoned(v) for v in plain_state.statuses] == [
-            is_poisoned(v) for v in noisy_state.statuses
-        ]
-        assert [s.line for s in plain_snaps] == [s.line for s in noisy_snaps]
-        # out records no event, so both runs record the same decisions, op for op
-        plain_core = [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in plain_events]
-        noisy_core = [(e.op, e.lhs_clean, e.rhs_clean, e.deviated) for e in noisy_events]
-        assert plain_core == noisy_core
+        assert_monitoring_neutral(seed, policy, extra_outs)
 
 
 # Offsets and scales, INT64_MAX above all, get extra weight: they are the deviations that fault.
@@ -611,19 +584,6 @@ def _ring_scenarios(draw):
     return RingConfig(node_count, k_states, rounds, seed=seed), injections
 
 
-def _outcome(simulate, config, injections, sink):
-    """What a run shows: snapshots and final scalar states, or the fault; its events and steps."""
-    ctx = EvalContext(event_sink=sink)
-    try:
-        state, snapshots = simulate(config, injections, ctx)
-    except ArithmeticFault as exc:
-        shown = ("fault", str(exc), exc.step, exc.node, exc.round_index)
-    else:
-        lines = [(s.round, s.firing_node, s.line) for s in snapshots]
-        shown = (lines, _scalar_states(state.statuses))
-    return shown, list(ctx.event_sink), ctx.step_counter
-
-
 class TestRunKeepsFlags:
     """run keeps the N flags, a firing patching two and a round's injections setting all N;
     reference_run reads each line from the statuses."""
@@ -654,8 +614,8 @@ class TestRunKeepsFlags:
             return [] if keep_events else deque(maxlen=0)
 
         with mock.patch.object(ring_sim, "update", checked):
-            ran = _outcome(run, config, injections, sink())
-        assert ran == _outcome(reference_loop, config, injections, sink())
+            ran = run_outcome(config, injections, sink())
+        assert ran == run_outcome(config, injections, sink(), reference_loop)
         shown = ran[0]
         assert shown[0] == "fault" or in_range(shown[1])
 
@@ -704,13 +664,13 @@ class TestRunKeepsFlags:
         joined = ring_sim.out
 
         def checked(state, ctx):
-            reference_ctx, before = EvalContext(), _scalar_states(state.statuses)
+            reference_ctx, before = EvalContext(), scalar_states(state.statuses)
             events, step = list(ctx.event_sink), ctx.step_counter
             line = joined(state, ctx)
             assert line == reference_out(state, reference_ctx)
             assert ctx.step_counter - step == reference_ctx.step_counter
             assert list(ctx.event_sink) == events
-            assert _scalar_states(state.statuses) == before
+            assert scalar_states(state.statuses) == before
             return line
 
         with mock.patch.object(ring_sim, "out", checked):
