@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "scenarios", "pyproject.toml", "README.md")
 
 RING_SIM = "src/poisonring/ring_sim.py"
+TRACE_METRICS = "src/poisonring/trace_metrics.py"
 OUT_STEPS = "    ctx.step_counter += len(state._flags)\n"
 OUT_EVENT = OUT_STEPS + '    binop("eq", state.statuses[0], 0, ctx)\n'
 GUARD_STEP = "        ctx.step_counter += 1\n"
@@ -44,11 +45,20 @@ MUTANTS = [
     ("src/poisonring/_kernel.py", "(twice == den and q & 1)", "(twice == den and not q & 1)",
      "tests/test_kernel.py", ""),
     # A snapshot line may hold a 2.
-    ("src/poisonring/trace_metrics.py", 'r"[01](?:,[01])*"', 'r"[012](?:,[012])*"',
+    (TRACE_METRICS, 'r"[01](?:,[01])*"', 'r"[012](?:,[012])*"',
      "tests/test_trace_metrics.py", ""),
     # A sweep's rep r runs at seed + r + 1.
     ("src/poisonring/cli.py", "scenario.seed + rep", "scenario.seed + rep + 1",
      "tests/test_acceptance.py", "frozen_sweep"),
+    # A Scenario takes any node below MAX_NODES, whatever its ring's size.
+    (RING_SIM, '"node", 0, ring.node_count - 1,', '"node", 0, MAX_NODES - 1,',
+     "tests/test_ring_sim.py", "node_out_of_range"),
+    # The writer checks every op line: same bytes, no fast path.
+    (TRACE_METRICS, "(life is None or type(life) is int)", "(life is None and type(life) is int)",
+     "tests/test_acceptance.py", "fast_paths"),
+    # The reader's op-tail pattern swaps its optional and required keys: same records, no fast path.
+    (TRACE_METRICS, " if key in _OPTIONAL else ", " if key not in _OPTIONAL else ",
+     "tests/test_acceptance.py", "fast_paths"),
 ]
 
 

@@ -46,7 +46,7 @@ from poisonring import (
     run,
     token_count,
 )
-from poisonring import poison_core
+from poisonring import poison_core, trace_metrics
 from poisonring._kernel import bernoulli, stream_seed
 from poisonring.cli import EXIT_OK, GOLDEN_PREFIX, load_scenario, main, parse_scenario
 
@@ -274,6 +274,27 @@ def test_frozen_traces_read_as_the_reference_reads_them(tmp_path, capsys, name):
     """read_record of each frozen-digest trace equals the reference decoder's record."""
     trace = _frozen_trace(tmp_path, capsys, name)
     assert read_record(trace) == reference_loads_record(trace.read_bytes().decode("utf-8"))
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_TRACE_SHA256))
+def test_frozen_traces_take_the_codec_fast_paths(tmp_path, capsys, monkeypatch, name):
+    """Writing and reading each frozen-digest trace calls _check_record for its run header
+    alone: every op and snapshot line is in the writer's exact form, which the writer's type
+    test and the reader's line patterns pass without it. A fast path turned off writes and
+    reads the same bytes, so only this count shows it."""
+    check, checked = trace_metrics._check_record, []
+
+    def counted_check(kind, obj, lineno):
+        checked.append((kind, lineno))
+        return check(kind, obj, lineno)
+
+    monkeypatch.setattr(trace_metrics, "_check_record", counted_check)
+    trace = _frozen_trace(tmp_path, capsys, name)
+    assert checked == [("run", 1)]
+    checked.clear()
+    record = read_record(trace)
+    assert checked == [("run", 1)]
+    assert record.events and record.snapshots
 
 
 # Frozen sha256 of `sweep --config poison_node0.json` stdout, one table per swept axis.

@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -42,6 +42,7 @@ from poisonring import (
     dumps_record,
     loads_record,
     read_record,
+    run,
     token_count,
     write_record,
 )
@@ -163,6 +164,17 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=r"injections\[1\]: conflicting"):
             load_scenario(scenario_file(obj))
 
+    def test_shape_errors_come_before_injection_number_errors(self, scenario_file):
+        """The reader builds every Injection before the Scenario checks their numbers, so a
+        later entry's policy error is reported before an earlier entry's bad node."""
+        obj = base_scenario_obj(injections=[poison_injection_obj(node=-1),
+                                            poison_injection_obj(node=1, infectious=1)])
+        with pytest.raises(ScenarioError, match=r"\.injections\[1\]\.policy: infectious must be"):
+            load_scenario(scenario_file(obj))
+        del obj["injections"][1]
+        with pytest.raises(ScenarioError, match=r": injections\[0\]\.node must be an integer in"):
+            load_scenario(scenario_file(obj))
+
     def test_trace_path_key_rejected(self, scenario_file):
         obj = base_scenario_obj(trace_path="out.jsonl")
         with pytest.raises(ScenarioError, match=r"unknown keys \['trace_path'\]"):
@@ -175,7 +187,7 @@ class TestLoadScenario:
             (base_scenario_obj(seed=True), "seed"),
             (base_scenario_obj(seed=2**64), "seed"),
             (base_scenario_obj(injections=[poison_injection_obj(node=False)]),
-             r"injections\[0\]: node"),
+             r": injections\[0\]\.node must be an integer in \[0, 4\], got bool$"),
             (base_scenario_obj(injections=[poison_injection_obj(infectious=1)]),
              r"injections\[0\]\.policy: infectious"),
             (base_scenario_obj(injections=[poison_injection_obj(lifetime={"transient": True})]),
@@ -475,6 +487,27 @@ class TestRunCommand:
         assert captured.err.startswith("error: ")
         assert named in captured.err
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "field,value,bounds,got",
+        [("node", -1, "[0, 4]", "-1"), ("node", "2", "[0, 4]", "str"),
+         ("node", True, "[0, 4]", "bool"), ("node", 2**70, "[0, 4]", str(2**70)),
+         ("node", 5, "[0, 4]", "5"), ("at_round", -1, "[0, 10]", "-1"),
+         ("at_round", 11, "[0, 10]", "11"), ("new_status", 5, "[0, 4]", "5")],
+        ids=["node_minus_1", "node_str", "node_bool", "node_2_70", "node_N",
+             "at_round_minus_1", "at_round_past_rounds", "new_status_K"],
+    )
+    def test_bad_injection_number_is_one_error_form(self, scenario_file, capsys, field, value,
+                                                    bounds, got):
+        """Every bad injection number of a 5-node, K=5, 10-round file is the Scenario's one
+        check against that ring, behind the file's name."""
+        injection = {"kind": "perturb", "node": 0, "at_round": 0, "new_status": 1, field: value}
+        path = scenario_file(base_scenario_obj(injections=[injection]))
+        assert main(["run", "--config", path]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}: injections[0].{field} must be an integer in "
+                                f"{bounds}, got {got}\n")
 
     def test_k_at_int64_max_runs(self, scenario_file, tmp_path, capsys):
         from poisonring import read_record
@@ -993,6 +1026,41 @@ def test_json_values_are_never_cut(values, bad_at):
     texts.insert(min(bad_at, len(texts)), ".5")
     with pytest.raises(ScenarioError, match=r"\A--values: invalid JSON at character \d+: [^\n]*\Z"):
         _sweep_values(",".join(texts))
+
+
+_INJECTION_BOUNDS = {"node": 4, "at_round": 10, "new_status": 4}  # of a 5-node, K=5, 10-round ring
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_INJECTION_BOUNDS)), st.integers(-2, 12) | _json_values)
+@example("node", [1])
+@example("at_round", {"a": 1})
+@example("new_status", 0.5)
+def test_an_injection_of_any_json_number_builds_and_its_scenario_checks_it(field, value):
+    """An Injection checks only its shape, so it builds from any JSON value in a number field
+    (a null new_status is a missing status, a shape error). Scenario, run and parse_scenario
+    take exactly the ints in the ring's bounds and reject anything else with the one
+    ScenarioError naming injections[0], never a raw TypeError."""
+    assume(not (field == "new_status" and value is None))
+    numbers = {"node": 0, "at_round": 0, "new_status": 1, field: value}
+    injection = Injection(**numbers)
+    ring = RingConfig(5, 5, 10)
+    obj = base_scenario_obj(injections=[{"kind": "perturb", **numbers}])
+    calls = (lambda: Scenario(ring, [injection]), lambda: run(ring, [injection]),
+             lambda: parse_scenario(obj))
+    if type(value) is int and 0 <= value <= _INJECTION_BOUNDS[field]:
+        for call in calls:
+            call()
+        return
+    messages = []
+    for call in calls:
+        with pytest.raises(ScenarioError) as excinfo:
+            call()
+        messages.append(str(excinfo.value))
+    expected = f"injections[0].{field} must be an integer in [0, {_INJECTION_BOUNDS[field]}], got "
+    assert messages[0].startswith(expected) and messages[1] == messages[0]
+    if value is not None:  # a null is the reader's missing key, before any Injection is built
+        assert messages[2] == f"<scenario>: {messages[0]}"
 
 
 @settings(max_examples=200, deadline=None)
