@@ -15,6 +15,9 @@ has_privilege reads it, and a flag reads only its node's and its left neighbour'
 a RingState starts with the all-zero start's N flags, a firing patches the two it can change, a
 round's injections set all N again, and out joins them, calling no binop, recording no event,
 counting N steps. With a discarding sink, update skips binop on exact-int guards and node 0's step.
+update fills each firing's SnapshotEvent in place, as binop fills its op records and for the same
+reason, the constructor call's measured cost (poison_core's docstring): replacing SnapshotEvent or
+its __init__ intercepts none of run's snapshots.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .poison_core import (
     ArithmeticFault,
     EvalContext,
     PoisonPolicy,
+    _new_record,
     binop,
     check_int,
     clean_value_of,
@@ -176,7 +180,11 @@ def update(state: RingState, node: int, ctx: EvalContext, snapshots: list) -> No
         fires = binop("neq" if node else "eq", left, own, ctx)
     if not fires:
         return
-    snapshots.append(SnapshotEvent(state.round_index, node, out(state, ctx)))
+    snapshot = _new_record(SnapshotEvent)
+    snapshot.round = state.round_index
+    snapshot.firing_node = node
+    snapshot.line = out(state, ctx)
+    snapshots.append(snapshot)
     flags = state._flags
     if node:  # a copy of its left value: the own flag clears
         statuses[node] = left

@@ -64,6 +64,13 @@ _OP_TAIL = "".join(
 _LITERALS = {"true": True, "false": False, None: None}
 
 
+def _reduce_record(record):
+    """A record's pickle and copy, at every protocol (slots alone pickle only at 2 and up): its
+    type and its fields, which are its __slots__ in order, for the constructor. A slot left unset
+    raises here."""
+    return type(record), tuple(getattr(record, name) for name in record.__slots__)
+
+
 @dataclass(slots=True)
 class OperatorEvent:
     """One intercepted operator application, its fields in an op line's key order.
@@ -86,6 +93,8 @@ class OperatorEvent:
     origin_id: int | None = None
     lifetime_after: int | None = None
 
+    __reduce__ = _reduce_record
+
 
 @dataclass(slots=True)
 class SnapshotEvent:
@@ -94,6 +103,8 @@ class SnapshotEvent:
     round: int
     firing_node: int
     line: str
+
+    __reduce__ = _reduce_record
 
 
 @dataclass(slots=True)
@@ -105,6 +116,8 @@ class RunRecord:
     events: list[OperatorEvent] = field(default_factory=list)
     snapshots: list[SnapshotEvent] = field(default_factory=list)
     final_statuses: list[int] = field(default_factory=list)
+
+    __reduce__ = _reduce_record
 
 
 def token_count(line: str) -> int:

@@ -38,6 +38,15 @@ MUTANTS = [
     (RING_SIM, OUT_STEPS, OUT_EVENT, "tests/test_ring_sim.py", "MonitoringNeutrality"),
     # out counts N + 1 steps.
     (RING_SIM, OUT_STEPS, OUT_STEPS.replace(")\n", ") + 1\n"), "tests/test_cli.py", "per_node_path"),
+    # binop's in-place op record swaps its clean and emitted results.
+    ("src/poisonring/poison_core.py",
+     "event.clean_result = clean_result\n        event.emitted_result = emitted\n",
+     "event.clean_result = emitted\n        event.emitted_result = clean_result\n",
+     "tests/test_acceptance.py", "frozen_trace_digests"),
+    # update's in-place snapshot swaps its round and firing node.
+    (RING_SIM, "snapshot.round = state.round_index\n    snapshot.firing_node = node\n",
+     "snapshot.round = node\n    snapshot.firing_node = state.round_index\n",
+     "tests/test_acceptance.py", "frozen_trace_digests"),
     # The right operand governs when both are poisoned.
     ("src/poisonring/poison_core.py", "governing = lhs if lhs_poisoned else rhs",
      "governing = rhs if rhs_poisoned else lhs", "tests/test_poison_core.py", ""),

@@ -333,19 +333,20 @@ SINK_SCENARIOS = {
 @pytest.mark.parametrize("name", sorted(SINK_SCENARIOS))
 def test_zero_capacity_sink_builds_no_event(monkeypatch, name):
     """A deque(maxlen=0) sink gets no OperatorEvent built, and the run is the
-    list-sink run: snapshots, statuses, steps, scalar state and fault step."""
+    list-sink run: snapshots, statuses, steps, scalar state and fault step. binop builds each
+    record it keeps through poison_core._new_record, so that is where builds are counted."""
     source = SINK_SCENARIOS[name]
     scenario = load_scenario(str(source)) if isinstance(source, Path) else parse_scenario(source)
     built = []
 
-    def counted_event(*fields):
-        built.append(fields)
-        return OperatorEvent(*fields)
+    def counted_new(cls):
+        built.append(cls)
+        return object.__new__(cls)
 
-    monkeypatch.setattr(poison_core, "OperatorEvent", counted_event)
+    monkeypatch.setattr(poison_core, "_new_record", counted_new)
 
     shown, events, steps = run_outcome(scenario.ring, scenario.injections, [])
-    assert len(built) == len(events) > 0
+    assert built == [OperatorEvent] * len(events) and len(events) > 0
     built.clear()
     assert run_outcome(scenario.ring, scenario.injections, deque(maxlen=0)) == (shown, [], steps)
     assert built == []

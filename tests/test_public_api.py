@@ -1,5 +1,5 @@
 """The package's public surface: `__all__`, the version, the README's code examples, the
-integer rule and the frozen value types."""
+integer rule, the frozen value types and the run record types."""
 
 import contextlib
 import copy
@@ -174,6 +174,23 @@ def test_a_value_type_survives_pickle_copy_and_replace(value):
     for copied in copies:
         assert type(copied) is type(value)
         assert copied == value and hash(copied) == hash(value)
+
+
+@pytest.mark.parametrize("name", ["poison_node0.json", "perturbed.json"])
+def test_a_run_record_survives_pickle_and_copy(name):
+    """A run's RunRecord, each of its OperatorEvents and each of its SnapshotEvents, binop and
+    run filling the last two in place, has no __dict__ and comes back as an equal record of its
+    type through pickle at every protocol, copy.copy and copy.deepcopy. A slot left unset fails."""
+    record = cli.execute_scenario(cli.load_scenario(str(SCENARIOS / name)))
+    assert record.events and record.snapshots
+    for value in (record, *record.events, *record.snapshots):
+        assert not hasattr(value, "__dict__")
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(value), copy.deepcopy(value)]
+        for copied in copies:
+            assert type(copied) is type(value)
+            assert copied == value
 
 
 def test_an_injection_takes_at_most_72_bytes():
