@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -334,6 +335,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # one parser per process: main reuses it, since parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="poisonring", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

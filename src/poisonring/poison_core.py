@@ -24,7 +24,7 @@ binop fills each OperatorEvent it keeps in place: _new_record makes the record, 
 eleven slots in field order to exactly the constructor's values (origin_id and lifetime_after None
 on the clean path). The dataclass constructor's call cost about 100 ns more per record on CPython
 3.11, 7 to 8% of a sweep rep's run(). So replacing OperatorEvent, here or in trace_metrics, or its
-__init__ intercepts none of binop's records; the constructor stays for every other caller.
+__init__ intercepts none of binop's records, nor those the trace reader fills the same way.
 """
 
 from __future__ import annotations

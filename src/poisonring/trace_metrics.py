@@ -9,7 +9,8 @@ and before it is written. Op and snapshot lines in the writer's exact form skip 
 writer formats a record of exact field types as an f-string, and the reader matches such a
 line with a regex and converts each distinct op tail and snapshot line once. Each accepts
 only what _check_record accepts, and leaves anything else to it, so no byte or message
-depends on these paths.
+depends on these paths. Files are written and read in bounded blocks of whole lines; the reader
+parses a block's lines in order before it reads on, so an error names the first bad line.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 
 
@@ -24,6 +26,7 @@ class TraceFormatError(ValueError):
     """Malformed snapshot line or trace file."""
 
 
+_BLOCK = 1 << 16  # characters per write of write_record, bytes per read of read_record
 _LINE_RE = re.compile(r"[01](?:,[01])*")
 # How every op line starts: dumps_record writes it, _OP_LINE matches it.
 _OP_PREFIX = '{"type":"op","step":'
@@ -209,6 +212,7 @@ def _record_lines(record: RunRecord):
     An int too long for str(), which no reader could parse, raises its line's error.
     """
     lineno = 1
+    names: dict[str, str] = {}  # op name, an exact str -> its JSON text
     try:
         header = {"scenario_digest": record.scenario_digest, "seed": record.seed,
                   "final_statuses": record.final_statuses}
@@ -229,7 +233,8 @@ def _record_lines(record: RunRecord):
             emitted = "true" if emitted is True else "false" if emitted is False else emitted
             origin = "" if origin is None else f',"origin_id":{origin}'
             life = "" if life is None else f',"lifetime_after":{life}'
-            yield (f'{_OP_PREFIX}{step},"op":{_ENCODE(op)},"lhs_clean":{lhs},"rhs_clean":{rhs},'
+            name = names.get(op) or names.setdefault(op, _ENCODE(op))
+            yield (f'{_OP_PREFIX}{step},"op":{name},"lhs_clean":{lhs},"rhs_clean":{rhs},'
                    f'"lhs_poisoned":{"true" if lhs_p else "false"},'
                    f'"rhs_poisoned":{"true" if rhs_p else "false"},'
                    f'"deviated":{"true" if deviated else "false"},"clean_result":{clean},'
@@ -263,7 +268,7 @@ def loads_record(text: str) -> RunRecord:
     op keys left out, in any order and with any JSON whitespace ("\\r\\n" line
     ends load too). Any other text is a TraceFormatError, raised at the first bad
     line. Op and snapshot lines in the writer's exact form are read without JSON;
-    read_record parses a file's lines the same way, one at a time.
+    read_record parses a file's lines the same way, read in bounded blocks.
     """
     return _parse_lines(text.split("\n"))
 
@@ -287,14 +292,20 @@ def _parse_lines(lines) -> RunRecord:
                 fields = tails[op[2]] = (
                     name, *[_LITERALS[v] if v in _LITERALS else int(v) for v in values])
             if fields is not None:
-                events.append(OperatorEvent(int(op[1]), *fields))
+                event = object.__new__(OperatorEvent)  # every slot set, as binop sets them
+                (event.step, event.op, event.lhs_clean, event.rhs_clean, event.lhs_poisoned,
+                 event.rhs_poisoned, event.deviated, event.clean_result, event.emitted_result,
+                 event.origin_id, event.lifetime_after) = int(op[1]), *fields
+                events.append(event)
                 continue
         elif (snap := _SNAPSHOT_LINE(raw)) is not None:  # as dumps_record writes it
             line = known.get(snap[3])
             if line is None and _LINE_RE.fullmatch(snap[3]):
                 line = known[snap[3]] = snap[3]
             if line is not None:
-                snapshots.append(SnapshotEvent(int(snap[1]), int(snap[2]), line))
+                snapshot = object.__new__(SnapshotEvent)
+                snapshot.round, snapshot.firing_node, snapshot.line = int(snap[1]), int(snap[2]), line
+                snapshots.append(snapshot)
                 continue
         elif not raw.strip():
             continue
@@ -322,26 +333,52 @@ def _parse_lines(lines) -> RunRecord:
 
 
 def write_record(record: RunRecord, path) -> None:
-    """Write dumps_record's text to path one line at a time, never the whole trace at once;
-    a record the reader rejects raises its TraceFormatError, the lines before it written."""
+    """Write dumps_record's text to path in bounded blocks, one write per _BLOCK characters of
+    whole lines; the first record the reader rejects raises its error, the lines before written."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_record_lines(record))
+        block, size = [], 0
+        try:
+            for line in _record_lines(record):
+                block.append(line)
+                size += len(line)
+                if size >= _BLOCK:
+                    fh.write("".join(block))
+                    block, size = [], 0
+        except TraceFormatError:
+            fh.write("".join(block))  # the lines before the refused one
+            raise
+        fh.write("".join(block))
+
+
+def _read_blocks(fh):
+    """fh's lines without "\\n", a list per block: _BLOCK bytes read to a line's end, decoded once.
+    An invalid byte yields the block's lines before its own, then raises read_record's error."""
+    lineno = offset = 0
+    while data := fh.read(_BLOCK):
+        if not data.endswith(b"\n"):
+            data += fh.readline()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            good = data.rfind(b"\n", 0, exc.start) + 1
+            yield data[:good].decode("utf-8").split("\n")[:-1]
+            line, byte = lineno + data.count(b"\n", 0, good) + 1, offset + exc.start
+            raise TraceFormatError(f"line {line}: invalid UTF-8 at byte {byte}") from None
+        lines = text.split("\n")
+        if not lines[-1]:  # the block ends in "\n"; only a last line without one is not empty
+            lines.pop()
+        yield lines
+        lineno += len(lines)
+        offset += len(data)
 
 
 def read_record(path) -> RunRecord:
-    """Load a trace file as loads_record loads its text, reading and decoding line by line.
+    """Load a trace file as loads_record loads its text, read and decoded in bounded blocks.
 
-    Each line is parsed before the next is read, so the first bad line wins: invalid JSON
-    on line 2 is reported even if line 3 is invalid UTF-8, a TraceFormatError
-    "line N: invalid UTF-8 at byte B" with B counted from the start of the file.
+    A block's lines before its first invalid byte are parsed, in order, before that byte is
+    reported or a later block read, so the first bad line wins: invalid JSON on line 2 is
+    reported even if line 3 is invalid UTF-8, a TraceFormatError "line N: invalid UTF-8 at
+    byte B" with B counted from the start of the file.
     """
-    def decoded(fh):
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                yield raw.decode("utf-8").removesuffix("\n")
-            except UnicodeDecodeError as exc:
-                byte = fh.tell() - len(raw) + exc.start
-                raise TraceFormatError(f"line {lineno}: invalid UTF-8 at byte {byte}") from None
-
     with open(path, "rb") as fh:
-        return _parse_lines(decoded(fh))
+        return _parse_lines(chain.from_iterable(_read_blocks(fh)))

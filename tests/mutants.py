@@ -68,6 +68,18 @@ MUTANTS = [
     # The reader's op-tail pattern swaps its optional and required keys: same records, no fast path.
     (TRACE_METRICS, " if key in _OPTIONAL else ", " if key not in _OPTIONAL else ",
      "tests/test_acceptance.py", "fast_paths"),
+    # The writer writes each line on its own: same bytes, one write per line.
+    (TRACE_METRICS, "                if size >= _BLOCK:\n", "                if size:\n",
+     "tests/test_acceptance.py", "fast_paths"),
+    # The reader reads and decodes each line on its own: same records, one read per line.
+    (TRACE_METRICS, "while data := fh.read(_BLOCK):", "while data := fh.readline():",
+     "tests/test_acceptance.py", "fast_paths"),
+    # The reader builds its op and snapshot records through their constructors: same records.
+    (TRACE_METRICS, "event = object.__new__(OperatorEvent)",
+     'event = OperatorEvent(0, "", 0, 0, False, False, False, 0, 0)',
+     "tests/test_acceptance.py", "fast_paths"),
+    (TRACE_METRICS, "snapshot = object.__new__(SnapshotEvent)", 'snapshot = SnapshotEvent(0, 0, "")',
+     "tests/test_acceptance.py", "fast_paths"),
 ]
 
 

@@ -13,7 +13,7 @@ import pickle
 import subprocess
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 
 import pytest
@@ -36,6 +36,7 @@ from poisonring import (
     OperatorEvent,
     RingConfig,
     RunRecord,
+    SnapshotEvent,
     binop,
     convergence_point,
     deviation_stats,
@@ -276,24 +277,65 @@ def test_frozen_traces_read_as_the_reference_reads_them(tmp_path, capsys, name):
     assert read_record(trace) == reference_loads_record(trace.read_bytes().decode("utf-8"))
 
 
+class _CountedFile:
+    """A file whose method calls are counted by name; writelines counts one write per line."""
+
+    def __init__(self, fh, calls):
+        self._fh, self._calls = fh, calls
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __getattr__(self, name):
+        method = getattr(self._fh, name)
+
+        def counted(*args):
+            self._calls[name] += 1
+            return method(*args)
+        return counted
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN_TRACE_SHA256))
 def test_frozen_traces_take_the_codec_fast_paths(tmp_path, capsys, monkeypatch, name):
     """Writing and reading each frozen-digest trace calls _check_record for its run header
     alone: every op and snapshot line is in the writer's exact form, which the writer's type
-    test and the reader's line patterns pass without it. A fast path turned off writes and
-    reads the same bytes, so only this count shows it."""
+    test and the reader's line patterns pass without it. The file layer works in bounded
+    blocks: at most ceil(size / _BLOCK) + 1 writes and as many block reads, each completed by
+    at most one readline, and the reader builds its records without their constructors. A
+    fast path turned off writes and reads the same bytes, so only these counts show it."""
     check, checked = trace_metrics._check_record, []
+    calls, built = Counter(), Counter()
 
     def counted_check(kind, obj, lineno):
         checked.append((kind, lineno))
         return check(kind, obj, lineno)
 
+    def counted_open(*args, **kwargs):
+        return _CountedFile(open(*args, **kwargs), calls)
+
     monkeypatch.setattr(trace_metrics, "_check_record", counted_check)
+    monkeypatch.setattr(trace_metrics, "open", counted_open, raising=False)
     trace = _frozen_trace(tmp_path, capsys, name)
     assert checked == [("run", 1)]
+    blocks = math.ceil(trace.stat().st_size / trace_metrics._BLOCK) + 1
+    assert 1 <= calls.pop("write") <= blocks and not calls
     checked.clear()
+    for event_type in (OperatorEvent, SnapshotEvent):
+        def counted_init(self, *args, _init=event_type.__init__, **kwargs):
+            built[type(self).__name__] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(event_type, "__init__", counted_init)
     record = read_record(trace)
     assert checked == [("run", 1)]
+    assert 1 <= calls.pop("read") <= blocks and calls.pop("readline", 0) < blocks and not calls
+    assert not built
     assert record.events and record.snapshots
 
 

@@ -46,7 +46,7 @@ from poisonring import (
     token_count,
     write_record,
 )
-from poisonring import ring_sim
+from poisonring import cli, ring_sim
 from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.cli import (
     EXIT_BROKEN_PIPE,
@@ -925,6 +925,43 @@ class TestSubprocessDeterminism:
         result = self._invoke("check")
         assert result.returncode == EXIT_OK
         assert b"golden lines match" in result.stderr
+
+    def test_one_process_answers_as_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        """Successive main calls in one process, which build the argument parser once, give
+        the exit codes, output and trace of the same commands run each in a fresh process."""
+        obj = base_scenario_obj(injections=[poison_injection_obj(effect={"intermittent": 0.5})])
+        (tmp_path / "scenario.json").write_text(json.dumps(obj), encoding="utf-8")
+        commands = [
+            ["run", "--seed", "x"],
+            ["check"],
+            ["run", "--config", "scenario.json", "--trace", "trace.jsonl"],
+            ["sweep", "--config", "scenario.json", "--param", "rate", "--values", "0.5",
+             "--reps", "2"],
+            ["sweep", "--config", "scenario.json", "--param", "voltage", "--values", "0.5",
+             "--reps", "2"],
+        ]
+        fresh = []
+        for args in commands:
+            result = subprocess.run([sys.executable, "-m", "poisonring", *args], cwd=tmp_path,
+                                    capture_output=True, text=True, env=subprocess_env(),
+                                    timeout=120)
+            trace = tmp_path / "trace.jsonl"
+            fresh.append((result.returncode, result.stdout, result.stderr,
+                          trace.read_bytes() if trace.exists() else None))
+            trace.unlink(missing_ok=True)
+        monkeypatch.chdir(tmp_path)
+        cli.build_parser.cache_clear()
+        in_process = []
+        for args in commands:
+            code = main(args)
+            out, err = capsys.readouterr()
+            trace = tmp_path / "trace.jsonl"
+            in_process.append((code, out, err, trace.read_bytes() if trace.exists() else None))
+            trace.unlink(missing_ok=True)
+        assert in_process == fresh
+        assert [code for code, *_ in fresh] == [EXIT_CONFIG, EXIT_OK, EXIT_OK, EXIT_OK,
+                                                EXIT_CONFIG]
+        assert cli.build_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("entry", ["poisonring", "poisonring.cli"])
     def test_module_entry_checks_clean(self, entry):

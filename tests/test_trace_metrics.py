@@ -5,6 +5,7 @@ import json
 import tracemalloc
 from collections import deque
 from enum import IntEnum
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +32,7 @@ from poisonring import (
     token_count,
     write_record,
 )
+from poisonring import trace_metrics
 from poisonring._kernel import INT64_MAX, INT64_MIN
 from poisonring.trace_metrics import _EVENT_TYPES, _OP_PREFIX, _SNAPSHOT_LINE
 from ring_oracle import reference_convergence_point
@@ -39,6 +41,7 @@ from trace_reference import (
     reference_dumps_record,
     reference_first_bad_line,
     reference_loads_record,
+    reference_read_record,
 )
 
 
@@ -214,8 +217,10 @@ class TestJsonlRoundTrip:
         assert _typed(read_record(path)) == _typed(record)
 
     def test_file_codec_holds_one_line_at_a_time(self, tmp_path):
-        """Neither write_record nor read_record holds the trace's text: each peaks at
-        under a quarter of the file's size, besides the record that read_record returns."""
+        """Neither write_record nor read_record holds the trace's text: each works in bounded
+        blocks, parsing a block's lines in order so that the first bad line still wins, and
+        peaks at under a quarter of the file's size, besides the record that read_record
+        returns."""
         events = [OperatorEvent(step=step, op="add", lhs_clean=step % 5, rhs_clean=1,
                                 lhs_poisoned=True, rhs_poisoned=False, deviated=step % 3 == 0,
                                 clean_result=step % 5 + 1, emitted_result=step % 5 + 2,
@@ -694,6 +699,8 @@ def test_writer_refuses_what_the_reader_rejects(tmp_path, header, events, snapsh
 
 
 _TOO_LONG = 10**5000  # past the 4,300 digits str() writes, so no reader can read it back
+# Op lines of _EVENT, each longer than 100 bytes, so more than _BLOCK bytes of them.
+_PAST_A_BLOCK = trace_metrics._BLOCK // 100 + 1
 
 
 @pytest.mark.parametrize(
@@ -705,13 +712,16 @@ _TOO_LONG = 10**5000  # past the 4,300 digits str() writes, so no reader can rea
         # The second event's tail is the first's: only its step differs.
         ({}, [{}, {"step": _TOO_LONG}], _SNAPSHOT, 3),
         ({}, [{}], SnapshotEvent(_TOO_LONG, 1, "1,0"), 3),
+        # Past the first block that write_record joins: its earlier blocks are written.
+        ({}, [{"step": step} for step in range(_PAST_A_BLOCK)] + [{"lhs_clean": _TOO_LONG}],
+         _SNAPSHOT, _PAST_A_BLOCK + 2),
     ],
     ids=["header_seed", "header_status", "op_operand", "op_step_after_cached_tail",
-         "snapshot_round"],
+         "snapshot_round", "op_operand_past_the_first_block"],
 )
 def test_writer_refuses_an_int_too_long_to_write(tmp_path, header, events, snapshot, lineno):
     """An int str() cannot write is the TraceFormatError of the line it would be on, from
-    dumps_record and from write_record, which leaves the lines before it written."""
+    dumps_record and from write_record, which leaves exactly the lines before it written."""
     record = RunRecord(**{**_HEADER, **header},
                        events=[dataclasses.replace(_EVENT, **changes) for changes in events],
                        snapshots=[snapshot])
@@ -719,7 +729,12 @@ def test_writer_refuses_an_int_too_long_to_write(tmp_path, header, events, snaps
     assert _outcome(dumps_record, record).startswith(prefix)
     path = tmp_path / "trace.jsonl"
     assert _outcome(write_record, record, path).startswith(prefix)
-    assert path.read_text(encoding="utf-8").count("\n") == lineno - 1
+    kept = lineno - 2  # records before the refused one, after the header
+    before = "" if lineno == 1 else reference_dumps_record(RunRecord(
+        record.scenario_digest, record.seed, record.events[:kept],
+        record.snapshots[:max(0, kept - len(record.events))], record.final_statuses))
+    assert path.read_text(encoding="utf-8") == before
+    assert before.count("\n") == lineno - 1
 
 
 # Edits of an op line's step token and tail, the text after the token. Each
@@ -780,6 +795,49 @@ def test_decoder_matches_the_reference(trace_path, drawn):
         outcome = _typed(_outcome(reference_loads_record, text))
         assert _typed(_outcome(loads_record, text)) == outcome, name
         assert _typed(_read_back(trace_path, text)) == outcome, name
+
+
+# A writer-form trace of more than three of read_record's blocks: op lines of one tail and
+# snapshot lines, each line as bytes without its end.
+_BLOCKED_LINES = [line.encode("utf-8") for line in dumps_record(RunRecord(
+    "d", 0, [dataclasses.replace(_EVENT, step=step) for step in range(1200)],
+    [SnapshotEvent(step, 1, "1,0") for step in range(300)], [1, 0])).split("\n")[:-1]]
+_BAD_LINES = [b'{"type":', b'{"type":"nope"}', b"[]", b'{"type":"op","step":1}',
+              b'{"type":"snapshot","round":0,"firing_node":1,"line":"2"}']
+_BAD_BYTES = [b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]  # also a cut and a surrogate
+
+
+@st.composite
+def _blocked_traces(draw):
+    """(block size, file bytes): _BLOCKED_LINES with form-feed lines put in, perhaps a
+    malformed line and perhaps an invalid byte, in either order or on one line, "\n" or
+    "\r\n" line ends, and a final line end or none."""
+    block = draw(st.sampled_from([1, 97, 4096, trace_metrics._BLOCK]))
+    lines = list(_BLOCKED_LINES)
+    for index in sorted(draw(st.lists(st.integers(0, len(lines)), max_size=3)), reverse=True):
+        lines.insert(index, b"\x0c")
+    if draw(st.booleans()):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_BAD_LINES))
+    if draw(st.booleans()):
+        index = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[index])))
+        lines[index] = lines[index][:at] + draw(st.sampled_from(_BAD_BYTES)) + lines[index][at:]
+    end = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return block, end.join(lines) + draw(st.sampled_from([end, b""]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocked_traces())
+def test_block_reader_matches_the_per_line_reader(trace_path, drawn):
+    """read_record, reading in blocks of any size, gives the record or the exact error of a
+    reader that reads and decodes one line at a time: the first bad line wins, and an invalid
+    byte names its line and its byte in the file."""
+    block, data = drawn
+    assert len(data) > 3 * block
+    trace_path.write_bytes(data)
+    expected = _outcome(reference_read_record, trace_path)
+    with mock.patch.object(trace_metrics, "_BLOCK", block):
+        assert _outcome(read_record, trace_path) == expected
 
 
 def _snapshot_text(round_, firing_node, line):

@@ -6,12 +6,15 @@ and read back by json.loads line by line, the way loads_record first read
 them. Used as the oracles that the direct encoder must match byte for byte
 and the tail-caching decoder must match record for record and error for error;
 reference_first_bad_line names the line at which the encoder must refuse a record.
+reference_read_record is the file reader as it was before it read in blocks: one line read
+and decoded at a time, each handed to the package's parser before the next is read.
 """
 
 import json
 import re
 
 from poisonring import OperatorEvent, RunRecord, SnapshotEvent, TraceFormatError
+from poisonring.trace_metrics import _parse_lines
 
 # JSON key order of an op line; the last two keys are left out when None.
 EVENT_KEYS = (
@@ -156,3 +159,19 @@ def reference_loads_record(text: str) -> RunRecord:
     record.events = events
     record.snapshots = snapshots
     return record
+
+
+def reference_read_record(path) -> RunRecord:
+    """read_record's record or error, reading and decoding the file one line at a time: the
+    first bad line wins, an invalid byte as "line N: invalid UTF-8 at byte B", B counted from
+    the start of the file."""
+    def decoded(fh):
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield raw.decode("utf-8").removesuffix("\n")
+            except UnicodeDecodeError as exc:
+                byte = fh.tell() - len(raw) + exc.start
+                raise TraceFormatError(f"line {lineno}: invalid UTF-8 at byte {byte}") from None
+
+    with open(path, "rb") as fh:
+        return _parse_lines(decoded(fh))
