@@ -20,11 +20,12 @@ Under an infectious policy observation can alter a run: monitoring ops still adv
 that keys an infected result's draw stream (ROADMAP A; pinned by the strict xfails
 test_extra_out_calls_change_nothing_at_seed_0 and ..._with_any_policy in tests/test_ring_sim.py).
 
-binop fills each OperatorEvent it keeps in place: _new_record makes the record, and binop sets its
-eleven slots in field order to exactly the constructor's values (origin_id and lifetime_after None
-on the clean path). The dataclass constructor's call cost about 100 ns more per record on CPython
-3.11, 7 to 8% of a sweep rep's run(). So replacing OperatorEvent, here or in trace_metrics, or its
-__init__ intercepts none of binop's records, nor those the trace reader fills the same way.
+binop fills each OperatorEvent it keeps in place, in one fill shared by the clean and poisoned
+paths: _new_record makes the record, and binop sets its eleven slots in field order to exactly the
+constructor's values (origin_id and lifetime_after None on the clean path). The dataclass
+constructor's call cost about 100 ns more per record on CPython 3.11, 7 to 8% of a sweep rep's
+run(). So replacing OperatorEvent, here or in trace_metrics, or its __init__ intercepts none of
+binop's records, nor those the trace reader fills the same way.
 """
 
 from __future__ import annotations
@@ -299,53 +300,42 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
     except (OverflowError, ZeroDivisionError) as exc:
         raise ArithmeticFault(f"{op}: {exc}", step) from exc
     if not (lhs_poisoned or rhs_poisoned):
-        if ctx._keeps_events and ctx.suppression_depth <= 0:
-            event = _new_record(OperatorEvent)
-            event.step = step
-            event.op = op
-            event.lhs_clean = a
-            event.rhs_clean = b
-            event.lhs_poisoned = False
-            event.rhs_poisoned = False
-            event.deviated = False
-            event.clean_result = clean_result
-            event.emitted_result = clean_result
-            event.origin_id = None
-            event.lifetime_after = None
-            ctx.event_sink.append(event)
+        if not ctx._keeps_events or ctx.suppression_depth > 0:
+            return clean_result
+        deviated, origin_id, lifetime_after = False, None, None
+        emitted = result = clean_result
+    elif ctx.suppression_depth > 0:
         return clean_result
-    if ctx.suppression_depth > 0:
-        return clean_result
-
-    # The left operand governs when both are poisoned.
-    # Draw, spend a use of each poisoned operand object, deviate, infect.
-    governing = lhs if lhs_poisoned else rhs
-    policy = governing.policy
-    if policy.rate is None:
-        deviated = True
     else:
-        governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
-    lifetime_after = governing.uses_remaining
-    if lifetime_after is not None:
-        lifetime_after = governing._consume_use()
-    if lhs_poisoned and rhs_poisoned and rhs is not lhs and rhs.uses_remaining is not None:
-        rhs._consume_use()
-    emitted = result = clean_result
-    if op in _COMPARISONS:
-        if deviated:
-            emitted = result = not clean_result
-    else:
-        if deviated:
-            model = policy.deviation
-            mag = model.magnitude
-            try:
-                emitted = kernel.apply_deviation(model.kind, clean_result, mag.numerator, mag.denominator)
-            except OverflowError as exc:
-                raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
-        if policy.infectious:
-            child_state = kernel.stream_child(governing.rng_state, step)
-            result = PoisonedScalar(clean_result, policy, governing.origin_id, child_state)
-
+        # The left operand governs when both are poisoned.
+        # Draw, spend a use of each poisoned operand object, deviate, infect.
+        governing = lhs if lhs_poisoned else rhs
+        policy, origin_id = governing.policy, governing.origin_id
+        if policy.rate is None:
+            deviated = True
+        else:
+            governing.rng_state, deviated = kernel.bernoulli(governing.rng_state, policy.rate)
+        lifetime_after = governing.uses_remaining
+        if lifetime_after is not None:
+            lifetime_after = governing._consume_use()
+        if lhs_poisoned and rhs_poisoned and rhs is not lhs and rhs.uses_remaining is not None:
+            rhs._consume_use()
+        emitted = result = clean_result
+        if op in _COMPARISONS:
+            if deviated:
+                emitted = result = not clean_result
+        else:
+            if deviated:
+                model = policy.deviation
+                mag = model.magnitude
+                try:
+                    emitted = kernel.apply_deviation(
+                        model.kind, clean_result, mag.numerator, mag.denominator)
+                except OverflowError as exc:
+                    raise ArithmeticFault(f"{op} deviation: {exc}", step) from exc
+            if policy.infectious:
+                child_state = kernel.stream_child(governing.rng_state, step)
+                result = PoisonedScalar(clean_result, policy, origin_id, child_state)
     if ctx._keeps_events:
         event = _new_record(OperatorEvent)
         event.step = step
@@ -357,7 +347,7 @@ def binop(op: str, lhs, rhs, ctx: EvalContext):
         event.deviated = deviated
         event.clean_result = clean_result
         event.emitted_result = emitted
-        event.origin_id = governing.origin_id
+        event.origin_id = origin_id
         event.lifetime_after = lifetime_after
         ctx.event_sink.append(event)
     return result

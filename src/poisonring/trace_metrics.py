@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 from operator import attrgetter
 
@@ -57,14 +58,15 @@ _REQUIRED = {kind: frozenset(schema.keys() - _OPTIONAL) for kind, schema in _REC
 _EVENT_FIELDS = attrgetter(*_EVENT_TYPES)
 # An op line's tail, the text after its step, in the writer's exact form: one group per key
 # in _EVENT_TYPES order, each read as _LITERALS gives it or as an int, but the op string,
-# which needs no escape. Only a first-seen tail is matched, through re's cache, so a program
-# that reads no trace never compiles it.
+# which needs no escape. Only a first-seen tail is matched, by _op_tail: compiled once per
+# process, on the first read that meets a new tail, so a program that reads no trace never does.
 _TOKENS = {_INT: _INT_TOKEN, _BOOL: "(true|false)", _RESULT: _INT_TOKEN[:-1] + "|true|false)",
            (str,): r'"([^"\\\x00-\x1f]*)"'}
 _OP_TAIL = "".join(
     f'(?:,"{key}":{_TOKENS[types]})?' if key in _OPTIONAL else f',"{key}":{_TOKENS[types]}'
     for key, types in _EVENT_TYPES.items() if key != "step") + "}"
 _LITERALS = {"true": True, "false": False, None: None}
+_op_tail = cache(lambda: re.compile(_OP_TAIL).fullmatch)
 
 
 def _reduce_record(record):
@@ -275,37 +277,43 @@ def loads_record(text: str) -> RunRecord:
 
 def _parse_lines(lines) -> RunRecord:
     """loads_record's parse of lines without their "\\n". A line in the writer's exact form is
-    read without JSON: an op line whose tail _OP_TAIL matches, each distinct tail converted
-    once, and a snapshot line whose line _LINE_RE matches, each distinct line matched once
-    and kept once. Any other line is json.loads' and _check_record's."""
+    read without JSON, one match, one lookup and one slot fill each: an op line whose tail
+    _OP_TAIL matches, each distinct tail converted once (the pattern compiled once per process),
+    and a snapshot line whose line _LINE_RE matches, each distinct line matched and kept once.
+    Any other line is json.loads' and _check_record's."""
     record = None
     events: list[OperatorEvent] = []
     snapshots: list[SnapshotEvent] = []
     tails: dict[str, tuple] = {}  # op-line tail -> its field values after step
     known: dict[str, str] = {}  # snapshot line -> the one str that holds it
+    new, add_event, add_snapshot = object.__new__, events.append, snapshots.append
+    tail_fields, known_line = tails.get, known.get
     for lineno, raw in enumerate(lines, start=1):
         op = _OP_LINE(raw)  # as dumps_record writes it
         if op is not None:
-            fields = tails.get(op[2])
-            if fields is None and (tail := re.fullmatch(_OP_TAIL, op[2])) is not None:
+            fields = tail_fields(op[2])
+            if fields is None and (tail := _op_tail()(op[2])) is not None:
                 name, *values = tail.groups()
                 fields = tails[op[2]] = (
                     name, *[_LITERALS[v] if v in _LITERALS else int(v) for v in values])
             if fields is not None:
-                event = object.__new__(OperatorEvent)  # every slot set, as binop sets them
-                (event.step, event.op, event.lhs_clean, event.rhs_clean, event.lhs_poisoned,
-                 event.rhs_poisoned, event.deviated, event.clean_result, event.emitted_result,
-                 event.origin_id, event.lifetime_after) = int(op[1]), *fields
-                events.append(event)
+                event = new(OperatorEvent)  # every slot set, as binop sets them
+                event.step = int(op[1])
+                (event.op, event.lhs_clean, event.rhs_clean, event.lhs_poisoned, event.rhs_poisoned,
+                 event.deviated, event.clean_result, event.emitted_result, event.origin_id,
+                 event.lifetime_after) = fields
+                add_event(event)
                 continue
         elif (snap := _SNAPSHOT_LINE(raw)) is not None:  # as dumps_record writes it
-            line = known.get(snap[3])
+            line = known_line(snap[3])
             if line is None and _LINE_RE.fullmatch(snap[3]):
                 line = known[snap[3]] = snap[3]
             if line is not None:
-                snapshot = object.__new__(SnapshotEvent)
-                snapshot.round, snapshot.firing_node, snapshot.line = int(snap[1]), int(snap[2]), line
-                snapshots.append(snapshot)
+                snapshot = new(SnapshotEvent)
+                snapshot.round = int(snap[1])
+                snapshot.firing_node = int(snap[2])
+                snapshot.line = line
+                add_snapshot(snapshot)
                 continue
         elif not raw.strip():
             continue
@@ -318,9 +326,9 @@ def _parse_lines(lines) -> RunRecord:
         kind = obj.pop("type", None)
         _check_record(kind, obj, lineno)
         if kind == "op":
-            events.append(OperatorEvent(**obj))
+            add_event(OperatorEvent(**obj))
         elif kind == "snapshot":
-            snapshots.append(SnapshotEvent(**obj))
+            add_snapshot(SnapshotEvent(**obj))
         else:  # "run"
             if record is not None:
                 raise TraceFormatError(f"line {lineno}: second run header")

@@ -38,7 +38,7 @@ MUTANTS = [
     (RING_SIM, OUT_STEPS, OUT_EVENT, "tests/test_ring_sim.py", "MonitoringNeutrality"),
     # out counts N + 1 steps.
     (RING_SIM, OUT_STEPS, OUT_STEPS.replace(")\n", ") + 1\n"), "tests/test_cli.py", "per_node_path"),
-    # binop's in-place op record swaps its clean and emitted results.
+    # binop's one in-place op record fill swaps its clean and emitted results.
     ("src/poisonring/poison_core.py",
      "event.clean_result = clean_result\n        event.emitted_result = emitted\n",
      "event.clean_result = emitted\n        event.emitted_result = clean_result\n",
@@ -75,10 +75,16 @@ MUTANTS = [
     (TRACE_METRICS, "while data := fh.read(_BLOCK):", "while data := fh.readline():",
      "tests/test_acceptance.py", "fast_paths"),
     # The reader builds its op and snapshot records through their constructors: same records.
-    (TRACE_METRICS, "event = object.__new__(OperatorEvent)",
+    (TRACE_METRICS, "event = new(OperatorEvent)",
      'event = OperatorEvent(0, "", 0, 0, False, False, False, 0, 0)',
      "tests/test_acceptance.py", "fast_paths"),
-    (TRACE_METRICS, "snapshot = object.__new__(SnapshotEvent)", 'snapshot = SnapshotEvent(0, 0, "")',
+    (TRACE_METRICS, "snapshot = new(SnapshotEvent)", 'snapshot = SnapshotEvent(0, 0, "")',
+     "tests/test_acceptance.py", "fast_paths"),
+    # The reader matches each first-seen op tail through re's pattern cache: same records.
+    (TRACE_METRICS, "(tail := _op_tail()(op[2]))", "(tail := re.fullmatch(_OP_TAIL, op[2]))",
+     "tests/test_acceptance.py", "fast_paths"),
+    # The reader compiles the op-tail pattern once per first-seen tail: same records.
+    (TRACE_METRICS, "_op_tail = cache(lambda", "_op_tail = (lambda",
      "tests/test_acceptance.py", "fast_paths"),
 ]
 

@@ -42,6 +42,7 @@ from poisonring import (
     deviation_stats,
     is_legitimate,
     is_poisoned,
+    loads_record,
     make_poisoned,
     read_record,
     run,
@@ -277,8 +278,8 @@ def test_frozen_traces_read_as_the_reference_reads_them(tmp_path, capsys, name):
     assert read_record(trace) == reference_loads_record(trace.read_bytes().decode("utf-8"))
 
 
-class _CountedFile:
-    """A file whose method calls are counted by name; writelines counts one write per line."""
+class _Counted:
+    """A file or module whose calls are counted by name; writelines counts one write per line."""
 
     def __init__(self, fh, calls):
         self._fh, self._calls = fh, calls
@@ -308,17 +309,18 @@ def test_frozen_traces_take_the_codec_fast_paths(tmp_path, capsys, monkeypatch, 
     alone: every op and snapshot line is in the writer's exact form, which the writer's type
     test and the reader's line patterns pass without it. The file layer works in bounded
     blocks: at most ceil(size / _BLOCK) + 1 writes and as many block reads, each completed by
-    at most one readline, and the reader builds its records without their constructors. A
-    fast path turned off writes and reads the same bytes, so only these counts show it."""
+    at most one readline, and the reader builds its records without their constructors. It
+    compiles the op-tail pattern once per process and calls no re function per tail. A fast
+    path turned off writes and reads the same bytes, so only these counts show it."""
     check, checked = trace_metrics._check_record, []
-    calls, built = Counter(), Counter()
+    calls, built, regex = Counter(), Counter(), Counter()
 
     def counted_check(kind, obj, lineno):
         checked.append((kind, lineno))
         return check(kind, obj, lineno)
 
     def counted_open(*args, **kwargs):
-        return _CountedFile(open(*args, **kwargs), calls)
+        return _Counted(open(*args, **kwargs), calls)
 
     monkeypatch.setattr(trace_metrics, "_check_record", counted_check)
     monkeypatch.setattr(trace_metrics, "open", counted_open, raising=False)
@@ -327,6 +329,7 @@ def test_frozen_traces_take_the_codec_fast_paths(tmp_path, capsys, monkeypatch, 
     blocks = math.ceil(trace.stat().st_size / trace_metrics._BLOCK) + 1
     assert 1 <= calls.pop("write") <= blocks and not calls
     checked.clear()
+    monkeypatch.setattr(trace_metrics, "re", _Counted(trace_metrics.re, regex))
     for event_type in (OperatorEvent, SnapshotEvent):
         def counted_init(self, *args, _init=event_type.__init__, **kwargs):
             built[type(self).__name__] += 1
@@ -337,6 +340,8 @@ def test_frozen_traces_take_the_codec_fast_paths(tmp_path, capsys, monkeypatch, 
     assert 1 <= calls.pop("read") <= blocks and calls.pop("readline", 0) < blocks and not calls
     assert not built
     assert record.events and record.snapshots
+    assert loads_record(trace.read_text(encoding="utf-8")) == record  # a second parse
+    assert regex.pop("compile", 0) <= 1 and not regex
 
 
 # Frozen sha256 of `sweep --config poison_node0.json` stdout, one table per swept axis.
